@@ -28,7 +28,6 @@ from .constraints import (
     eig_constraints,
     frob_constraint,
     frobenius_gain_sq,
-    hermitian_eigvalsh,
     project_box,
     spectral_pd_check,
 )

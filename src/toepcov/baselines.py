@@ -194,8 +194,6 @@ def _const_offdiag_target(scm) -> np.ndarray:
 def _shrink_target(scm, target) -> np.ndarray:
     if isinstance(target, str):
         if target == "avg":
-            from .baselines import toeplitz_avg  # local alias for clarity
-
             return toeplitz_avg(scm).dense()
         if target == "const":
             return _const_offdiag_target(scm)

@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -28,8 +29,9 @@ from .estimators import (
     estimate_pls,
     tune_box_family,
     tune_order,
+    white_noise_report,
 )
-from .likelihood import LikelihoodContext, SampleSet
+from .likelihood import LikelihoodContext
 from .processes import ProcessSpec, nmse, sample, true_cm
 
 __all__ = [
@@ -42,33 +44,30 @@ __all__ = [
     "worker_count",
 ]
 
+#: Hyperparameters pinned for timing: bandwidth and AR order fixed to 6.
+TIMING_PIN = 6
+
 
 @dataclass(frozen=True)
 class EstimatorInfo:
+    """One estimator: its capabilities and its fitting policy.
+
+    ``tuned(data)`` fits a :class:`SampleSet` with the estimator's own
+    hyperparameter selection and returns ``(cm, icm, meta, report)``: the
+    dense covariance, the dense precision (None without ``supports_icm``),
+    the chosen hyperparameters, and the GS :class:`EstimationReport` (None
+    for baselines).  ``pinned(data, order)`` returns the same at a fixed AR
+    order; baselines have none.  ``timed(data)`` returns the zero-argument
+    call that :func:`timing_benchmark` measures.
+    """
+
     name: str
     kind: str  # "proposed" | "baseline"
     supports_icm: bool
     complexity: str
-    min_samples: int = 1
-
-
-ESTIMATORS = {
-    info.name: info
-    for info in (
-        EstimatorInfo("scm", "baseline", False, "quadratic per entry pass"),
-        EstimatorInfo("avg", "baseline", False, "quadratic (diagonal averages)"),
-        EstimatorInfo("banding", "baseline", False, "linear in dim times bandwidth", 4),
-        EstimatorInfo("tapering", "baseline", False, "linear in dim times bandwidth", 4),
-        EstimatorInfo("circ", "baseline", True, "quadratic times log factor"),
-        EstimatorInfo("em", "baseline", True, "cubic per iteration"),
-        EstimatorInfo("shrink_avg", "baseline", False, "cubic (target build dominates)", 2),
-        EstimatorInfo("shrink_const", "baseline", True, "quadratic", 2),
-        EstimatorInfo("eig", "proposed", True, "cubic per iteration (small dims)", 2),
-        EstimatorInfo("frob", "proposed", True, "quadratic per iteration", 2),
-        EstimatorInfo("pgd", "proposed", True, "quadratic per iteration", 2),
-        EstimatorInfo("pls", "proposed", True, "linear plus cubic in the order", 2),
-    )
-}
+    tuned: Callable
+    timed: Callable
+    pinned: Callable | None = None
 
 
 def _pd_inverse(mat):
@@ -78,56 +77,110 @@ def _pd_inverse(mat):
     return half.T.conj() @ half
 
 
-def _fit_for_benchmark(name: str, sample_set: SampleSet):
-    """Run one estimator with its benchmark hyperparameter policy.
+def _baseline(name, supports_icm, complexity, raw, fit=None):
+    """Baseline from ``raw(data)``, the estimate with pinned hyperparameters.
 
-    Returns ``(cm, icm_or_none, meta)``; raises on estimator failure.
+    ``fit(data)`` tunes the hyperparameters and returns the dense covariance
+    and the chosen values; without it the tuned fit is ``raw``, which must
+    then be dense.  Timing measures ``raw``.
     """
-    info = ESTIMATORS[name]
-    scm = sample_set.scm
-    meta = {}
-    if name == "scm":
-        return scm, None, meta
-    if name == "avg":
-        return baselines.toeplitz_avg(scm).dense(), None, meta
-    if name in ("banding", "tapering"):
-        spec = baselines.cv_tune_mask(sample_set.samples, kind=name)
-        meta["mask_k"] = spec.k
-        return baselines.band_estimate(scm, spec).dense(), None, meta
-    if name == "circ":
-        cm = baselines.circulant_mle(scm)
-        return cm, _pd_inverse(cm), meta
-    if name == "em":
-        cm = baselines.em_toeplitz(scm, g=2 * sample_set.p)
-        return cm, _pd_inverse(cm), meta
-    if name in ("shrink_avg", "shrink_const"):
-        target = "avg" if name == "shrink_avg" else "const"
-        rho = baselines.shrink_coefficient(scm, target, sample_set.samples)
-        meta["rho"] = rho
-        cm = baselines.shrink(scm, target, rho=rho)
-        icm = _pd_inverse(cm) if info.supports_icm else None
-        return cm, icm, meta
-    ctx = sample_set.context()
-    if name == "frob":
-        report = tune_order(lambda c, w: estimate_frob(c, order=w), ctx)
-    elif name == "eig":
-        report = tune_order(lambda c, w: estimate_eig(c, order=w), ctx)
-    elif name == "pgd":
-        report = tune_box_family(
-            lambda spec: (lambda c, w: estimate_pgd(c, spec, w)), ctx
-        )
-    elif name == "pls":
-        report = tune_box_family(
-            lambda spec: (lambda c, w: estimate_pls(c, spec, order=w)), ctx
-        )
-    else:
-        raise ValueError(f"unknown estimator {name!r}")
-    meta["order"] = report.order
-    meta["family"] = report.family_id
-    meta["loglik"] = report.loglik
-    meta["iterations"] = report.iterations
-    meta["converged"] = report.converged
-    return report.cm().dense(), report.icm_dense(), meta
+
+    def tuned(data):
+        cm, meta = (raw(data), {}) if fit is None else fit(data)
+        return cm, _pd_inverse(cm) if supports_icm else None, meta, None
+
+    return EstimatorInfo(name, "baseline", supports_icm, complexity, tuned,
+                         lambda d: lambda: raw(d))
+
+
+def _gs_result(r):
+    meta = {"order": r.order, "family": r.family_id, "loglik": r.loglik,
+            "iterations": r.iterations, "converged": r.converged}
+    return r.cm().dense(), r.icm_dense(), meta, r
+
+
+def _gs(name, complexity, fit, boxed=False, **timing):
+    """GS estimator from ``fit(ctx, order, spec, **kw)``, one fixed-order fit.
+
+    ``spec`` is the box of box estimators (None for the others).  Tuning
+    scans orders by BIC and, for box estimators, the default bound families;
+    a pinned order takes the best family.  Timing fits at ``TIMING_PIN`` in
+    the exp-1 box with the ``timing`` keywords.
+    """
+
+    def tuned(data):
+        ctx = data.context()
+        if boxed:
+            return _gs_result(tune_box_family(lambda spec: (lambda c, w: fit(c, w, spec)), ctx))
+        return _gs_result(tune_order(lambda c, w: fit(c, w, None), ctx))
+
+    def pinned(data, order):
+        ctx = data.context()
+        if order == 0:
+            return _gs_result(white_noise_report(ctx))
+        if not boxed:
+            return _gs_result(fit(ctx, order, None))
+        fits = (fit(ctx, order, box_spec_for(family, ctx.p)) for family in DEFAULT_FAMILIES)
+        return _gs_result(max(fits, key=lambda r: r.loglik))  # ties keep the earlier family
+
+    def timed(data):
+        spec = box_spec_for(DEFAULT_FAMILIES[1], data.p) if boxed else None
+        return lambda: fit(LikelihoodContext(data.scm, data.n), TIMING_PIN, spec, **timing)
+
+    return EstimatorInfo(name, "proposed", True, complexity, tuned, timed, pinned)
+
+
+def _banded(kind):
+    """``(raw, fit)`` of banding/tapering: pinned or cross-validated bandwidth."""
+    pinned = baselines.MaskSpec(kind, TIMING_PIN)
+
+    def fit(data):
+        spec = baselines.cv_tune_mask(data.samples, kind=kind)
+        return baselines.band_estimate(data.scm, spec).dense(), {"mask_k": spec.k}
+
+    return lambda d: baselines.band_estimate(d.scm, pinned), fit
+
+
+def _shrinkage(target):
+    """``(raw, fit)`` of shrinkage; the tuned fit records the plug-in weight."""
+
+    def fit(data):
+        rho = baselines.shrink_coefficient(data.scm, target, data.samples)
+        return baselines.shrink(data.scm, target, rho=rho), {"rho": rho}
+
+    return lambda d: baselines.shrink(d.scm, target, samples=d.samples), fit
+
+
+# Entries reach the estimators through module-level names at call time, so
+# rebinding those names (to trace them, say) reaches every call.
+ESTIMATORS = {
+    info.name: info
+    for info in (
+        _baseline("scm", False, "quadratic per entry pass", lambda d: d.scm),
+        _baseline("avg", False, "quadratic (diagonal averages)",
+                  lambda d: baselines.toeplitz_avg(d.scm),
+                  lambda d: (baselines.toeplitz_avg(d.scm).dense(), {})),
+        _baseline("banding", False, "linear in dim times bandwidth", *_banded("banding")),
+        _baseline("tapering", False, "linear in dim times bandwidth", *_banded("tapering")),
+        _baseline("circ", True, "cubic (dense DFT)", lambda d: baselines.circulant_mle(d.scm)),
+        _baseline("em", True, "cubic per iteration",
+                  lambda d: baselines.em_toeplitz(d.scm, g=2 * d.p)),
+        _baseline("shrink_avg", False, "cubic (target build dominates)", *_shrinkage("avg")),
+        _baseline("shrink_const", True, "quadratic", *_shrinkage("const")),
+        _gs("eig", "cubic per iteration (small dims)",
+            lambda c, w, spec: estimate_eig(c, order=w)),
+        _gs("frob", "quadratic per iteration",
+            lambda c, w, spec: estimate_frob(c, order=w)),
+        # timing gives pgd a fixed iteration budget: the iteration count is a
+        # data-dependent prefactor in the complexity bound, like the bandwidth
+        _gs("pgd", "quadratic per iteration",
+            lambda c, w, spec, **kw: estimate_pgd(c, spec, w, **kw), boxed=True,
+            opts=PgdOptions(max_iter=40, rel_tol=0.0, stat_tol=float("inf"))),
+        _gs("pls", "linear plus cubic in the order",
+            lambda c, w, spec, **kw: estimate_pls(c, spec, order=w, **kw), boxed=True,
+            with_loglik=False),
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -250,12 +303,12 @@ def _run_cell(config: ExperimentConfig, point, p: int, n: int, run: int):
         rec = {"estimator": name, "run": run}
         start = time.perf_counter()
         try:
-            cm, icm, meta = _fit_for_benchmark(name, data)
+            cm, icm, meta, _ = ESTIMATORS[name].tuned(data)
             rec["wall_ms"] = (time.perf_counter() - start) * 1e3
             rec.update(meta)
             if config.cm_nmse:
                 rec["nmse_c"] = nmse(cm, truth_cm)
-            if config.icm_nmse and ESTIMATORS[name].supports_icm and icm is not None:
+            if config.icm_nmse and icm is not None:
                 rec["nmse_icm"] = nmse(icm, truth_icm)
         except Exception as exc:  # failed cell: recorded, never silently dropped
             rec["wall_ms"] = (time.perf_counter() - start) * 1e3
@@ -459,43 +512,6 @@ def _axis_index(config, row, axis):
 
 # -- timing ------------------------------------------------------------------
 
-#: Hyperparameters pinned for timing: bandwidth and AR order fixed to 6.
-TIMING_PIN = 6
-
-
-def _timed_fit(name: str, scm, sample_set: SampleSet, box_cache: dict):
-    p = scm.shape[0]
-    if name == "scm":
-        return lambda: scm
-    if name == "avg":
-        return lambda: baselines.toeplitz_avg(scm)
-    if name in ("banding", "tapering"):
-        spec = baselines.MaskSpec(name, TIMING_PIN)
-        return lambda: baselines.band_estimate(scm, spec)
-    if name == "circ":
-        return lambda: baselines.circulant_mle(scm)
-    if name == "em":
-        return lambda: baselines.em_toeplitz(scm, g=2 * p)
-    if name == "shrink_avg":
-        return lambda: baselines.shrink(scm, "avg", samples=sample_set.samples)
-    if name == "shrink_const":
-        return lambda: baselines.shrink(scm, "const", samples=sample_set.samples)
-    if name in ("pgd", "pls"):
-        spec = box_cache.setdefault(p, box_spec_for(DEFAULT_FAMILIES[1], p))
-        if name == "pgd":
-            # fixed iteration budget: the iteration count is a data-dependent
-            # prefactor in the complexity bound, like the pinned bandwidth
-            opts = PgdOptions(max_iter=40, rel_tol=0.0, stat_tol=float("inf"))
-            return lambda: estimate_pgd(LikelihoodContext(scm, sample_set.n), spec, TIMING_PIN, opts)
-        return lambda: estimate_pls(
-            LikelihoodContext(scm, sample_set.n), spec, TIMING_PIN, with_loglik=False
-        )
-    if name == "frob":
-        return lambda: estimate_frob(LikelihoodContext(scm, sample_set.n), order=TIMING_PIN)
-    if name == "eig":
-        return lambda: estimate_eig(LikelihoodContext(scm, sample_set.n), order=TIMING_PIN)
-    raise ValueError(f"unknown estimator {name!r}")
-
 
 def timing_benchmark(dims, estimator_names, n: int = 64, reps: int = 5, seed: int = 2024):
     """Median wall time of one estimate per estimator and dimension.
@@ -505,13 +521,11 @@ def timing_benchmark(dims, estimator_names, n: int = 64, reps: int = 5, seed: in
     """
     spec_params = {"a": (0.7,), "b": (0.3,), "sigma2": 0.64}
     rows = []
-    box_cache: dict = {}
     for p in dims:
         process = ProcessSpec("arma", p, **spec_params)
         data = sample(process, n, derive_seed(seed, ("timing",), p, n, 0))
-        scm = data.scm
         for name in estimator_names:
-            fit = _timed_fit(name, scm, data, box_cache)
+            fit = ESTIMATORS[name].timed(data)
             fit()  # warm-up outside the timed region
             times = []
             for _ in range(reps):

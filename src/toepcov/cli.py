@@ -7,22 +7,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
 import numpy as np
 
 from . import bench
-from .constraints import DEFAULT_FAMILIES, box_spec_for
-from .estimators import (
-    estimate_eig,
-    estimate_frob,
-    estimate_pgd,
-    estimate_pls,
-    tune_box_family,
-    tune_order,
-    white_noise_report,
-)
 from .likelihood import SampleSet
 from .toeplitz import NotPositiveDefiniteError, UnstableARError
 
@@ -46,7 +37,7 @@ def _build_parser() -> _Parser:
     est = sub.add_parser("estimate", help="fit one estimator to a CSV of samples")
     est.add_argument("--input", required=True, help="CSV file, one sample per row")
     est.add_argument("--estimator", required=True)
-    est.add_argument("--order", default="auto", help="'auto' for BIC tuning or a fixed integer")
+    est.add_argument("--order", default="auto", help="'auto' or a fixed AR order (GS estimators only)")
     est.add_argument("--icm", action="store_true", help="include the dense precision estimate")
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--out", default=None, help="report path (stdout when omitted)")
@@ -88,6 +79,8 @@ def _read_samples(path: str) -> np.ndarray:
                     width = len(parts)  # header row
                     continue
                 raise _UsageError(f"{path}:{lineno}: non-numeric value")
+            if not all(math.isfinite(v) for v in vals):
+                raise _UsageError(f"{path}:{lineno}: non-finite value")
             if width is None:
                 width = len(vals)
             elif len(vals) != width:
@@ -96,35 +89,6 @@ def _read_samples(path: str) -> np.ndarray:
     if not rows:
         raise _UsageError(f"{path}: no samples found")
     return np.asarray(rows)
-
-
-def _fit_gs(name, ctx, order_arg):
-    if order_arg == "auto":
-        if name == "pgd":
-            return tune_box_family(lambda spec: (lambda c, w: estimate_pgd(c, spec, w)), ctx)
-        if name == "pls":
-            return tune_box_family(lambda spec: (lambda c, w: estimate_pls(c, spec, order=w)), ctx)
-        if name == "frob":
-            return tune_order(lambda c, w: estimate_frob(c, order=w), ctx)
-        return tune_order(lambda c, w: estimate_eig(c, order=w), ctx)
-    order = int(order_arg)
-    if order == 0:
-        return white_noise_report(ctx)
-    if name in ("pgd", "pls"):
-        best = None
-        for family in DEFAULT_FAMILIES:
-            spec = box_spec_for(family, ctx.p)
-            rep = (
-                estimate_pgd(ctx, spec, order)
-                if name == "pgd"
-                else estimate_pls(ctx, spec, order)
-            )
-            if best is None or rep.loglik > best.loglik:
-                best = rep
-        return best
-    if name == "frob":
-        return estimate_frob(ctx, order=order)
-    return estimate_eig(ctx, order=order)
 
 
 def _cmd_estimate(args) -> int:
@@ -141,31 +105,20 @@ def _cmd_estimate(args) -> int:
         )
     samples = _read_samples(args.input)
     data = SampleSet(samples)
+    order = None
     if args.order != "auto":
         try:
-            int(args.order)
+            order = int(args.order)
         except ValueError:
             raise _UsageError(f"--order must be 'auto' or an integer, got {args.order!r}")
-    report = {
-        "estimator": name,
-        "alpha0": None,
-        "alpha": None,
-        "order": None,
-        "family_id": None,
-        "loglik": None,
-        "nmse_c": None,
-        "nmse_icm": None,
-        "iterations": None,
-        "converged": None,
-        "wall_ms": None,
-        "cm_first_col": None,
-    }
+        if info.pinned is None:
+            raise _UsageError(f"estimator {name!r} has no AR order; --order must be 'auto'")
     start = time.perf_counter()
-    if info.kind == "proposed":
-        if args.order == "auto" and data.n < 2:
-            raise _UsageError("--order auto needs at least two samples for the BIC score")
-        ctx = data.context()
-        fit = _fit_gs(name, ctx, args.order)
+    cm, icm, meta, fit = info.tuned(data) if order is None else info.pinned(data, order)
+    report = dict.fromkeys(("alpha0", "alpha", "family_id", "loglik", "nmse_c", "nmse_icm",
+                            "iterations", "converged"))
+    report.update(estimator=name, order=meta.get("mask_k"), cm_first_col=cm[:, 0].tolist())
+    if fit is not None:
         report.update(
             alpha0=fit.alpha.alpha0,
             alpha=fit.alpha.alpha_rest.tolist(),
@@ -174,16 +127,9 @@ def _cmd_estimate(args) -> int:
             loglik=fit.loglik,
             iterations=fit.iterations,
             converged=fit.converged,
-            cm_first_col=fit.cm().first_col.tolist(),
         )
-        if args.icm:
-            report["icm_dense"] = fit.icm_dense().tolist()
-    else:
-        cm, icm, meta = bench._fit_for_benchmark(name, data)
-        report["cm_first_col"] = np.asarray(cm)[:, 0].tolist()
-        report["order"] = meta.get("mask_k")
-        if args.icm and icm is not None:
-            report["icm_dense"] = np.asarray(icm).tolist()
+    if args.icm:
+        report["icm_dense"] = icm.tolist()
     report["wall_ms"] = (time.perf_counter() - start) * 1e3
     text = json.dumps(report, indent=1, sort_keys=True) + "\n"
     if args.out:
@@ -194,13 +140,17 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _cmd_benchmark(args) -> int:
+def _load_sections(path) -> dict:
+    """Parse a config file; parse errors surface as ValueError (exit 1)."""
     try:
-        with open(args.config) as handle:
-            sections = bench.parse_config(handle.read())
-        config = bench.config_from_sections(sections)
-    except (OSError, ValueError) as exc:
+        with open(path) as handle:
+            return bench.parse_config(handle.read())
+    except OSError as exc:
         raise _UsageError(str(exc))
+
+
+def _cmd_benchmark(args) -> int:
+    config = bench.config_from_sections(_load_sections(args.config))
     if args.runs is not None or args.seed is not None:
         from dataclasses import replace
 
@@ -221,12 +171,7 @@ def _cmd_timing(args) -> int:
     n = 64
     seed = args.seed
     if args.config:
-        try:
-            with open(args.config) as handle:
-                sections = bench.parse_config(handle.read())
-        except (OSError, ValueError) as exc:
-            raise _UsageError(str(exc))
-        timing = sections.get("timing", {})
+        timing = _load_sections(args.config).get("timing", {})
         dims = tuple(int(d) for d in timing.get("dims", dims))
         names = tuple(timing.get("estimators", names))
         reps = int(timing.get("reps", reps))

@@ -27,7 +27,6 @@ __all__ = [
     "box_spec_for",
     "project_box",
     "frob_constraint",
-    "hermitian_eigvalsh",
     "eig_constraints",
     "EIG_DIM_LIMIT",
 ]
@@ -98,8 +97,6 @@ def spectral_pd_check(alpha: GsParams) -> bool:
     i, j = np.indices((p, p))
     lag = j - i
     m = np.where(lag > 0, np.concatenate(([0.0], g))[np.clip(lag, 0, p - 1)], 0.0)
-    if np.iscomplexobj(g):
-        m = np.where(lag > 0, np.concatenate(([0.0 + 0.0j], g))[np.clip(lag, 0, p - 1)], 0.0 + 0.0j)
     return bool(np.linalg.norm(m, 2) < 1.0)
 
 
@@ -279,52 +276,6 @@ def frob_constraint(alpha: GsParams, eps_f: float = 1e-4, support=None):
     return val, grad
 
 
-def _jacobi_eigvalsh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
-
-    Converges when the off-diagonal Frobenius mass drops below ``tol`` times
-    the trace scale.  Quadratic per sweep, so only suitable for small
-    matrices.
-    """
-    m = np.array(a, dtype=float, copy=True)
-    n = m.shape[0]
-    scale = max(abs(np.trace(m)) / n, np.abs(m).max(), 1e-300)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(m, -1) ** 2) * 2.0)
-        if off < tol * scale * n:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                if abs(apq) <= tol * scale * 1e-3:
-                    continue
-                theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                m[[p, q], :] = rot.T @ m[[p, q], :]
-                m[:, [p, q]] = m[:, [p, q]] @ rot
-    return np.sort(np.diag(m))
-
-
-def hermitian_eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix via the in-library Jacobi solver.
-
-    Complex input is embedded as the real symmetric matrix
-    ``[[Re, -Im], [Im, Re]]`` whose spectrum repeats every eigenvalue twice.
-    """
-    a = np.asarray(a)
-    if not np.iscomplexobj(a):
-        return _jacobi_eigvalsh(a)
-    x, y = a.real, a.imag
-    emb = np.block([[x, -y], [y, x]])
-    ev = _jacobi_eigvalsh(emb)
-    return 0.5 * (ev[0::2] + ev[1::2])
-
-
 def eig_constraints(alpha: GsParams, eps_eig: float) -> np.ndarray:
     """Slack of each eigenvalue of the assembled matrix above its floor.
 
@@ -338,4 +289,4 @@ def eig_constraints(alpha: GsParams, eps_eig: float) -> np.ndarray:
             "use the Frobenius or box constraint sets instead"
         )
     gam = gs_assemble(alpha)
-    return hermitian_eigvalsh(gam) - eps_eig
+    return np.linalg.eigvalsh(gam) - eps_eig

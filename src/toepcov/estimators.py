@@ -377,7 +377,7 @@ def estimate_pgd(
     return report
 
 
-def _barrier_ascent(obj, alpha, support, phi, phi_grad, opts: BarrierOptions):
+def _barrier_ascent(alpha, support, phi, phi_grad, opts: BarrierOptions):
     """Backtracking gradient ascent on one barrier subproblem."""
     value = phi(alpha)
     iters = 0
@@ -416,22 +416,22 @@ def _barrier_ascent(obj, alpha, support, phi, phi_grad, opts: BarrierOptions):
     return alpha, value, iters, converged
 
 
-def estimate_frob(
-    ctx: LikelihoodContext,
-    tolset: ToleranceSet | None = None,
-    order: int = 1,
-    opts: BarrierOptions | None = None,
-) -> EstimationReport:
-    """Interior-point fit under the Frobenius surrogate constraint.
-
-    A log barrier keeps the scale above its floor and the squared Frobenius
-    gain strictly below one; the barrier weight shrinks by a decade per
-    outer round.  The final iterate is strictly feasible, hence positive
-    definite.
-    """
+def _barrier_options(tolset, opts) -> BarrierOptions:
     opts = opts or (BarrierOptions(tolerances=tolset) if tolset else BarrierOptions())
     if tolset is not None and opts.tolerances is not tolset:
         opts = replace(opts, tolerances=tolset)
+    return opts
+
+
+def _barrier_fit(ctx, order, opts, log_slack, slack_grad) -> EstimationReport:
+    """Log-barrier interior-point fit shared by the constraint sets.
+
+    ``log_slack(a)`` is the constraint's log-slack (-inf when infeasible)
+    and ``slack_grad(a, mu, support)`` mu times its gradient over the
+    support.  Barriers on that slack and on the scale's distance to its
+    floor keep every iterate strictly feasible, hence positive definite;
+    the barrier weight shrinks by ``mu_shrink`` per outer round.
+    """
     tol = opts.tolerances
     p = ctx.p
     if not 1 <= order <= p - 1:
@@ -447,25 +447,22 @@ def estimate_frob(
         def phi(a, mu=mu):
             if a.alpha0 <= tol.eps0:
                 return -np.inf
-            fval = frobenius_gain_sq(a) - 1.0 + tol.eps_f
-            if fval >= 0:
+            slack = log_slack(a)
+            if not np.isfinite(slack):
                 return -np.inf
             try:
                 base = obj.value(a)
             except _INFEASIBLE:
                 return -np.inf
-            return base + mu * (np.log(a.alpha0 - tol.eps0) + np.log(-fval))
+            return base + mu * (np.log(a.alpha0 - tol.eps0) + slack)
 
         def phi_grad(a, mu=mu):
             g = np.array(obj.gradient(a, support), copy=True)
-            fval, fgrad = frob_constraint(a, tol.eps_f, support)
-            g += mu * fgrad / fval
+            g += slack_grad(a, mu, support)
             g[0] += mu / (a.alpha0 - tol.eps0)
             return g
 
-        alpha, _, inner_iters, converged = _barrier_ascent(
-            obj, alpha, support, phi, phi_grad, opts
-        )
+        alpha, _, inner_iters, converged = _barrier_ascent(alpha, support, phi, phi_grad, opts)
         total_iters += inner_iters
         mu *= opts.mu_shrink
     value = obj.value(alpha)
@@ -479,8 +476,33 @@ def estimate_frob(
         iterations=total_iters,
         converged=converged,
         grad_norm=float(np.linalg.norm(g)),
-        extras={"constraint_value": frobenius_gain_sq(alpha) - 1.0 + tol.eps_f},
     )
+
+
+def estimate_frob(
+    ctx: LikelihoodContext,
+    tolset: ToleranceSet | None = None,
+    order: int = 1,
+    opts: BarrierOptions | None = None,
+) -> EstimationReport:
+    """Interior-point fit under the Frobenius surrogate constraint.
+
+    The barrier keeps the squared Frobenius gain strictly below one.
+    """
+    opts = _barrier_options(tolset, opts)
+    eps_f = opts.tolerances.eps_f
+
+    def log_slack(a):
+        fval = frobenius_gain_sq(a) - 1.0 + eps_f
+        return np.log(-fval) if fval < 0 else -np.inf
+
+    def slack_grad(a, mu, support):
+        fval, fgrad = frob_constraint(a, eps_f, support)
+        return mu * fgrad / fval
+
+    report = _barrier_fit(ctx, order, opts, log_slack, slack_grad)
+    report.extras["constraint_value"] = frobenius_gain_sq(report.alpha) - 1.0 + eps_f
+    return report
 
 
 def _pd_slack_logdet(alpha: GsParams, floor: float):
@@ -506,67 +528,25 @@ def estimate_eig(
     sets; refuses dimensions where the per-iteration eigenvalue work is no
     longer acceptable.
     """
-    opts = opts or (BarrierOptions(tolerances=tolset) if tolset else BarrierOptions())
-    if tolset is not None and opts.tolerances is not tolset:
-        opts = replace(opts, tolerances=tolset)
-    tol = opts.tolerances
-    p = ctx.p
-    if p > EIG_DIM_LIMIT:
+    if ctx.p > EIG_DIM_LIMIT:
         raise ValueError(
             f"eigenvalue-constrained estimation limited to dimension {EIG_DIM_LIMIT}"
         )
-    if not 1 <= order <= p - 1:
-        raise ValueError(f"order must lie in [1, {p - 1}], got {order}")
-    support = tuple(range(order + 1))
-    floor = tol.eps_eig * ctx.trace_scale
-    obj = GsObjective(ctx)
-    alpha = _white_noise_start(ctx, tol.eps0)
-    mu = opts.mu0
-    total_iters = 0
-    converged = False
-    for _ in range(opts.outer_iters):
+    opts = _barrier_options(tolset, opts)
+    floor = opts.tolerances.eps_eig * ctx.trace_scale
 
-        def phi(a, mu=mu):
-            if a.alpha0 <= tol.eps0:
-                return -np.inf
-            slack = _pd_slack_logdet(a, floor)
-            if not np.isfinite(slack):
-                return -np.inf
-            try:
-                base = obj.value(a)
-            except _INFEASIBLE:
-                return -np.inf
-            return base + mu * (np.log(a.alpha0 - tol.eps0) + slack)
+    def slack_grad(a, mu, support):
+        base = _pd_slack_logdet(a, floor)
+        full = a.full
+        fd = np.zeros(len(support))
+        for pos, i in enumerate(support):
+            h = 1e-7 * max(1.0, abs(full[i]))
+            bumped = full.astype(np.result_type(full.dtype, np.float64), copy=True)
+            bumped[i] += h
+            fd[pos] = (_pd_slack_logdet(GsParams.from_full(bumped), floor) - base) / h
+        return mu * fd
 
-        def phi_grad(a, mu=mu):
-            g = np.array(obj.gradient(a, support), copy=True)
-            base = _pd_slack_logdet(a, floor)
-            full = a.full
-            fd = np.zeros(len(support))
-            for pos, i in enumerate(support):
-                h = 1e-7 * max(1.0, abs(full[i]))
-                bumped = full.astype(np.result_type(full.dtype, np.float64), copy=True)
-                bumped[i] += h
-                fd[pos] = (_pd_slack_logdet(GsParams.from_full(bumped), floor) - base) / h
-            g += mu * fd
-            g[0] += mu / (a.alpha0 - tol.eps0)
-            return g
-
-        alpha, _, inner_iters, converged = _barrier_ascent(
-            obj, alpha, support, phi, phi_grad, opts
-        )
-        total_iters += inner_iters
-        mu *= opts.mu_shrink
-    value = obj.value(alpha)
-    g = obj.gradient(alpha, support)
-    return EstimationReport(
-        alpha=alpha,
-        order=order,
-        loglik=value,
-        iterations=total_iters,
-        converged=converged,
-        grad_norm=float(np.linalg.norm(g)),
-    )
+    return _barrier_fit(ctx, order, opts, lambda a: _pd_slack_logdet(a, floor), slack_grad)
 
 
 def _conditional_moments(scm: np.ndarray, order: int) -> np.ndarray:

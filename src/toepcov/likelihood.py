@@ -22,6 +22,7 @@ from .toeplitz import (
     gs_assemble,
     gs_factor_z,
     gs_to_ar,
+    trace_toep_tri_shift,
 )
 
 __all__ = ["SampleSet", "LikelihoodContext", "loglik", "grad", "GsObjective"]
@@ -150,19 +151,6 @@ def grad(ctx: LikelihoodContext, alpha: GsParams, support=None, dense: bool = Fa
     return _grad_from_eval(ctx, ev, support, dense)
 
 
-def _batched_toep_trace(c, d, shifts):
-    """Lemma-style shifted traces against a Hermitian Toeplitz first column,
-    vectorized over shift values."""
-    p = c.size
-    m = np.arange(p)
-    k = np.asarray(shifts)[:, None]
-    weights = np.minimum(p - k, p - m)
-    lags = c[np.abs(k - m)]
-    if np.iscomplexobj(c):
-        lags = np.where(m <= k, lags, np.conj(lags))
-    return (weights * d * lags).sum(axis=1)
-
-
 def _grad_from_eval(ctx, ev, support=None, dense=False):
     p = ctx.p
     if support is None:
@@ -184,8 +172,8 @@ def _grad_from_eval(ctx, ev, support=None, dense=False):
     if rest:
         shifts_b = np.array(rest)
         shifts_z = p - shifts_b
-        tb = _batched_toep_trace(acov, b_col, shifts_b) - table[shifts_b, :] @ b_col
-        tz = _batched_toep_trace(acov, z_col, shifts_z) - table[shifts_z, :] @ z_col
+        tb = trace_toep_tri_shift(acov, b_col, shifts_b) - table[shifts_b, :] @ b_col
+        tz = trace_toep_tri_shift(acov, z_col, shifts_z) - table[shifts_z, :] @ z_col
         vals = (tb - np.conj(tz)) if np.iscomplexobj(b_col) else np.real(tb - tz)
         vals = 2.0 / a0 * vals
         pos = 0
@@ -194,7 +182,7 @@ def _grad_from_eval(ctx, ev, support=None, dense=False):
                 out[j] = vals[pos]
                 pos += 1
     if 0 in support:
-        tb0 = _batched_toep_trace(acov, b_col, np.array([0]))[0] - np.dot(table[0, :], b_col)
+        tb0 = trace_toep_tri_shift(acov, b_col, 0) - np.dot(table[0, :], b_col)
         g0 = (2.0 * np.real(tb0) - (p - ev.trace_sg)) / a0
         out[support.index(0)] = g0
     return out

@@ -387,25 +387,28 @@ def toeplitz_logdet(cm: HermitianToeplitz) -> float:
     return float(logdet)
 
 
-def trace_toep_tri_shift(c, d, k: int):
+def trace_toep_tri_shift(c, d, k):
     """Trace of (Hermitian Toeplitz) x (lower tri Toeplitz) x (shift-up^k).
 
     ``c`` and ``d`` are first columns; the evaluation is a single O(P)
-    weighted dot product over lags.
+    weighted dot product over lags.  ``k`` may be an array of shifts, which
+    gives one trace per shift.
     """
     c = _as_1d(np.asarray(c), "c")
     d = _as_1d(np.asarray(d), "d")
     p = c.size
     if d.size != p:
         raise ValueError("c and d must have equal length")
-    if not 0 <= k <= p - 1:
-        raise ValueError(f"shift {k} out of range for dimension {p}")
     m = np.arange(p)
-    weights = np.minimum(p - k, p - m)
-    lags = c[np.abs(k - m)]
+    shifts = np.asarray(k)[..., None]
+    weights = np.minimum(p - shifts, p - m)
+    try:  # a shift outside [0, p-1] indexes past the end of the column
+        lags = c[np.abs(shifts - m)]
+    except IndexError:
+        raise ValueError(f"shift {k} out of range for dimension {p}") from None
     if np.iscomplexobj(c):
-        lags = np.where(m <= k, lags, np.conj(lags))
-    return np.sum(weights * d * lags)
+        lags = np.where(m <= shifts, lags, np.conj(lags))
+    return (weights * d * lags).sum(axis=-1)
 
 
 def trace_general_tri_shift(q_sums: PartialDiagSums, d, k: int):

@@ -293,3 +293,50 @@ class TestCli:
 
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, bad):
+        path = tmp_path / "x.csv"
+        path.write_text(f"1.0,2.0\n0.5,{bad}\n1.5,0.25\n")
+        for name, extra in (("scm", []), ("circ", ["--icm"]), ("em", ["--icm"]), ("pls", [])):
+            code = main(["estimate", "--input", str(path), "--estimator", name, *extra])
+            assert code == 1
+            assert f"{path}:2: non-finite value" in capsys.readouterr().err
+
+    def test_integer_order_rejected_without_pinned_fit(self, tmp_path, capsys):
+        samples = tmp_path / "x.csv"
+        write_samples(samples)
+        code = main(["estimate", "--input", str(samples), "--estimator", "em", "--order", "3"])
+        assert code == 1
+        assert "--order" in capsys.readouterr().err
+        assert main(["estimate", "--input", str(samples), "--estimator", "em", "--order", "auto",
+                     "--out", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_registry_entry_drives_estimate_benchmark_and_timing(name, tmp_path):
+    """Every registry entry runs through all three consumers of the table."""
+    info = ESTIMATORS[name]
+    samples = tmp_path / "x.csv"
+    write_samples(samples, p=8, n=8)
+    out = tmp_path / "report.json"
+    argv = ["estimate", "--input", str(samples), "--estimator", name, "--out", str(out)]
+    assert main(argv + (["--icm"] if info.supports_icm else [])) == 0
+    report = json.loads(out.read_text())
+    assert len(report["cm_first_col"]) == 8
+    assert ("icm_dense" in report) == info.supports_icm
+    assert (report["loglik"] is not None) == (info.kind == "proposed")
+    if info.pinned is None:
+        assert main(argv + ["--order", "2"]) == 1
+    else:
+        assert main(argv + ["--order", "2"]) == 0
+        assert json.loads(out.read_text())["order"] == 2
+    cfg = ExperimentConfig(
+        kind="ar", points=((0.5,),), sigma2=0.64, dims=(8,),
+        sample_counts=(8,), estimators=(name,), runs=1, seed=2,
+    )
+    (row,) = run_benchmark(cfg, str(tmp_path / "bench"))
+    assert row["failures"] == 0 and row["nmse_c_count"] == 1
+    assert row["nmse_icm_count"] == int(info.supports_icm)
+    (timed,) = timing_benchmark((8,), (name,), n=8, reps=1)
+    assert timed["median_ms"] >= 0.0 and timed["complexity"] == info.complexity

@@ -13,7 +13,6 @@ from toepcov.constraints import (
     eig_constraints,
     frob_constraint,
     frobenius_gain_sq,
-    hermitian_eigvalsh,
     project_box,
     spectral_pd_check,
 )
@@ -209,18 +208,6 @@ class TestEigConstraints:
     def test_dimension_guard(self):
         with pytest.raises(ValueError, match="Frobenius or box"):
             eig_constraints(GsParams(1.0, np.zeros(100)), 1e-6)
-
-
-class TestJacobiEigensolver:
-    @pytest.mark.parametrize("complex_case", [False, True])
-    def test_against_lapack(self, complex_case):
-        for _ in range(25):
-            n = int(rng.integers(2, 24))
-            m = rng.normal(size=(n, n))
-            if complex_case:
-                m = m + 1j * rng.normal(size=(n, n))
-            m = (m + m.conj().T) / 2
-            assert np.allclose(hermitian_eigvalsh(m), np.linalg.eigvalsh(m), atol=1e-9)
 
 
 class TestContainment:

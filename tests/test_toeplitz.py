@@ -221,6 +221,25 @@ class TestTraceKernels:
         got = trace_toep_tri_shift(np.ones(3), np.array([1.0, 0, 0]), 1)
         assert got == 2.0
 
+    @pytest.mark.parametrize("complex_case", [False, True])
+    def test_array_of_shifts_matches_one_shift_at_a_time(self, complex_case):
+        for p in (1, 2, 7, 33):
+            c = rng.normal(size=p)
+            d = rng.normal(size=p)
+            if complex_case:
+                c = c + 1j * rng.normal(size=p)
+                c[0] = c[0].real
+                d = d + 1j * rng.normal(size=p)
+            shifts = rng.permutation(p)
+            got = trace_toep_tri_shift(c, d, shifts)
+            want = [trace_toep_tri_shift(c, d, int(k)) for k in shifts]
+            assert got.shape == (p,) and list(got) == want  # bit for bit
+
+    @pytest.mark.parametrize("bad", [-1, 5, [0, 5]])
+    def test_shift_out_of_range(self, bad):
+        with pytest.raises(ValueError, match="out of range"):
+            trace_toep_tri_shift(np.ones(5), np.ones(5), bad)
+
     def test_zero_matrix(self):
         sums = PartialDiagSums.from_matrix(np.zeros((4, 4)))
         assert trace_general_tri_shift(sums, rng.normal(size=4), 2) == 0.0
