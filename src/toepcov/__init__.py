@@ -43,7 +43,14 @@ from .estimators import (
     tune_order,
     white_noise_report,
 )
-from .likelihood import GsObjective, LikelihoodContext, SampleSet, grad, loglik
+from .likelihood import (
+    DegenerateDataError,
+    GsObjective,
+    LikelihoodContext,
+    SampleSet,
+    grad,
+    loglik,
+)
 from .processes import ProcessSpec, nmse, sample, true_cm
 from .toeplitz import (
     GsParams,

@@ -22,7 +22,6 @@ import numpy as np
 from . import baselines
 from .constraints import DEFAULT_FAMILIES, box_spec_for
 from .estimators import (
-    PgdOptions,
     estimate_eig,
     estimate_frob,
     estimate_pgd,
@@ -171,11 +170,10 @@ ESTIMATORS = {
             lambda c, w, spec: estimate_eig(c, order=w)),
         _gs("frob", "quadratic per iteration",
             lambda c, w, spec: estimate_frob(c, order=w)),
-        # timing gives pgd a fixed iteration budget: the iteration count is a
-        # data-dependent prefactor in the complexity bound, like the bandwidth
-        _gs("pgd", "quadratic per iteration",
-            lambda c, w, spec, **kw: estimate_pgd(c, spec, w, **kw), boxed=True,
-            opts=PgdOptions(max_iter=40, rel_tol=0.0, stat_tol=float("inf"))),
+        # one Newton iteration takes order + 2 gradient passes (2 order + 2
+        # for complex data)
+        _gs("pgd", "quadratic times the order per iteration",
+            lambda c, w, spec: estimate_pgd(c, spec, w), boxed=True),
         _gs("pls", "linear plus cubic in the order",
             lambda c, w, spec, **kw: estimate_pls(c, spec, order=w, **kw), boxed=True,
             with_loglik=False),

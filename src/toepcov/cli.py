@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from . import bench
-from .likelihood import SampleSet
+from .likelihood import DegenerateDataError, SampleSet
 from .toeplitz import NotPositiveDefiniteError, UnstableARError
 
 USAGE_ERROR = 1
@@ -217,7 +217,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
-    except (NotPositiveDefiniteError, UnstableARError, np.linalg.LinAlgError, RuntimeError) as exc:
+    except (DegenerateDataError, NotPositiveDefiniteError, UnstableARError, np.linalg.LinAlgError,
+            RuntimeError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return NUMERIC_ERROR
     except ValueError as exc:

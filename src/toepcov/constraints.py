@@ -197,7 +197,9 @@ class BoxSpec:
     """Positive-definiteness certifying box: ``|a_i| <= K_i a_0``.
 
     Construction verifies the certificate (bound strictly below one), so any
-    projected point assembles to a positive definite matrix.
+    projected point assembles to a positive definite matrix.  A zero bound
+    (a decaying family underflows at large dimensions) pins its coefficient
+    to zero.
     """
 
     k: np.ndarray
@@ -206,8 +208,8 @@ class BoxSpec:
 
     def __post_init__(self):
         k = np.atleast_1d(np.asarray(self.k, dtype=float))
-        if k.size and k.min() <= 0:
-            raise ValueError("box bounds must be strictly positive")
+        if k.size and k.min() < 0:
+            raise ValueError("box bounds must be nonnegative")
         b = box_bound(k)
         if not b < 1.0:
             raise ValueError(f"box bound {b:.6g} does not certify positive definiteness")

@@ -3,7 +3,7 @@
 Four fitting routes share one contract (the returned parameters always
 assemble to a positive definite matrix):
 
-* projected gradient ascent inside certified box constraints,
+* active-set projected Newton ascent inside certified box constraints,
 * log-barrier interior point with the Frobenius surrogate constraint,
 * the same barrier loop with exact eigenvalue constraints (small P only),
 * a closed-form conditional-likelihood least-squares fit projected onto the
@@ -54,6 +54,14 @@ __all__ = [
 
 _INFEASIBLE = (NotPositiveDefiniteError, UnstableARError)
 
+# Backtracking line search of every fit: the step halves until the Armijo
+# sufficient-increase rule holds, at most this many times.
+_ARMIJO_SHRINK = 0.5
+_ARMIJO_C1 = 1e-4
+_ARMIJO_MAX_BACKTRACKS = 40
+# Smallest curvature the Newton step may use, relative to the largest.
+_CURVATURE_FLOOR = 1e-8
+
 
 @dataclass
 class EstimationReport:
@@ -83,10 +91,6 @@ class PgdOptions:
     max_iter: int = 500
     rel_tol: float = 1e-8
     stat_tol: float = 1e-5  # stationarity: projected gradient below stat_tol * (1 + |L|)
-    armijo_init: float = 1.0
-    armijo_shrink: float = 0.5
-    armijo_c1: float = 1e-4
-    armijo_max_backtracks: int = 40
     eps0: float = 1e-6
     track_iterates: bool = False
 
@@ -99,9 +103,6 @@ class BarrierOptions:
     inner_max_iter: int = 150
     inner_rel_tol: float = 1e-8
     stat_tol: float = 1e-5
-    armijo_shrink: float = 0.5
-    armijo_c1: float = 1e-4
-    armijo_max_backtracks: int = 40
     tolerances: ToleranceSet = field(default_factory=ToleranceSet)
 
 
@@ -133,145 +134,24 @@ def white_noise_report(ctx: LikelihoodContext, eps0: float = 1e-6) -> Estimation
     )
 
 
-def _ratio_gradient(g, u, support):
-    """Map the parameter-space gradient to scale/ratio coordinates.
+def _newton_direction(grad, x, g, free, lo, hi):
+    """Newton ascent step on the free coordinates of the box fit.
 
-    With trailing parameters written as scale times ratio, the feasible set
-    becomes a fixed box over the ratios, where componentwise clipping is the
-    exact feasible-direction projection (the parameter-space set is a cone,
-    there the clip can produce non-ascent directions).
+    The Hessian comes from forward-differencing ``grad`` along each free
+    coordinate (probes move toward the roomier side, so they stay in the
+    box); flooring the eigenvalues of its negation makes the step an ascent
+    direction.
     """
-    g = np.asarray(g)
-    rest_pos = [pos for pos, i in enumerate(support) if i != 0]
-    rest_idx = [support[pos] - 1 for pos in rest_pos]
-    g_rest = g[rest_pos]
-    g_s = float(np.real(g[support.index(0)]))
-    if rest_idx:
-        g_s += float(np.real(np.vdot(g_rest, u[rest_idx])))
-    return g_s, g_rest, rest_idx
-
-
-def _clip_ratio_dir(g_s, g_u, s, u_vals, k_vals, eps0):
-    """Exact feasible-direction clip in scale/ratio coordinates."""
-    if s <= eps0 * (1.0 + 1e-12) and g_s < 0:
-        g_s = 0.0
-    gu = np.array(g_u, copy=True)
-    if np.iscomplexobj(gu) or np.iscomplexobj(u_vals):
-        half = k_vals / 2.0
-        re, im = gu.real.copy(), gu.imag.copy()
-        re[(u_vals.real >= half) & (re > 0)] = 0.0
-        re[(u_vals.real <= -half) & (re < 0)] = 0.0
-        im[(u_vals.imag >= half) & (im > 0)] = 0.0
-        im[(u_vals.imag <= -half) & (im < 0)] = 0.0
-        gu = re + 1j * im
-    else:
-        gu[(u_vals >= k_vals) & (gu > 0)] = 0.0
-        gu[(u_vals <= -k_vals) & (gu < 0)] = 0.0
-    return g_s, gu
-
-
-def _clamp_ratios(u_vals, k_vals):
-    if np.iscomplexobj(u_vals):
-        half = k_vals / 2.0
-        return np.clip(u_vals.real, -half, half) + 1j * np.clip(u_vals.imag, -half, half)
-    return np.clip(u_vals, -k_vals, k_vals)
-
-
-class _RatioState:
-    """Scale/ratio view of the box-constrained ascent."""
-
-    def __init__(self, obj, spec, support, eps0):
-        self.obj = obj
-        self.spec = spec
-        self.support = support
-        self.rest_idx = [i - 1 for i in support if i != 0]
-        self.eps0 = eps0
-
-    def pack(self, s, u):
-        return GsParams(s, s * u)
-
-    def split(self, g, u):
-        return _ratio_gradient(g, u, self.support)
-
-    def mapping_norm(self, s, u, g_s, g_u):
-        s_moved = max(s + g_s, self.eps0)
-        u_moved = u.copy()
-        if self.rest_idx:
-            u_moved[self.rest_idx] = _clamp_ratios(
-                u[self.rest_idx] + g_u, self.spec.k[self.rest_idx]
-            )
-        return float(np.hypot(s_moved - s, np.linalg.norm(u_moved - u)))
-
-
-def _coordinate_polish(state, s, u, value, stat_tol, max_passes=12):
-    """Safeguarded per-coordinate Newton polish near stiff box corners.
-
-    The certified box keeps a margin below one on the Frobenius gain, so
-    corners can sit close to the positive-definiteness cliff where plain
-    gradient steps give improvements below the floating-point resolution of
-    the objective.  A handful of one-dimensional Newton steps (curvature by
-    differencing the analytic gradient) removes the residual gradient there.
-    """
-    obj, spec, support, eps0 = state.obj, state.spec, state.support, state.eps0
-    rest_idx = state.rest_idx
-    coords = ["s"] + list(rest_idx)
-    for _ in range(max_passes):
-        alpha = state.pack(s, u)
-        g_s, g_u, _ = state.split(obj.gradient(alpha, support), u)
-        if state.mapping_norm(s, u, g_s, g_u) < stat_tol * (1.0 + abs(value)):
-            break
-        moved = False
-        for c in coords:
-            alpha = state.pack(s, u)
-            g_s, g_u, _ = state.split(obj.gradient(alpha, support), u)
-            gc = g_s if c == "s" else g_u[rest_idx.index(c)]
-            if abs(gc) < 1e-14 * (1.0 + abs(value)):
-                continue
-            base = s if c == "s" else u[c]
-            h = 1e-6 * max(1.0, abs(base))
-            curv = None
-            for sign in (1.0, -1.0):
-                probe_s, probe_u = s, u.copy()
-                if c == "s":
-                    probe_s = max(s + sign * h, eps0)
-                else:
-                    probe_u[c] = base + sign * h
-                    probe_u[c] = _clamp_ratios(
-                        probe_u[c : c + 1], spec.k[c : c + 1]
-                    )[0]
-                try:
-                    gp_s, gp_u, _ = state.split(
-                        obj.gradient(state.pack(probe_s, probe_u), support), probe_u
-                    )
-                except _INFEASIBLE:
-                    continue
-                gp = gp_s if c == "s" else gp_u[rest_idx.index(c)]
-                dx = (probe_s - s) if c == "s" else (probe_u[c] - base)
-                if abs(dx) > 0:
-                    curv = (gp - gc) / dx
-                    break
-            denom = max(abs(np.real(curv)) if curv is not None else 0.0, 1e-8)
-            delta = np.real(gc) / denom
-            for _ in range(12):
-                cand_s, cand_u = s, u.copy()
-                if c == "s":
-                    cand_s = max(s + delta, eps0)
-                else:
-                    cand_u[c] = _clamp_ratios(
-                        np.array([u[c] + delta]), spec.k[c : c + 1]
-                    )[0]
-                try:
-                    cand_value = obj.value(state.pack(cand_s, cand_u))
-                except _INFEASIBLE:
-                    cand_value = -np.inf
-                if cand_value > value:
-                    s, u, value = cand_s, cand_u, cand_value
-                    moved = True
-                    break
-                delta *= 0.5
-        if not moved:
-            break
-    return s, u, value
+    idx = np.flatnonzero(free)
+    hess = np.empty((idx.size, idx.size))
+    for col, j in enumerate(idx):
+        h = 1e-6 * max(1.0, abs(x[j]))
+        probe = x.copy()
+        probe[j] = np.clip(x[j] + (h if hi[j] - x[j] >= x[j] - lo[j] else -h), lo[j], hi[j])
+        hess[:, col] = (grad(probe)[idx] - g[idx]) / (probe[j] - x[j])
+    lam, vec = np.linalg.eigh(-0.5 * (hess + hess.T))
+    lam = np.maximum(lam, _CURVATURE_FLOOR * np.abs(lam).max())
+    return vec @ ((vec.T @ g[idx]) / lam)
 
 
 def estimate_pgd(
@@ -280,13 +160,17 @@ def estimate_pgd(
     order: int,
     opts: PgdOptions | None = None,
 ) -> EstimationReport:
-    """Projected gradient ascent on the likelihood inside the box.
+    """Active-set projected Newton ascent on the likelihood inside the box.
 
-    Works in scale/ratio coordinates (the box is fixed there, so the
-    feasible-direction clip is exact), starts at the always-feasible
-    white-noise point, and backtracks with the Armijo rule.  Every iterate
-    lies in the box, so the positive-definiteness certificate holds
-    throughout.
+    Works on the real vector ``x = (s, u)``: the scale ``s = alpha_0`` and
+    the ratios ``u_i = alpha_i / alpha_0`` (real and imaginary parts
+    stacked for complex data).  The box is fixed there (``s >= eps0``, each
+    ratio within ``+-K_i``, or ``+-K_i / 2`` per part), so projection is a
+    clip.  Each iteration (Bertsekas, SIAM J. Control Optim. 1982) holds
+    coordinates at a bound whose gradient points outward, takes a Newton
+    step on the others, clips it to the box and halves it until the Armijo
+    rule holds.  The fit starts at the white-noise point; every iterate lies
+    in the box, so the positive-definiteness certificate holds throughout.
     """
     opts = opts or PgdOptions()
     p = ctx.p
@@ -296,11 +180,30 @@ def estimate_pgd(
         raise ValueError("box dimension does not match the context")
     support = tuple(range(order + 1))
     obj = GsObjective(ctx)
-    alpha = project_box(_white_noise_start(ctx, opts.eps0), spec, opts.eps0)
-    state = _RatioState(obj, spec, support, opts.eps0)
-    rest_idx = state.rest_idx
-    s = alpha.alpha0
-    u = alpha.alpha_rest / s
+    is_complex = np.iscomplexobj(ctx.scm)
+    k = np.tile(spec.k[:order] / 2.0, 2) if is_complex else spec.k[:order]
+    lo = np.concatenate(([opts.eps0], -k))
+    hi = np.concatenate(([np.inf], k))
+    x = np.zeros(k.size + 1)
+    x[0] = _white_noise_start(ctx, opts.eps0).alpha0
+
+    def pack(x):
+        u = x[1 : order + 1] + 1j * x[order + 1 :] if is_complex else x[1:]
+        rest = np.zeros(p - 1, dtype=u.dtype)
+        rest[:order] = x[0] * u
+        return GsParams(x[0], rest)
+
+    def grad(x):
+        g = obj.gradient(pack(x), support)
+        g_rest = np.concatenate((g[1:].real, g[1:].imag)) if is_complex else g[1:]
+        return np.concatenate(([np.real(g[0]) + g_rest @ x[1:]], x[0] * g_rest))
+
+    def mapping_norm(x, g):
+        """Projected-gradient mapping norm, ratio entries without the factor s."""
+        step = np.concatenate((g[:1], g[1:] / x[0]))
+        return float(np.linalg.norm(np.clip(x + step, lo, hi) - x))
+
+    alpha = pack(x)
     value = obj.value(alpha)
     track = opts.track_iterates
     iterates = [alpha] if track else None
@@ -308,40 +211,32 @@ def estimate_pgd(
     converged = False
     iters = 0
     for iters in range(1, opts.max_iter + 1):
-        g = obj.gradient(alpha, support)
-        g_s, g_u, _ = state.split(g, u)
-        pg_norm = state.mapping_norm(s, u, g_s, g_u)
-        stationary = pg_norm < opts.stat_tol * (1.0 + abs(value))
-        g_s_c, g_u_c = _clip_ratio_dir(
-            g_s, g_u, s, u[rest_idx] if rest_idx else u[:0], spec.k[rest_idx], opts.eps0
-        )
-        dir_norm = np.hypot(abs(g_s_c), np.linalg.norm(g_u_c))
-        if dir_norm < 1e-14 * (1.0 + abs(value)):
+        g = grad(x)
+        stationary = mapping_norm(x, g) < opts.stat_tol * (1.0 + abs(value))
+        free = ~(((x <= lo) & (g <= 0)) | ((x >= hi) & (g >= 0)))
+        if np.linalg.norm(g[free]) < 1e-14 * (1.0 + abs(value)):
             converged = True
             break
-        step = opts.armijo_init
+        d = np.zeros_like(x)
+        d[free] = _newton_direction(grad, x, g, free, lo, hi)
+        step = 1.0
         accepted = None
-        for _ in range(opts.armijo_max_backtracks):
-            s_new = max(s + step * g_s_c, opts.eps0)
-            u_new = u.copy()
-            if rest_idx:
-                u_new[rest_idx] = _clamp_ratios(u[rest_idx] + step * g_u_c, spec.k[rest_idx])
-            cand = state.pack(s_new, u_new)
-            gain = g_s_c * (s_new - s)
-            if rest_idx:
-                gain += float(np.real(np.vdot(g_u_c, u_new[rest_idx] - u[rest_idx])))
+        for _ in range(_ARMIJO_MAX_BACKTRACKS):
+            x_new = np.clip(x + step * d, lo, hi)
+            cand = pack(x_new)
             try:
                 cand_value = obj.value(cand)
             except _INFEASIBLE:
                 cand_value = -np.inf
-            if cand_value > value and cand_value >= value + opts.armijo_c1 * max(gain, 0.0):
-                accepted = (cand, s_new, u_new, cand_value)
+            gain = float(g @ (x_new - x))
+            if cand_value > value and cand_value >= value + _ARMIJO_C1 * max(gain, 0.0):
+                accepted = (cand, x_new, cand_value)
                 break
-            step *= opts.armijo_shrink
+            step *= _ARMIJO_SHRINK
         if accepted is None:
             converged = True
             break
-        alpha, s, u, new_value = accepted
+        alpha, x, new_value = accepted
         improvement = new_value - value
         value = new_value
         if track:
@@ -350,18 +245,6 @@ def estimate_pgd(
         if improvement < opts.rel_tol * max(1.0, abs(value)) and stationary:
             converged = True
             break
-    g = obj.gradient(alpha, support)
-    g_s, g_u, _ = state.split(g, u)
-    if not np.iscomplexobj(alpha.full) and state.mapping_norm(s, u, g_s, g_u) >= opts.stat_tol * (
-        1.0 + abs(value)
-    ):
-        s, u, value = _coordinate_polish(state, s, u, value, opts.stat_tol)
-        alpha = state.pack(s, u)
-        if track:
-            iterates.append(alpha)
-            values.append(value)
-        g = obj.gradient(alpha, support)
-        g_s, g_u, _ = state.split(g, u)
     report = EstimationReport(
         alpha=alpha,
         order=order,
@@ -369,7 +252,7 @@ def estimate_pgd(
         iterations=iters,
         converged=converged,
         family_id=spec.family_id,
-        grad_norm=state.mapping_norm(s, u, g_s, g_u),
+        grad_norm=mapping_norm(x, grad(x)),
     )
     if track:
         report.extras["iterates"] = iterates
@@ -391,7 +274,7 @@ def _barrier_ascent(alpha, support, phi, phi_grad, opts: BarrierOptions):
             break
         step = 1.0
         accepted = None
-        for _ in range(opts.armijo_max_backtracks):
+        for _ in range(_ARMIJO_MAX_BACKTRACKS):
             cand_full = alpha.full.astype(np.result_type(alpha.full.dtype, g.dtype), copy=True)
             for pos, i in enumerate(support):
                 cand_full[i] = cand_full[i] + step * g[pos]
@@ -400,10 +283,10 @@ def _barrier_ascent(alpha, support, phi, phi_grad, opts: BarrierOptions):
                 cand = GsParams.from_full(cand_full)
                 cand_value = phi(cand)
                 gain = float(np.real(np.vdot(g, (cand.full - alpha.full)[list(support)])))
-                if np.isfinite(cand_value) and cand_value > value and cand_value >= value + opts.armijo_c1 * max(gain, 0.0):
+                if np.isfinite(cand_value) and cand_value > value and cand_value >= value + _ARMIJO_C1 * max(gain, 0.0):
                     accepted = (cand, cand_value)
                     break
-            step *= opts.armijo_shrink
+            step *= _ARMIJO_SHRINK
         if accepted is None:
             converged = True
             break

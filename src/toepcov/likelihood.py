@@ -25,7 +25,11 @@ from .toeplitz import (
     trace_toep_tri_shift,
 )
 
-__all__ = ["SampleSet", "LikelihoodContext", "loglik", "grad", "GsObjective"]
+__all__ = ["DegenerateDataError", "SampleSet", "LikelihoodContext", "loglik", "grad", "GsObjective"]
+
+
+class DegenerateDataError(ValueError):
+    """Data with zero power: no positive definite estimate exists."""
 
 
 class SampleSet:
@@ -35,6 +39,10 @@ class SampleSet:
         samples = np.atleast_2d(np.asarray(samples))
         if samples.ndim != 2:
             raise ValueError("samples must be a 2-d array (one sample per row)")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("samples must be finite (found NaN or infinity)")
+        if not np.any(samples):
+            raise DegenerateDataError("samples are all zero")
         self.samples = samples
         self.n, self.p = samples.shape
 
@@ -55,9 +63,15 @@ class LikelihoodContext:
             raise ValueError("sample covariance must be square")
         if n < 1:
             raise ValueError("sample count must be at least 1")
+        trace = float(np.real(np.trace(scm)))
+        if not np.isfinite(trace):
+            raise ValueError("sample covariance trace is not finite")
+        if trace <= 0:
+            raise DegenerateDataError(f"sample covariance trace {trace:.6g} is not positive")
         self.scm = scm
         self.n = int(n)
         self.p = scm.shape[0]
+        self.trace_scale = trace / self.p
 
     @cached_property
     def scm_sums(self) -> PartialDiagSums:
@@ -66,10 +80,6 @@ class LikelihoodContext:
     @cached_property
     def scm_superdiags(self) -> tuple:
         return tuple(np.ascontiguousarray(np.diagonal(self.scm, offset=k)) for k in range(self.p))
-
-    @cached_property
-    def trace_scale(self) -> float:
-        return float(np.real(np.trace(self.scm))) / self.p
 
 
 class _Evaluation:

@@ -3,7 +3,6 @@ PASS line with the measured numbers (run with -s to see them inline).
 """
 
 import json
-import os
 import time
 
 import numpy as np
@@ -39,8 +38,6 @@ from toepcov.toeplitz import (
     trace_general_tri_shift,
     trace_toep_tri_shift,
 )
-
-ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "artifacts")
 
 rng = np.random.default_rng(0xACCE97)
 
@@ -274,7 +271,7 @@ def test_criterion_09_em_monotone_likelihood():
     _report(9, f"100 AR(1) datasets, {total_iters} total iterations, slack 1e-9 never violated")
 
 
-def test_criterion_10_icm_error_ordering():
+def test_criterion_10_icm_error_ordering(tmp_path):
     """Proposed estimators beat the likelihood baselines on precision error."""
     start = time.perf_counter()
     cfg = ExperimentConfig(
@@ -287,8 +284,7 @@ def test_criterion_10_icm_error_ordering():
         runs=200,
         seed=20240501,
     )
-    os.makedirs(ARTIFACT_DIR, exist_ok=True)
-    rows = run_benchmark(cfg, os.path.join(ARTIFACT_DIR, "criterion10"))
+    rows = run_benchmark(cfg, str(tmp_path / "criterion10"))
     by = {r["estimator"]: r for r in rows}
     for name in cfg.estimators:
         assert by[name]["failures"] == 0
@@ -305,7 +301,7 @@ def test_criterion_10_icm_error_ordering():
     _report(10, "precision NMSE " + ", ".join(f"{k}={v:.3f}" for k, v in means.items()) + f"; {elapsed:.0f}s")
 
 
-def test_criterion_11_banding_duality():
+def test_criterion_11_banding_duality(tmp_path):
     """MA(1) data: banding picks bandwidth one, the AR-side order stays small."""
     p, n, runs = 16, 64, 200
     process = ProcessSpec("ma", p, b=(0.5,), sigma2=0.64)
@@ -318,8 +314,7 @@ def test_criterion_11_banding_duality():
         mask_hist[k] = mask_hist.get(k, 0) + 1
         rep = tune_order(lambda c, w: estimate_pls(c, spec, order=w), data.context())
         order_hist[rep.order] = order_hist.get(rep.order, 0) + 1
-    os.makedirs(ARTIFACT_DIR, exist_ok=True)
-    with open(os.path.join(ARTIFACT_DIR, "criterion11_hyperparameter_histograms.json"), "w") as fh:
+    with open(tmp_path / "criterion11_hyperparameter_histograms.json", "w") as fh:
         json.dump(
             {
                 "process": "ma(1) b=0.5 sigma2=0.64 P=16 N=64",

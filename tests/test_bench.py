@@ -291,6 +291,14 @@ class TestCli:
         assert code == 2
         assert "numerical" in capsys.readouterr().err.lower()
 
+    def test_all_zero_samples_rejected(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        np.savetxt(path, np.zeros((4, 6)), delimiter=",")
+        for name in ("scm", "pgd", "frob", "em"):
+            code = main(["estimate", "--input", str(path), "--estimator", name])
+            assert code == 2
+            assert "samples are all zero" in capsys.readouterr().err
+
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == 1
 

@@ -134,6 +134,27 @@ class TestBisectBoxScale:
             FunctionFamily("decreasing", lambda eta, i: np.maximum(1.0 - eta, 0.0) * np.ones_like(np.asarray(i, dtype=float)))
 
 
+class TestBoxSpec:
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            BoxSpec(np.array([0.2, -0.1]))
+
+    def test_zero_bound_pins_coefficient(self):
+        spec = BoxSpec(np.array([0.3, 0.0]))
+        alpha = project_box(GsParams(2.0, np.array([5.0, -5.0])), spec)
+        assert alpha.alpha_rest[1] == 0.0
+        assert spectral_pd_check(alpha)
+
+    @pytest.mark.parametrize("p", [340, 600, 1000, 1300, 4096])
+    def test_default_families_calibrate_at_large_dims(self, p):
+        """Decaying bounds underflow to zero here; calibration must still land."""
+        for family in DEFAULT_FAMILIES:
+            spec = box_spec_for(family, p)
+            assert spec.dim == p
+            assert np.all(spec.k >= 0)
+            assert 1.0 - 1e-3 <= box_bound(spec.k) < 1.0
+
+
 class TestProjectBox:
     def test_interior_unchanged(self):
         spec = box_spec_for(DEFAULT_FAMILIES[1], 8)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from toepcov.estimators import (
     tune_order,
     white_noise_report,
 )
-from toepcov.likelihood import LikelihoodContext, loglik
+from toepcov.likelihood import LikelihoodContext, SampleSet, loglik
 from toepcov.processes import ProcessSpec, nmse, sample, true_cm
 from toepcov.toeplitz import ar_to_autocov, gs_to_ar
 
@@ -22,6 +24,14 @@ rng = np.random.default_rng(31337)
 
 def ar1_data(p=16, n=8, a=0.5, sigma2=0.64, seed=0):
     return sample(ProcessSpec("ar", p, a=(a,), sigma2=sigma2), n, seed)
+
+
+def complex_ar1_data(p=16, n=8, seed=0):
+    """Circular complex Gaussian samples with the AR(1) covariance."""
+    chol = np.linalg.cholesky(true_cm(ProcessSpec("ar", p, a=(0.5,), sigma2=0.64)).dense())
+    local = np.random.default_rng(seed)
+    z = (local.standard_normal((n, p)) + 1j * local.standard_normal((n, p))) / np.sqrt(2)
+    return SampleSet(z @ chol.T)
 
 
 @pytest.fixture(scope="module")
@@ -47,17 +57,37 @@ class TestPgd:
 
     @pytest.mark.parametrize("order", [1, 3])
     def test_monotone_feasible_stationary(self, order, spec16):
-        for seed in range(6):
-            ctx = ar1_data(seed=seed).context()
+        for complex_case, seed in itertools.product((False, True), range(6)):
+            ctx = (complex_ar1_data(seed=seed) if complex_case else ar1_data(seed=seed)).context()
             rep = estimate_pgd(ctx, spec16, order, opts=PgdOptions(track_iterates=True))
             objectives = rep.extras["objectives"]
             assert all(b >= a for a, b in zip(objectives, objectives[1:]))
             for alpha in rep.extras["iterates"]:
                 assert alpha.alpha0 >= 1e-6
-                assert np.all(np.abs(alpha.alpha_rest) <= spec16.k * alpha.alpha0 * (1 + 1e-12))
+                # complex coefficients keep each part within half the bound
+                rest = alpha.alpha_rest
+                lim = spec16.k * alpha.alpha0 * (1 + 1e-12)
+                if complex_case:
+                    assert np.all(np.abs(rest.real) <= lim / 2) and np.all(np.abs(rest.imag) <= lim / 2)
+                else:
+                    assert np.all(np.abs(rest) <= lim)
                 assert spectral_pd_check(alpha)
+            assert np.iscomplexobj(rep.alpha.alpha_rest) == complex_case
             assert rep.grad_norm < 1e-5 * (1.0 + abs(rep.loglik))
             assert rep.converged
+
+    @pytest.mark.parametrize(
+        "kind, seed, family, order",
+        [("ma", 300, 1, 4), ("ma", 300, 1, 5), ("ma", 300, 1, 6), ("ar", 107, 0, 4)],
+    )
+    def test_converges_where_gradient_ascent_stalled(self, kind, seed, family, order):
+        """Fits that projected gradient ascent left unconverged at max_iter."""
+        coef = {"b": (0.5,)} if kind == "ma" else {"a": (0.5,)}
+        ctx = sample(ProcessSpec(kind, 16, sigma2=0.64, **coef), 8, seed).context()
+        rep = estimate_pgd(ctx, box_spec_for(DEFAULT_FAMILIES[family], 16), order)
+        assert rep.converged
+        assert rep.iterations < PgdOptions().max_iter
+        assert rep.grad_norm < 1e-5 * (1.0 + abs(rep.loglik))
 
     def test_order_bounds(self, spec16):
         ctx = ar1_data().context()
@@ -175,6 +205,13 @@ class TestPls:
             pert_a = rep.extras["a_hat"] + rng.normal(size=w) * 0.05
             pert_s = rep.extras["sigma2_hat"] * float(np.exp(rng.normal() * 0.05))
             assert conditional_ll(pert_a, pert_s) <= best + 1e-9
+
+    def test_tuned_beyond_underflowing_bounds(self):
+        """At P=512 two default families have bounds that underflow to zero."""
+        ctx = ar1_data(p=512, n=8, seed=4).context()
+        rep = tune_box_family(lambda spec: (lambda c, w: estimate_pls(c, spec, order=w)), ctx)
+        assert rep.order >= 1
+        assert spectral_pd_check(rep.alpha)
 
     def test_banded_output(self):
         data = ar1_data(p=10, n=6, seed=2)

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from toepcov.baselines import sample_cov
-from toepcov.likelihood import GsObjective, LikelihoodContext, SampleSet, grad, loglik
+from toepcov.likelihood import (
+    DegenerateDataError,
+    GsObjective,
+    LikelihoodContext,
+    SampleSet,
+    grad,
+    loglik,
+)
 from toepcov.toeplitz import (
     GsParams,
     NotPositiveDefiniteError,
@@ -170,3 +177,27 @@ class TestSampleSet:
         assert np.allclose(data.scm, want, atol=1e-12)
         ctx = data.context()
         assert ctx.p == 9 and ctx.n == 5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        x = rng.normal(size=(4, 6))
+        x[2, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SampleSet(x)
+
+    def test_all_zero_rejected(self):
+        with pytest.raises(DegenerateDataError, match="all zero"):
+            SampleSet(np.zeros((4, 6)))
+        assert issubclass(DegenerateDataError, ValueError)
+
+
+class TestLikelihoodContext:
+    def test_zero_trace_rejected(self):
+        with pytest.raises(DegenerateDataError, match="not positive"):
+            LikelihoodContext(np.zeros((5, 5)), 3)
+
+    def test_non_finite_trace_rejected(self):
+        scm = np.eye(5)
+        scm[1, 1] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            LikelihoodContext(scm, 3)
