@@ -166,12 +166,14 @@ ESTIMATORS = {
                   lambda d: baselines.em_toeplitz(d.scm, g=2 * d.p)),
         _baseline("shrink_avg", False, "cubic (target build dominates)", *_shrinkage("avg")),
         _baseline("shrink_const", True, "quadratic", *_shrinkage("const")),
-        _gs("eig", "cubic per iteration (small dims)",
+        # one eig Newton iteration takes (order + 2)^2 Cholesky factorizations
+        # ((2 order + 2)^2 for complex data)
+        _gs("eig", "cubic times the squared order per iteration (small dims)",
             lambda c, w, spec: estimate_eig(c, order=w)),
-        _gs("frob", "quadratic per iteration",
+        # one frob or pgd Newton iteration takes order + 2 gradient passes
+        # (2 order + 2 for complex data)
+        _gs("frob", "quadratic times the order per iteration",
             lambda c, w, spec: estimate_frob(c, order=w)),
-        # one Newton iteration takes order + 2 gradient passes (2 order + 2
-        # for complex data)
         _gs("pgd", "quadratic times the order per iteration",
             lambda c, w, spec: estimate_pgd(c, spec, w), boxed=True),
         _gs("pls", "linear plus cubic in the order",

@@ -54,21 +54,28 @@ class ToleranceSet:
                 raise ValueError(f"{name} must be strictly positive")
 
 
+def _cross_terms(alpha: GsParams):
+    """``(u, f, g)``: the convolution ``g = u * f`` behind the cross diagonals."""
+    rest = alpha.alpha_rest
+    p = alpha.dim
+    r = -np.conj(rest) / alpha.alpha0
+    f = fib_seq(r, p - 2)
+    u = rest[::-1] / alpha.alpha0
+    return u, f, np.convolve(u, f)[: p - 1]
+
+
 def cross_diagonals(alpha: GsParams) -> np.ndarray:
     """Diagonal entries g_1..g_{P-1} of the whitened cross factor.
 
     The product of the mirrored factor's adjoint with the inverse adjoint
     of the main factor is upper triangular Toeplitz; its d-th diagonal value
-    is ``g_d = sum_j (a_{P-j}/a_0) F_{d-j}(-conj(a_{>=1})/a_0)``.
+    is ``g_d = sum_j (a_{P-j}/a_0) F_{d-j}(-conj(a_{>=1})/a_0)``.  Far
+    outside the positive definite set the sequence overflows to inf or nan.
     """
-    rest = alpha.alpha_rest
-    p = alpha.dim
-    if p == 1:
+    if alpha.dim == 1:
         return np.zeros(0)
-    r = -np.conj(rest) / alpha.alpha0
-    f = fib_seq(r, p - 2)
-    u = rest[::-1] / alpha.alpha0
-    return np.convolve(u, f)[: p - 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _cross_terms(alpha)[2]
 
 
 def frobenius_gain_sq(alpha: GsParams) -> float:
@@ -76,11 +83,14 @@ def frobenius_gain_sq(alpha: GsParams) -> float:
 
     Equals ``sum_d (P-d) |g_d|^2`` over the cross diagonals; strictly below
     one implies positive definiteness of the assembled precision matrix.
+    Returns inf where the value overflows.
     """
     g = cross_diagonals(alpha)
     p = alpha.dim
     d = np.arange(1, p)
-    return float(np.dot(p - d, np.abs(g) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = float(np.dot(p - d, np.abs(g) ** 2))
+    return val if np.isfinite(val) else np.inf
 
 
 def spectral_pd_check(alpha: GsParams) -> bool:
@@ -94,6 +104,8 @@ def spectral_pd_check(alpha: GsParams) -> bool:
     if p == 1:
         return True
     g = cross_diagonals(alpha)
+    if not np.all(np.isfinite(g)):  # overflowed: far outside the PD set
+        return False
     i, j = np.indices((p, p))
     lag = j - i
     m = np.where(lag > 0, np.concatenate(([0.0], g))[np.clip(lag, 0, p - 1)], 0.0)
@@ -257,25 +269,39 @@ def project_box(alpha: GsParams, spec: BoxSpec, eps0: float = 1e-6) -> GsParams:
 
 
 def frob_constraint(alpha: GsParams, eps_f: float = 1e-4, support=None):
-    """Frobenius surrogate constraint value and finite-difference gradient.
+    """Frobenius surrogate constraint value and its exact gradient.
 
     Value is ``gain^2 - 1 + eps_f`` (feasible when negative).  The gradient
-    is forward-differenced over the requested coordinates of the O(P^2)
-    value function; the closed form would cost O(P^3).
+    comes from one adjoint pass in O(P^2): the weights ``2 (P-d) g_d`` are
+    pulled back through ``g = u * f`` and through ``df = f * f * dr`` with
+    two correlations.  Real parameters get real partial derivatives, complex
+    ones the packed ``d/dRe + i d/dIm`` form; the gain is invariant to the
+    scale of ``alpha``, which gives the ``alpha_0`` entry.  Returns the
+    entries over ``support`` (default: all coordinates).
     """
-    val = frobenius_gain_sq(alpha) - 1.0 + eps_f
-    if support is None:
-        support = range(alpha.dim)
-    grad = np.zeros(len(tuple(support)))
-    support = tuple(support)
-    full = alpha.full
-    for out_i, idx in enumerate(support):
-        h = 1e-7 * max(1.0, abs(full[idx]))
-        bumped = full.astype(np.result_type(full.dtype, np.float64), copy=True)
-        bumped[idx] += h
-        val_h = frobenius_gain_sq(GsParams.from_full(bumped)) - 1.0 + eps_f
-        grad[out_i] = (val_h - val) / h
-    return val, grad
+    p = alpha.dim
+    support = list(range(p) if support is None else support)
+    rest = alpha.alpha_rest
+    grad = np.zeros(p, dtype=np.result_type(rest.dtype, np.float64))
+    if p == 1:
+        return eps_f - 1.0, grad[support]
+    n = p - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, f, g = _cross_terms(alpha)
+        weight = p - np.arange(1, p)
+        val = float(np.dot(weight, np.abs(g) ** 2))
+        lam = 2.0 * weight * g
+        # adjoints of u and f in g = u * f (lags 0..n-1 of the correlations)
+        du = np.correlate(lam, f, "full")[n - 1 :]
+        df = np.conj(np.correlate(lam, u, "full")[n - 1 :])
+        # df = f * f * dr with r = -conj(a_rest) / a_0; r_n moves no f
+        dr = np.zeros_like(du)
+        dr[: n - 1] = np.conj(np.correlate(np.conj(df), np.convolve(f, f)[:n], "full")[n:])
+        grad[1:] = (du[::-1] - dr) / alpha.alpha0
+        grad[0] = -np.real(np.vdot(rest, grad[1:])) / alpha.alpha0
+    if not np.isfinite(val):
+        val = np.inf
+    return val - 1.0 + eps_f, grad[support]
 
 
 def eig_constraints(alpha: GsParams, eps_eig: float) -> np.ndarray:

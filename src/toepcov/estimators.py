@@ -4,10 +4,14 @@ Four fitting routes share one contract (the returned parameters always
 assemble to a positive definite matrix):
 
 * active-set projected Newton ascent inside certified box constraints,
-* log-barrier interior point with the Frobenius surrogate constraint,
-* the same barrier loop with exact eigenvalue constraints (small P only),
+* log-barrier interior point with damped Newton steps under the Frobenius
+  surrogate constraint, whose exact gradient costs O(P^2),
+* the same barrier driver with exact eigenvalue constraints (small P only),
 * a closed-form conditional-likelihood least-squares fit projected onto the
   box.
+
+Both Newton fits share one eigenvalue-floored Newton step and one Armijo
+backtracking line search.
 
 Order selection (BIC) and bound-family selection wrappers sit on top.
 """
@@ -134,24 +138,57 @@ def white_noise_report(ctx: LikelihoodContext, eps0: float = 1e-6) -> Estimation
     )
 
 
-def _newton_direction(grad, x, g, free, lo, hi):
-    """Newton ascent step on the free coordinates of the box fit.
+def _stacked(g):
+    """Packed gradient ``(d/d alpha_0, d/dRe + i d/dIm, ...)`` as a real
+    vector: the scale entry, then the real parts, then the imaginary parts."""
+    if np.iscomplexobj(g):
+        return np.concatenate(([g[0].real], g[1:].real, g[1:].imag))
+    return g
 
-    The Hessian comes from forward-differencing ``grad`` along each free
-    coordinate (probes move toward the roomier side, so they stay in the
-    box); flooring the eigenvalues of its negation makes the step an ascent
-    direction.
+
+def _fd_jacobian(fn, x, f0, idx, lo, hi):
+    """Forward-difference Jacobian of ``fn`` (value ``f0`` at ``x``) on ``idx``.
+
+    Each probe moves toward the roomier side of ``[lo, hi]``, so it stays
+    inside.
     """
-    idx = np.flatnonzero(free)
-    hess = np.empty((idx.size, idx.size))
+    jac = np.empty((idx.size, idx.size))
     for col, j in enumerate(idx):
         h = 1e-6 * max(1.0, abs(x[j]))
         probe = x.copy()
         probe[j] = np.clip(x[j] + (h if hi[j] - x[j] >= x[j] - lo[j] else -h), lo[j], hi[j])
-        hess[:, col] = (grad(probe)[idx] - g[idx]) / (probe[j] - x[j])
+        jac[:, col] = (fn(probe)[idx] - f0[idx]) / (probe[j] - x[j])
+    return jac
+
+
+def _newton_step(hess, g):
+    """Newton ascent direction for gradient ``g`` and Hessian ``hess``.
+
+    The Hessian is symmetrized and the eigenvalues of its negation floored,
+    so the step is an ascent direction even where the objective is not
+    concave.
+    """
     lam, vec = np.linalg.eigh(-0.5 * (hess + hess.T))
     lam = np.maximum(lam, _CURVATURE_FLOOR * np.abs(lam).max())
-    return vec @ ((vec.T @ g[idx]) / lam)
+    return vec @ ((vec.T @ g) / lam)
+
+
+def _line_search(evaluate, x, d, value, g, lo, hi):
+    """Backtracking along ``d`` from ``x``, each trial clipped to ``[lo, hi]``.
+
+    Returns the first ``(x_new, value_new)`` that passes the Armijo
+    sufficient-increase rule, or None.  ``evaluate`` returns -inf at
+    infeasible points.
+    """
+    step = 1.0
+    for _ in range(_ARMIJO_MAX_BACKTRACKS):
+        x_new = np.clip(x + step * d, lo, hi)
+        cand_value = evaluate(x_new)
+        gain = float(g @ (x_new - x))
+        if cand_value > value and cand_value >= value + _ARMIJO_C1 * max(gain, 0.0):
+            return x_new, cand_value
+        step *= _ARMIJO_SHRINK
+    return None
 
 
 def estimate_pgd(
@@ -194,9 +231,14 @@ def estimate_pgd(
         return GsParams(x[0], rest)
 
     def grad(x):
-        g = obj.gradient(pack(x), support)
-        g_rest = np.concatenate((g[1:].real, g[1:].imag)) if is_complex else g[1:]
-        return np.concatenate(([np.real(g[0]) + g_rest @ x[1:]], x[0] * g_rest))
+        g = _stacked(obj.gradient(pack(x), support))
+        return np.concatenate(([g[0] + g[1:] @ x[1:]], x[0] * g[1:]))
+
+    def value_at(x):
+        try:
+            return obj.value(pack(x))
+        except _INFEASIBLE:
+            return -np.inf
 
     def mapping_norm(x, g):
         """Projected-gradient mapping norm, ratio entries without the factor s."""
@@ -217,26 +259,15 @@ def estimate_pgd(
         if np.linalg.norm(g[free]) < 1e-14 * (1.0 + abs(value)):
             converged = True
             break
+        idx = np.flatnonzero(free)
         d = np.zeros_like(x)
-        d[free] = _newton_direction(grad, x, g, free, lo, hi)
-        step = 1.0
-        accepted = None
-        for _ in range(_ARMIJO_MAX_BACKTRACKS):
-            x_new = np.clip(x + step * d, lo, hi)
-            cand = pack(x_new)
-            try:
-                cand_value = obj.value(cand)
-            except _INFEASIBLE:
-                cand_value = -np.inf
-            gain = float(g @ (x_new - x))
-            if cand_value > value and cand_value >= value + _ARMIJO_C1 * max(gain, 0.0):
-                accepted = (cand, x_new, cand_value)
-                break
-            step *= _ARMIJO_SHRINK
+        d[idx] = _newton_step(_fd_jacobian(grad, x, g, idx, lo, hi), g[idx])
+        accepted = _line_search(value_at, x, d, value, g, lo, hi)
         if accepted is None:
             converged = True
             break
-        alpha, x, new_value = accepted
+        x, new_value = accepted
+        alpha = pack(x)
         improvement = new_value - value
         value = new_value
         if track:
@@ -260,45 +291,6 @@ def estimate_pgd(
     return report
 
 
-def _barrier_ascent(alpha, support, phi, phi_grad, opts: BarrierOptions):
-    """Backtracking gradient ascent on one barrier subproblem."""
-    value = phi(alpha)
-    iters = 0
-    converged = False
-    for iters in range(1, opts.inner_max_iter + 1):
-        g = phi_grad(alpha)
-        g_norm = float(np.linalg.norm(g))
-        stationary = g_norm < opts.stat_tol * (1.0 + abs(value))
-        if g_norm < 1e-14 * (1.0 + abs(value)):
-            converged = True
-            break
-        step = 1.0
-        accepted = None
-        for _ in range(_ARMIJO_MAX_BACKTRACKS):
-            cand_full = alpha.full.astype(np.result_type(alpha.full.dtype, g.dtype), copy=True)
-            for pos, i in enumerate(support):
-                cand_full[i] = cand_full[i] + step * g[pos]
-            cand_full[0] = np.real(cand_full[0])
-            if cand_full[0] > 0:  # barrier handles the eps0 floor
-                cand = GsParams.from_full(cand_full)
-                cand_value = phi(cand)
-                gain = float(np.real(np.vdot(g, (cand.full - alpha.full)[list(support)])))
-                if np.isfinite(cand_value) and cand_value > value and cand_value >= value + _ARMIJO_C1 * max(gain, 0.0):
-                    accepted = (cand, cand_value)
-                    break
-            step *= _ARMIJO_SHRINK
-        if accepted is None:
-            converged = True
-            break
-        alpha, new_value = accepted
-        improvement = new_value - value
-        value = new_value
-        if improvement < opts.inner_rel_tol * max(1.0, abs(value)) and stationary:
-            converged = True
-            break
-    return alpha, value, iters, converged
-
-
 def _barrier_options(tolset, opts) -> BarrierOptions:
     opts = opts or (BarrierOptions(tolerances=tolset) if tolset else BarrierOptions())
     if tolset is not None and opts.tolerances is not tolset:
@@ -306,14 +298,22 @@ def _barrier_options(tolset, opts) -> BarrierOptions:
     return opts
 
 
-def _barrier_fit(ctx, order, opts, log_slack, slack_grad) -> EstimationReport:
+def _barrier_fit(ctx, order, opts, log_slack, slack_derivatives) -> EstimationReport:
     """Log-barrier interior-point fit shared by the constraint sets.
 
-    ``log_slack(a)`` is the constraint's log-slack (-inf when infeasible)
-    and ``slack_grad(a, mu, support)`` mu times its gradient over the
-    support.  Barriers on that slack and on the scale's distance to its
-    floor keep every iterate strictly feasible, hence positive definite;
-    the barrier weight shrinks by ``mu_shrink`` per outer round.
+    For a barrier weight ``mu`` shrinking by ``mu_shrink`` per outer round,
+    maximizes ``L + mu (log(alpha_0 - eps0) + psi)`` over the real vector
+    ``x = (alpha_0, Re a_1..a_order[, Im a_1..a_order])``, where
+    ``psi = log_slack(alpha)`` is the constraint's log-slack (-inf when
+    infeasible).  ``slack_derivatives(pack, x, jacobian)`` returns the
+    gradient and Hessian of ``psi`` in ``x``; ``pack`` maps ``x`` to GS
+    parameters and ``jacobian(fn, x, fn(x))`` forward-differences a vector
+    function.  Every inner iteration is a damped Newton step
+    (Boyd & Vandenberghe, Convex Optimization, 11.3): the likelihood Hessian
+    is forward-differenced from its analytic gradient, the scale barrier's
+    curvature is exact, and the step halves until the Armijo rule holds.
+    The barriers keep every iterate strictly feasible, hence positive
+    definite.
     """
     tol = opts.tolerances
     p = ctx.p
@@ -321,15 +321,36 @@ def _barrier_fit(ctx, order, opts, log_slack, slack_grad) -> EstimationReport:
         raise ValueError(f"order must lie in [1, {p - 1}], got {order}")
     support = tuple(range(order + 1))
     obj = GsObjective(ctx)
-    alpha = _white_noise_start(ctx, tol.eps0)
+    is_complex = np.iscomplexobj(ctx.scm)
+    size = 2 * order + 1 if is_complex else order + 1
+    idx = np.arange(size)
+    lo = np.full(size, -np.inf)
+    lo[0] = tol.eps0
+    hi = np.full(size, np.inf)
+
+    def pack(x):
+        coef = x[1 : order + 1] + 1j * x[order + 1 :] if is_complex else x[1:]
+        rest = np.zeros(p - 1, dtype=coef.dtype)
+        rest[:order] = coef
+        return GsParams(x[0], rest)
+
+    def loglik_grad(x):
+        return _stacked(obj.gradient(pack(x), support))
+
+    def jacobian(fn, x, f0):
+        return _fd_jacobian(fn, x, f0, idx, lo, hi)
+
+    x = np.zeros(size)
+    x[0] = _white_noise_start(ctx, tol.eps0).alpha0
     mu = opts.mu0
     total_iters = 0
     converged = False
     for _ in range(opts.outer_iters):
 
-        def phi(a, mu=mu):
-            if a.alpha0 <= tol.eps0:
+        def phi(x, mu=mu):
+            if x[0] <= tol.eps0:
                 return -np.inf
+            a = pack(x)
             slack = log_slack(a)
             if not np.isfinite(slack):
                 return -np.inf
@@ -337,17 +358,35 @@ def _barrier_fit(ctx, order, opts, log_slack, slack_grad) -> EstimationReport:
                 base = obj.value(a)
             except _INFEASIBLE:
                 return -np.inf
-            return base + mu * (np.log(a.alpha0 - tol.eps0) + slack)
+            return base + mu * (np.log(x[0] - tol.eps0) + slack)
 
-        def phi_grad(a, mu=mu):
-            g = np.array(obj.gradient(a, support), copy=True)
-            g += slack_grad(a, mu, support)
-            g[0] += mu / (a.alpha0 - tol.eps0)
-            return g
-
-        alpha, _, inner_iters, converged = _barrier_ascent(alpha, support, phi, phi_grad, opts)
-        total_iters += inner_iters
+        value = phi(x)
+        iters = 0
+        for iters in range(1, opts.inner_max_iter + 1):
+            g_lik = loglik_grad(x)
+            s_grad, s_hess = slack_derivatives(pack, x, jacobian)
+            g = g_lik + mu * s_grad
+            g[0] += mu / (x[0] - tol.eps0)
+            g_norm = float(np.linalg.norm(g))
+            stationary = g_norm < opts.stat_tol * (1.0 + abs(value))
+            if g_norm < 1e-14 * (1.0 + abs(value)):
+                converged = True
+                break
+            hess = jacobian(loglik_grad, x, g_lik) + mu * s_hess
+            hess[0, 0] -= mu / (x[0] - tol.eps0) ** 2
+            accepted = _line_search(phi, x, _newton_step(hess, g), value, g, lo, hi)
+            if accepted is None:
+                converged = True
+                break
+            x, new_value = accepted
+            improvement = new_value - value
+            value = new_value
+            if improvement < opts.inner_rel_tol * max(1.0, abs(value)) and stationary:
+                converged = True
+                break
+        total_iters += iters
         mu *= opts.mu_shrink
+    alpha = pack(x)
     value = obj.value(alpha)
     g = np.array(obj.gradient(alpha, support), copy=True)
     if alpha.alpha0 <= tol.eps0 * (1.0 + 1e-9) and np.real(g[0]) < 0:
@@ -370,7 +409,12 @@ def estimate_frob(
 ) -> EstimationReport:
     """Interior-point fit under the Frobenius surrogate constraint.
 
-    The barrier keeps the squared Frobenius gain strictly below one.
+    The barrier ``log(-c)`` keeps ``c = gain^2 - 1 + eps_f`` strictly
+    negative.  Its gradient and Hessian come from the exact gradient of
+    ``c``: only the Hessian of ``c`` is forward-differenced, the singular
+    term ``-grad c grad c^T / c^2`` is exact.  One Newton iteration costs
+    ``order + 2`` O(P^2) passes of the likelihood gradient and of
+    ``frob_constraint`` (``2 order + 2`` for complex data).
     """
     opts = _barrier_options(tolset, opts)
     eps_f = opts.tolerances.eps_f
@@ -379,11 +423,17 @@ def estimate_frob(
         fval = frobenius_gain_sq(a) - 1.0 + eps_f
         return np.log(-fval) if fval < 0 else -np.inf
 
-    def slack_grad(a, mu, support):
-        fval, fgrad = frob_constraint(a, eps_f, support)
-        return mu * fgrad / fval
+    support = range(order + 1)
 
-    report = _barrier_fit(ctx, order, opts, log_slack, slack_grad)
+    def slack_derivatives(pack, x, jacobian):
+        def c_grad(y):
+            return _stacked(frob_constraint(pack(y), eps_f, support)[1])
+
+        c, dc = frob_constraint(pack(x), eps_f, support)
+        dc = _stacked(dc)
+        return dc / c, jacobian(c_grad, x, dc) / c - np.outer(dc, dc) / c**2
+
+    report = _barrier_fit(ctx, order, opts, log_slack, slack_derivatives)
     report.extras["constraint_value"] = frobenius_gain_sq(report.alpha) - 1.0 + eps_f
     return report
 
@@ -407,9 +457,13 @@ def estimate_eig(
 ) -> EstimationReport:
     """Interior-point fit under exact eigenvalue constraints.
 
-    Reference implementation for cross-validating the cheaper constraint
-    sets; refuses dimensions where the per-iteration eigenvalue work is no
-    longer acceptable.
+    The barrier is ``log det(Gamma - floor I)``.  Its gradient is
+    forward-differenced along each real coordinate and its Hessian is the
+    forward-difference Jacobian of that gradient: ``(order + 2)^2`` Cholesky
+    factorizations per Newton iteration, ``(2 order + 2)^2`` for complex
+    data.  Reference implementation for cross-validating the cheaper
+    constraint sets; refuses dimensions where that work is no longer
+    acceptable.
     """
     if ctx.p > EIG_DIM_LIMIT:
         raise ValueError(
@@ -418,18 +472,20 @@ def estimate_eig(
     opts = _barrier_options(tolset, opts)
     floor = opts.tolerances.eps_eig * ctx.trace_scale
 
-    def slack_grad(a, mu, support):
-        base = _pd_slack_logdet(a, floor)
-        full = a.full
-        fd = np.zeros(len(support))
-        for pos, i in enumerate(support):
-            h = 1e-7 * max(1.0, abs(full[i]))
-            bumped = full.astype(np.result_type(full.dtype, np.float64), copy=True)
-            bumped[i] += h
-            fd[pos] = (_pd_slack_logdet(GsParams.from_full(bumped), floor) - base) / h
-        return mu * fd
+    def slack_derivatives(pack, x, jacobian):
+        def slack_grad(y):
+            base = _pd_slack_logdet(pack(y), floor)
+            out = np.empty(y.size)
+            for j in range(y.size):
+                bumped = y.copy()
+                bumped[j] += 1e-7 * max(1.0, abs(y[j]))
+                out[j] = (_pd_slack_logdet(pack(bumped), floor) - base) / (bumped[j] - y[j])
+            return out
 
-    return _barrier_fit(ctx, order, opts, lambda a: _pd_slack_logdet(a, floor), slack_grad)
+        g = slack_grad(x)
+        return g, jacobian(slack_grad, x, g)
+
+    return _barrier_fit(ctx, order, opts, lambda a: _pd_slack_logdet(a, floor), slack_derivatives)
 
 
 def _conditional_moments(scm: np.ndarray, order: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -198,15 +200,41 @@ class TestFrobConstraint:
                 assert spectral_pd_check(alpha)
                 hits += 1
 
-    def test_gradient_matches_finite_differences_of_value(self):
-        alpha = random_alpha(10, scale=0.2)
-        val, grad = frob_constraint(alpha, 1e-4, support=range(4))
-        for idx in range(4):
-            h = 1e-7 * max(1.0, abs(alpha.full[idx]))
-            bumped = alpha.full.copy()
-            bumped[idx] += h
-            val_h, _ = frob_constraint(GsParams.from_full(bumped), 1e-4, support=[0])
-            assert grad[idx] == pytest.approx((val_h - val) / h, abs=1e-12)
+    @pytest.mark.parametrize("complex_case", [False, True], ids=["real", "complex"])
+    def test_gradient_matches_central_differences(self, complex_case):
+        """Every coordinate, including the scale; complex entries pack d/dRe + i d/dIm."""
+        for p in (2, 3, 10, 33):
+            alpha = random_alpha(p, scale=0.5 / np.sqrt(p), complex_case=complex_case)
+            val, grad = frob_constraint(alpha, 1e-4)
+            assert val == pytest.approx(frobenius_gain_sq(alpha) - 1.0 + 1e-4, abs=1e-15)
+            assert grad.shape == (p,) and np.iscomplexobj(grad) == complex_case
+            full = alpha.full.astype(grad.dtype)
+            parts = [(i, 1.0) for i in range(p)] + [(i, 1j) for i in range(1, p) if complex_case]
+            for i, part in parts:
+                h = 1e-6 * max(1.0, abs(full[i]))
+                up, down = full.copy(), full.copy()
+                up[i] += h * part
+                down[i] -= h * part
+                want = (frobenius_gain_sq(GsParams.from_full(up))
+                        - frobenius_gain_sq(GsParams.from_full(down))) / (2 * h)
+                got = grad[i].real if part == 1.0 else grad[i].imag
+                assert got == pytest.approx(want, rel=1e-6, abs=1e-8)
+
+    def test_support_selects_entries(self):
+        alpha = random_alpha(12, scale=0.1, complex_case=True)
+        _, grad = frob_constraint(alpha, 1e-4)
+        _, sub = frob_constraint(alpha, 1e-4, support=[0, 3, 7])
+        assert np.array_equal(sub, grad[[0, 3, 7]])
+
+    def test_no_overflow_warning_far_outside(self):
+        """Far from the feasible set the value is inf, not a numpy warning."""
+        alpha = GsParams(1.0, np.array([1e3] * 6 + [0.0] * 121))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frobenius_gain_sq(alpha) == np.inf
+            assert frob_constraint(alpha, 1e-4)[0] == np.inf
+            assert not np.all(np.isfinite(cross_diagonals(alpha)))
+            assert not spectral_pd_check(alpha)
 
 
 class TestEigConstraints:

@@ -117,9 +117,17 @@ class TestFrob:
         assert nmse(rep.icm_dense(), truth) < 1e-2
 
     def test_stationarity(self):
-        data = ar1_data(p=16, n=1024, seed=3)
-        rep = estimate_frob(data.context(), order=1)
-        assert rep.grad_norm < 1e-5 * (1.0 + abs(rep.loglik))
+        for data in (ar1_data(p=16, n=1024, seed=3), complex_ar1_data(p=16, n=1024, seed=3)):
+            rep = estimate_frob(data.context(), order=1)
+            assert rep.grad_norm < 1e-5 * (1.0 + abs(rep.loglik))
+
+    def test_converges_where_gradient_ascent_stalled(self):
+        """A binding fit that gradient ascent left unconverged after 1154 iterations."""
+        rep = estimate_frob(ar1_data(n=2, seed=0).context(), order=6)
+        assert rep.converged
+        assert rep.iterations < 8 * 150
+        assert rep.extras["constraint_value"] < 0
+        assert spectral_pd_check(rep.alpha)
 
 
 class TestEig:
