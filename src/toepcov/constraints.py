@@ -78,6 +78,13 @@ def cross_diagonals(alpha: GsParams) -> np.ndarray:
         return _cross_terms(alpha)[2]
 
 
+def _gain_sq(g: np.ndarray) -> float:
+    """``sum_d (P-d) |g_d|^2`` over cross diagonals g_1..g_{P-1}; inf on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = float(np.dot(np.arange(g.size, 0, -1), np.abs(g) ** 2))
+    return val if np.isfinite(val) else np.inf
+
+
 def frobenius_gain_sq(alpha: GsParams) -> float:
     """Squared Frobenius norm of the whitened cross factor.
 
@@ -85,12 +92,7 @@ def frobenius_gain_sq(alpha: GsParams) -> float:
     one implies positive definiteness of the assembled precision matrix.
     Returns inf where the value overflows.
     """
-    g = cross_diagonals(alpha)
-    p = alpha.dim
-    d = np.arange(1, p)
-    with np.errstate(over="ignore", invalid="ignore"):
-        val = float(np.dot(p - d, np.abs(g) ** 2))
-    return val if np.isfinite(val) else np.inf
+    return _gain_sq(cross_diagonals(alpha))
 
 
 def spectral_pd_check(alpha: GsParams) -> bool:
@@ -288,9 +290,7 @@ def frob_constraint(alpha: GsParams, eps_f: float = 1e-4, support=None):
     n = p - 1
     with np.errstate(over="ignore", invalid="ignore"):
         u, f, g = _cross_terms(alpha)
-        weight = p - np.arange(1, p)
-        val = float(np.dot(weight, np.abs(g) ** 2))
-        lam = 2.0 * weight * g
+        lam = 2.0 * (p - np.arange(1, p)) * g
         # adjoints of u and f in g = u * f (lags 0..n-1 of the correlations)
         du = np.correlate(lam, f, "full")[n - 1 :]
         df = np.conj(np.correlate(lam, u, "full")[n - 1 :])
@@ -299,9 +299,7 @@ def frob_constraint(alpha: GsParams, eps_f: float = 1e-4, support=None):
         dr[: n - 1] = np.conj(np.correlate(np.conj(df), np.convolve(f, f)[:n], "full")[n:])
         grad[1:] = (du[::-1] - dr) / alpha.alpha0
         grad[0] = -np.real(np.vdot(rest, grad[1:])) / alpha.alpha0
-    if not np.isfinite(val):
-        val = np.inf
-    return val - 1.0 + eps_f, grad[support]
+    return _gain_sq(g) - 1.0 + eps_f, grad[support]
 
 
 def eig_constraints(alpha: GsParams, eps_eig: float) -> np.ndarray:

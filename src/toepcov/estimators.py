@@ -346,6 +346,7 @@ def _barrier_fit(ctx, order, opts, log_slack, slack_derivatives) -> EstimationRe
     total_iters = 0
     converged = False
     for _ in range(opts.outer_iters):
+        converged = False
 
         def phi(x, mu=mu):
             if x[0] <= tol.eps0:

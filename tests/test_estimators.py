@@ -6,6 +6,7 @@ import pytest
 from toepcov.baselines import sample_cov
 from toepcov.constraints import DEFAULT_FAMILIES, box_spec_for, spectral_pd_check
 from toepcov.estimators import (
+    BarrierOptions,
     PgdOptions,
     estimate_eig,
     estimate_frob,
@@ -128,6 +129,13 @@ class TestFrob:
         assert rep.iterations < 8 * 150
         assert rep.extras["constraint_value"] < 0
         assert spectral_pd_check(rep.alpha)
+
+    def test_converged_reports_the_last_round(self):
+        """An early round that converges does not mark a capped last round converged."""
+        opts = BarrierOptions(inner_max_iter=5)
+        rep = estimate_frob(ar1_data(n=2, seed=0).context(), order=6, opts=opts)
+        assert rep.iterations < opts.outer_iters * opts.inner_max_iter
+        assert not rep.converged
 
 
 class TestEig:
