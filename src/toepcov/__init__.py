@@ -18,14 +18,15 @@ from .baselines import (
 )
 from .constraints import (
     DEFAULT_FAMILIES,
+    EPS0,
+    EPS_EIG,
+    EPS_F,
     BoxSpec,
     FunctionFamily,
-    ToleranceSet,
     bisect_box_scale,
     box_bound,
     box_spec_for,
     cross_diagonals,
-    eig_constraints,
     frob_constraint,
     frobenius_gain_sq,
     project_box,

@@ -86,8 +86,11 @@ def band_estimate(scm, spec: MaskSpec) -> HermitianToeplitz:
     return mask_apply(toeplitz_avg(scm, max_lag=spec.k), spec)
 
 
-def cv_tune_mask(samples, folds: int = 4, kind: str = "banding") -> MaskSpec:
-    """Pick the mask bandwidth by k-fold cross validation.
+_CV_FOLDS = 4
+
+
+def cv_tune_mask(samples, kind: str = "banding") -> MaskSpec:
+    """Pick the mask bandwidth by four-fold cross validation.
 
     Risk of a candidate is the Frobenius distance between the masked
     diagonal-average estimate of the training folds and the raw sample
@@ -95,9 +98,9 @@ def cv_tune_mask(samples, folds: int = 4, kind: str = "banding") -> MaskSpec:
     """
     x = np.atleast_2d(np.asarray(samples))
     n, p = x.shape
-    if n < folds:
-        raise ValueError(f"cross validation needs at least {folds} samples, got {n}")
-    fold_idx = np.array_split(np.arange(n), folds)
+    if n < _CV_FOLDS:
+        raise ValueError(f"cross validation needs at least {_CV_FOLDS} samples, got {n}")
+    fold_idx = np.array_split(np.arange(n), _CV_FOLDS)
     risks = np.zeros(p)
     for val in fold_idx:
         train = np.setdiff1d(np.arange(n), val)

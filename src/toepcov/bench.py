@@ -15,7 +15,7 @@ import os
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -163,7 +163,7 @@ ESTIMATORS = {
         _baseline("tapering", False, "linear in dim times bandwidth", *_banded("tapering")),
         _baseline("circ", True, "cubic (dense DFT)", lambda d: baselines.circulant_mle(d.scm)),
         _baseline("em", True, "cubic per iteration",
-                  lambda d: baselines.em_toeplitz(d.scm, g=2 * d.p)),
+                  lambda d: baselines.em_toeplitz(d.scm)),
         _baseline("shrink_avg", False, "cubic (target build dominates)", *_shrinkage("avg")),
         _baseline("shrink_const", True, "quadratic", *_shrinkage("const")),
         # one eig Newton iteration takes (order + 2)^2 Cholesky factorizations
@@ -443,26 +443,11 @@ def run_benchmark(config: ExperimentConfig, out_dir: str, svg: bool = False, wor
             )
     json_path = os.path.join(out_dir, "results.json")
     with open(json_path, "w") as handle:
-        json.dump({"config": _config_dict(config), "cells": detail}, handle, indent=1, sort_keys=True)
+        json.dump({"config": asdict(config), "cells": detail}, handle, indent=1, sort_keys=True)
         handle.write("\n")
     if svg:
         _write_svg(config, rows, out_dir)
     return rows
-
-
-def _config_dict(config: ExperimentConfig) -> dict:
-    return {
-        "kind": config.kind,
-        "points": [list(pt) for pt in config.points],
-        "sigma2": config.sigma2,
-        "dims": list(config.dims),
-        "sample_counts": list(config.sample_counts),
-        "estimators": list(config.estimators),
-        "runs": config.runs,
-        "seed": config.seed,
-        "cm_nmse": config.cm_nmse,
-        "icm_nmse": config.icm_nmse,
-    }
 
 
 def _sweep_axis(config: ExperimentConfig):

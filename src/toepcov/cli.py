@@ -39,7 +39,6 @@ def _build_parser() -> _Parser:
     est.add_argument("--estimator", required=True)
     est.add_argument("--order", default="auto", help="'auto' or a fixed AR order (GS estimators only)")
     est.add_argument("--icm", action="store_true", help="include the dense precision estimate")
-    est.add_argument("--seed", type=int, default=0)
     est.add_argument("--out", default=None, help="report path (stdout when omitted)")
 
     run = sub.add_parser("benchmark", help="run a config-driven Monte Carlo benchmark")

@@ -1,9 +1,10 @@
 """Positive-definiteness enforcing constraint sets for GS parameters.
 
-Three nested feasibility descriptions are provided: exact eigenvalue
-constraints (small dimensions only), a differentiable Frobenius-norm
-surrogate, and box constraints whose bound function certifies positive
-definiteness for every point inside the box.
+Three nested feasibility descriptions are provided: positive definiteness
+itself (tested exactly by ``spectral_pd_check``; the eigenvalue-barrier
+estimator enforces it with margin ``EPS_EIG`` at small dimensions), a
+differentiable Frobenius-norm surrogate, and box constraints whose bound
+function certifies positive definiteness for every point inside the box.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .toeplitz import GsParams, fib_seq, gs_assemble
+from .toeplitz import GsParams, fib_seq
 
 __all__ = [
-    "ToleranceSet",
+    "EPS0",
+    "EPS_F",
+    "EPS_EIG",
     "BoxSpec",
     "FunctionFamily",
     "DEFAULT_FAMILIES",
@@ -27,31 +30,16 @@ __all__ = [
     "box_spec_for",
     "project_box",
     "frob_constraint",
-    "eig_constraints",
     "EIG_DIM_LIMIT",
 ]
 
+# Positive-definiteness margins of the constraint sets, fixed as in the paper.
+EPS0 = 1e-6  # scale floor: alpha_0 >= EPS0
+EPS_F = 1e-4  # Frobenius margin: gain^2 <= 1 - EPS_F
+EPS_EIG = 1e-6  # eigenvalue floor, relative to the trace scale of the SCM
+
 # Eigenvalue constraints cost O(P^3) per evaluation; refuse above this.
 EIG_DIM_LIMIT = 64
-
-
-@dataclass(frozen=True)
-class ToleranceSet:
-    """Strictly positive slack constants shared by the constraint sets.
-
-    ``eps_eig`` is a relative floor: estimators scale it by the trace scale
-    of the sample covariance at hand.
-    """
-
-    eps0: float = 1e-6
-    eps_f: float = 1e-4
-    eps_eta: float = 1e-3
-    eps_eig: float = 1e-6
-
-    def __post_init__(self):
-        for name in ("eps0", "eps_f", "eps_eta", "eps_eig"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
 
 
 def _cross_terms(alpha: GsParams):
@@ -128,12 +116,7 @@ def box_bound(k_vec) -> float:
     if p == 1:
         return 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        f = fib_seq(k_vec, p - 2)
-        u = k_vec[::-1]
-        s = np.convolve(u, f)[: p - 1]
-        d = np.arange(1, p)
-        val = float(np.dot(p - d, s**2))
-    return val if np.isfinite(val) else np.inf
+        return _gain_sq(np.convolve(k_vec[::-1], fib_seq(k_vec, p - 2))[: p - 1])
 
 
 @dataclass(frozen=True)
@@ -239,18 +222,18 @@ class BoxSpec:
 _BOX_CACHE: dict = {}
 
 
-def box_spec_for(family: FunctionFamily, p: int, tol: float = 1e-3) -> BoxSpec:
+def box_spec_for(family: FunctionFamily, p: int) -> BoxSpec:
     """Box specification for a family at dimension ``p`` (scale bisected, cached)."""
-    key = (family.family_id, p, tol)
+    key = (family.family_id, p)
     spec = _BOX_CACHE.get(key)
     if spec is None:
-        eta, k = bisect_box_scale(family, p, tol)
+        eta, k = bisect_box_scale(family, p)
         spec = BoxSpec(k, family_id=family.family_id, scale=eta)
         _BOX_CACHE[key] = spec
     return spec
 
 
-def project_box(alpha: GsParams, spec: BoxSpec, eps0: float = 1e-6) -> GsParams:
+def project_box(alpha: GsParams, spec: BoxSpec) -> GsParams:
     """Project GS parameters onto the box (O(P), idempotent).
 
     The scale is clamped to its floor first; each trailing coefficient is
@@ -259,7 +242,7 @@ def project_box(alpha: GsParams, spec: BoxSpec, eps0: float = 1e-6) -> GsParams:
     """
     if spec.dim != alpha.dim:
         raise ValueError("box dimension does not match parameters")
-    a0 = max(alpha.alpha0, eps0)
+    a0 = max(alpha.alpha0, EPS0)
     rest = alpha.alpha_rest
     lim = spec.k * a0
     if np.iscomplexobj(rest):
@@ -270,10 +253,10 @@ def project_box(alpha: GsParams, spec: BoxSpec, eps0: float = 1e-6) -> GsParams:
     return GsParams(a0, rest)
 
 
-def frob_constraint(alpha: GsParams, eps_f: float = 1e-4, support=None):
+def frob_constraint(alpha: GsParams, support=None):
     """Frobenius surrogate constraint value and its exact gradient.
 
-    Value is ``gain^2 - 1 + eps_f`` (feasible when negative).  The gradient
+    Value is ``gain^2 - 1 + EPS_F`` (feasible when negative).  The gradient
     comes from one adjoint pass in O(P^2): the weights ``2 (P-d) g_d`` are
     pulled back through ``g = u * f`` and through ``df = f * f * dr`` with
     two correlations.  Real parameters get real partial derivatives, complex
@@ -286,7 +269,7 @@ def frob_constraint(alpha: GsParams, eps_f: float = 1e-4, support=None):
     rest = alpha.alpha_rest
     grad = np.zeros(p, dtype=np.result_type(rest.dtype, np.float64))
     if p == 1:
-        return eps_f - 1.0, grad[support]
+        return EPS_F - 1.0, grad[support]
     n = p - 1
     with np.errstate(over="ignore", invalid="ignore"):
         u, f, g = _cross_terms(alpha)
@@ -299,20 +282,4 @@ def frob_constraint(alpha: GsParams, eps_f: float = 1e-4, support=None):
         dr[: n - 1] = np.conj(np.correlate(np.conj(df), np.convolve(f, f)[:n], "full")[n:])
         grad[1:] = (du[::-1] - dr) / alpha.alpha0
         grad[0] = -np.real(np.vdot(rest, grad[1:])) / alpha.alpha0
-    return _gain_sq(g) - 1.0 + eps_f, grad[support]
-
-
-def eig_constraints(alpha: GsParams, eps_eig: float) -> np.ndarray:
-    """Slack of each eigenvalue of the assembled matrix above its floor.
-
-    All entries positive iff the matrix is positive definite with margin
-    ``eps_eig``.  Guarded to small dimensions; use the Frobenius or box
-    constraints beyond that.
-    """
-    if alpha.dim > EIG_DIM_LIMIT:
-        raise ValueError(
-            f"eigenvalue constraints limited to dimension {EIG_DIM_LIMIT}; "
-            "use the Frobenius or box constraint sets instead"
-        )
-    gam = gs_assemble(alpha)
-    return np.linalg.eigvalsh(gam) - eps_eig
+    return _gain_sq(g) - 1.0 + EPS_F, grad[support]

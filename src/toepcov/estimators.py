@@ -18,15 +18,17 @@ Order selection (BIC) and bound-family selection wrappers sit on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constraints import (
     DEFAULT_FAMILIES,
     EIG_DIM_LIMIT,
+    EPS0,
+    EPS_EIG,
+    EPS_F,
     BoxSpec,
-    ToleranceSet,
     box_spec_for,
     frob_constraint,
     frobenius_gain_sq,
@@ -65,6 +67,15 @@ _ARMIJO_C1 = 1e-4
 _ARMIJO_MAX_BACKTRACKS = 40
 # Smallest curvature the Newton step may use, relative to the largest.
 _CURVATURE_FLOOR = 1e-8
+# Stop rules of both Newton fits: a step gains less than _REL_TOL max(1, |L|)
+# at a point whose (projected) gradient is below _STAT_TOL (1 + |L|).
+_REL_TOL = 1e-8
+_STAT_TOL = 1e-5
+# Barrier weight of the first outer round and its factor per round.
+_MU0 = 1.0
+_MU_SHRINK = 0.1
+# BIC order scan: candidates in a row without improvement before it stops.
+_PATIENCE = 5
 
 
 @dataclass
@@ -93,40 +104,32 @@ class EstimationReport:
 @dataclass(frozen=True)
 class PgdOptions:
     max_iter: int = 500
-    rel_tol: float = 1e-8
-    stat_tol: float = 1e-5  # stationarity: projected gradient below stat_tol * (1 + |L|)
-    eps0: float = 1e-6
     track_iterates: bool = False
 
 
 @dataclass(frozen=True)
 class BarrierOptions:
     outer_iters: int = 8
-    mu0: float = 1.0
-    mu_shrink: float = 0.1
     inner_max_iter: int = 150
-    inner_rel_tol: float = 1e-8
-    stat_tol: float = 1e-5
-    tolerances: ToleranceSet = field(default_factory=ToleranceSet)
 
 
-def _white_noise_start(ctx: LikelihoodContext, eps0: float) -> GsParams:
+def _white_noise_start(ctx: LikelihoodContext) -> GsParams:
     scale = max(ctx.trace_scale, 1e-300)
-    a0 = max(1.0 / scale, eps0)
+    a0 = max(1.0 / scale, EPS0)
     rest = np.zeros(ctx.p - 1)
     if np.iscomplexobj(ctx.scm):
         rest = rest.astype(complex)
     return GsParams(a0, rest)
 
 
-def white_noise_report(ctx: LikelihoodContext, eps0: float = 1e-6) -> EstimationReport:
+def white_noise_report(ctx: LikelihoodContext) -> EstimationReport:
     """Closed-form order-zero fit: inverse of the average diagonal power."""
     trace = ctx.trace_scale * ctx.p
-    a0 = max(ctx.p / max(trace, 1e-300), eps0)
+    a0 = max(ctx.p / max(trace, 1e-300), EPS0)
     alpha = GsParams(a0, np.zeros(ctx.p - 1))
     value = ctx.p * np.log(a0) - a0 * trace
     g0 = ctx.p / a0 - trace
-    if a0 <= eps0 * (1.0 + 1e-9) and g0 < 0:
+    if a0 <= EPS0 * (1.0 + 1e-9) and g0 < 0:
         g0 = 0.0
     return EstimationReport(
         alpha=alpha,
@@ -201,7 +204,7 @@ def estimate_pgd(
 
     Works on the real vector ``x = (s, u)``: the scale ``s = alpha_0`` and
     the ratios ``u_i = alpha_i / alpha_0`` (real and imaginary parts
-    stacked for complex data).  The box is fixed there (``s >= eps0``, each
+    stacked for complex data).  The box is fixed there (``s >= EPS0``, each
     ratio within ``+-K_i``, or ``+-K_i / 2`` per part), so projection is a
     clip.  Each iteration (Bertsekas, SIAM J. Control Optim. 1982) holds
     coordinates at a bound whose gradient points outward, takes a Newton
@@ -219,10 +222,10 @@ def estimate_pgd(
     obj = GsObjective(ctx)
     is_complex = np.iscomplexobj(ctx.scm)
     k = np.tile(spec.k[:order] / 2.0, 2) if is_complex else spec.k[:order]
-    lo = np.concatenate(([opts.eps0], -k))
+    lo = np.concatenate(([EPS0], -k))
     hi = np.concatenate(([np.inf], k))
     x = np.zeros(k.size + 1)
-    x[0] = _white_noise_start(ctx, opts.eps0).alpha0
+    x[0] = _white_noise_start(ctx).alpha0
 
     def pack(x):
         u = x[1 : order + 1] + 1j * x[order + 1 :] if is_complex else x[1:]
@@ -254,7 +257,7 @@ def estimate_pgd(
     iters = 0
     for iters in range(1, opts.max_iter + 1):
         g = grad(x)
-        stationary = mapping_norm(x, g) < opts.stat_tol * (1.0 + abs(value))
+        stationary = mapping_norm(x, g) < _STAT_TOL * (1.0 + abs(value))
         free = ~(((x <= lo) & (g <= 0)) | ((x >= hi) & (g >= 0)))
         if np.linalg.norm(g[free]) < 1e-14 * (1.0 + abs(value)):
             converged = True
@@ -273,7 +276,7 @@ def estimate_pgd(
         if track:
             iterates.append(alpha)
             values.append(value)
-        if improvement < opts.rel_tol * max(1.0, abs(value)) and stationary:
+        if improvement < _REL_TOL * max(1.0, abs(value)) and stationary:
             converged = True
             break
     report = EstimationReport(
@@ -291,18 +294,11 @@ def estimate_pgd(
     return report
 
 
-def _barrier_options(tolset, opts) -> BarrierOptions:
-    opts = opts or (BarrierOptions(tolerances=tolset) if tolset else BarrierOptions())
-    if tolset is not None and opts.tolerances is not tolset:
-        opts = replace(opts, tolerances=tolset)
-    return opts
-
-
 def _barrier_fit(ctx, order, opts, log_slack, slack_derivatives) -> EstimationReport:
     """Log-barrier interior-point fit shared by the constraint sets.
 
-    For a barrier weight ``mu`` shrinking by ``mu_shrink`` per outer round,
-    maximizes ``L + mu (log(alpha_0 - eps0) + psi)`` over the real vector
+    For a barrier weight ``mu`` shrinking by ``_MU_SHRINK`` per outer round,
+    maximizes ``L + mu (log(alpha_0 - EPS0) + psi)`` over the real vector
     ``x = (alpha_0, Re a_1..a_order[, Im a_1..a_order])``, where
     ``psi = log_slack(alpha)`` is the constraint's log-slack (-inf when
     infeasible).  ``slack_derivatives(pack, x, jacobian)`` returns the
@@ -315,7 +311,7 @@ def _barrier_fit(ctx, order, opts, log_slack, slack_derivatives) -> EstimationRe
     The barriers keep every iterate strictly feasible, hence positive
     definite.
     """
-    tol = opts.tolerances
+    opts = opts or BarrierOptions()
     p = ctx.p
     if not 1 <= order <= p - 1:
         raise ValueError(f"order must lie in [1, {p - 1}], got {order}")
@@ -325,7 +321,7 @@ def _barrier_fit(ctx, order, opts, log_slack, slack_derivatives) -> EstimationRe
     size = 2 * order + 1 if is_complex else order + 1
     idx = np.arange(size)
     lo = np.full(size, -np.inf)
-    lo[0] = tol.eps0
+    lo[0] = EPS0
     hi = np.full(size, np.inf)
 
     def pack(x):
@@ -341,15 +337,15 @@ def _barrier_fit(ctx, order, opts, log_slack, slack_derivatives) -> EstimationRe
         return _fd_jacobian(fn, x, f0, idx, lo, hi)
 
     x = np.zeros(size)
-    x[0] = _white_noise_start(ctx, tol.eps0).alpha0
-    mu = opts.mu0
+    x[0] = _white_noise_start(ctx).alpha0
+    mu = _MU0
     total_iters = 0
     converged = False
     for _ in range(opts.outer_iters):
         converged = False
 
         def phi(x, mu=mu):
-            if x[0] <= tol.eps0:
+            if x[0] <= EPS0:
                 return -np.inf
             a = pack(x)
             slack = log_slack(a)
@@ -359,7 +355,7 @@ def _barrier_fit(ctx, order, opts, log_slack, slack_derivatives) -> EstimationRe
                 base = obj.value(a)
             except _INFEASIBLE:
                 return -np.inf
-            return base + mu * (np.log(x[0] - tol.eps0) + slack)
+            return base + mu * (np.log(x[0] - EPS0) + slack)
 
         value = phi(x)
         iters = 0
@@ -367,14 +363,14 @@ def _barrier_fit(ctx, order, opts, log_slack, slack_derivatives) -> EstimationRe
             g_lik = loglik_grad(x)
             s_grad, s_hess = slack_derivatives(pack, x, jacobian)
             g = g_lik + mu * s_grad
-            g[0] += mu / (x[0] - tol.eps0)
+            g[0] += mu / (x[0] - EPS0)
             g_norm = float(np.linalg.norm(g))
-            stationary = g_norm < opts.stat_tol * (1.0 + abs(value))
+            stationary = g_norm < _STAT_TOL * (1.0 + abs(value))
             if g_norm < 1e-14 * (1.0 + abs(value)):
                 converged = True
                 break
             hess = jacobian(loglik_grad, x, g_lik) + mu * s_hess
-            hess[0, 0] -= mu / (x[0] - tol.eps0) ** 2
+            hess[0, 0] -= mu / (x[0] - EPS0) ** 2
             accepted = _line_search(phi, x, _newton_step(hess, g), value, g, lo, hi)
             if accepted is None:
                 converged = True
@@ -382,15 +378,15 @@ def _barrier_fit(ctx, order, opts, log_slack, slack_derivatives) -> EstimationRe
             x, new_value = accepted
             improvement = new_value - value
             value = new_value
-            if improvement < opts.inner_rel_tol * max(1.0, abs(value)) and stationary:
+            if improvement < _REL_TOL * max(1.0, abs(value)) and stationary:
                 converged = True
                 break
         total_iters += iters
-        mu *= opts.mu_shrink
+        mu *= _MU_SHRINK
     alpha = pack(x)
     value = obj.value(alpha)
     g = np.array(obj.gradient(alpha, support), copy=True)
-    if alpha.alpha0 <= tol.eps0 * (1.0 + 1e-9) and np.real(g[0]) < 0:
+    if alpha.alpha0 <= EPS0 * (1.0 + 1e-9) and np.real(g[0]) < 0:
         g[0] = 0.0
     return EstimationReport(
         alpha=alpha,
@@ -404,38 +400,35 @@ def _barrier_fit(ctx, order, opts, log_slack, slack_derivatives) -> EstimationRe
 
 def estimate_frob(
     ctx: LikelihoodContext,
-    tolset: ToleranceSet | None = None,
     order: int = 1,
     opts: BarrierOptions | None = None,
 ) -> EstimationReport:
     """Interior-point fit under the Frobenius surrogate constraint.
 
-    The barrier ``log(-c)`` keeps ``c = gain^2 - 1 + eps_f`` strictly
+    The barrier ``log(-c)`` keeps ``c = gain^2 - 1 + EPS_F`` strictly
     negative.  Its gradient and Hessian come from the exact gradient of
     ``c``: only the Hessian of ``c`` is forward-differenced, the singular
     term ``-grad c grad c^T / c^2`` is exact.  One Newton iteration costs
     ``order + 2`` O(P^2) passes of the likelihood gradient and of
     ``frob_constraint`` (``2 order + 2`` for complex data).
     """
-    opts = _barrier_options(tolset, opts)
-    eps_f = opts.tolerances.eps_f
 
     def log_slack(a):
-        fval = frobenius_gain_sq(a) - 1.0 + eps_f
+        fval = frobenius_gain_sq(a) - 1.0 + EPS_F
         return np.log(-fval) if fval < 0 else -np.inf
 
     support = range(order + 1)
 
     def slack_derivatives(pack, x, jacobian):
         def c_grad(y):
-            return _stacked(frob_constraint(pack(y), eps_f, support)[1])
+            return _stacked(frob_constraint(pack(y), support)[1])
 
-        c, dc = frob_constraint(pack(x), eps_f, support)
+        c, dc = frob_constraint(pack(x), support)
         dc = _stacked(dc)
         return dc / c, jacobian(c_grad, x, dc) / c - np.outer(dc, dc) / c**2
 
     report = _barrier_fit(ctx, order, opts, log_slack, slack_derivatives)
-    report.extras["constraint_value"] = frobenius_gain_sq(report.alpha) - 1.0 + eps_f
+    report.extras["constraint_value"] = frobenius_gain_sq(report.alpha) - 1.0 + EPS_F
     return report
 
 
@@ -452,7 +445,6 @@ def _pd_slack_logdet(alpha: GsParams, floor: float):
 
 def estimate_eig(
     ctx: LikelihoodContext,
-    tolset: ToleranceSet | None = None,
     order: int = 1,
     opts: BarrierOptions | None = None,
 ) -> EstimationReport:
@@ -470,8 +462,7 @@ def estimate_eig(
         raise ValueError(
             f"eigenvalue-constrained estimation limited to dimension {EIG_DIM_LIMIT}"
         )
-    opts = _barrier_options(tolset, opts)
-    floor = opts.tolerances.eps_eig * ctx.trace_scale
+    floor = EPS_EIG * ctx.trace_scale
 
     def slack_derivatives(pack, x, jacobian):
         def slack_grad(y):
@@ -513,7 +504,6 @@ def estimate_pls(
     spec: BoxSpec,
     order: int = 1,
     with_loglik: bool = True,
-    eps0: float = 1e-6,
 ) -> EstimationReport:
     """Closed-form conditional-likelihood fit projected onto the box.
 
@@ -550,7 +540,7 @@ def estimate_pls(
         extras["variance_floored"] = True
     rest = np.zeros(p - 1, dtype=a_hat.dtype if order else float)
     rest[:order] = -a_hat / sigma2
-    alpha = project_box(GsParams(1.0 / sigma2, rest), spec, eps0)
+    alpha = project_box(GsParams(1.0 / sigma2, rest), spec)
     extras["a_hat"] = a_hat
     extras["sigma2_hat"] = float(sigma2)
     value = np.nan
@@ -568,14 +558,7 @@ def estimate_pls(
     )
 
 
-def tune_order(
-    fit,
-    ctx: LikelihoodContext,
-    n: int | None = None,
-    max_support: int | None = None,
-    eps0: float = 1e-6,
-    patience: int = 5,
-) -> EstimationReport:
+def tune_order(fit, ctx: LikelihoodContext) -> EstimationReport:
     """Pick the AR order by BIC over growing supports.
 
     ``fit(ctx, order)`` must return an :class:`EstimationReport` for
@@ -583,35 +566,32 @@ def tune_order(
     fit.  The score penalizes each free parameter by ``log N`` against the
     full-data log-likelihood ``N/2`` times the fitted objective, so the fit
     term grows with the sample count as consistency requires.  Scanning
-    stops after ``patience`` consecutive candidates without improvement;
+    stops after ``_PATIENCE`` consecutive candidates without improvement;
     ties keep the smaller order.
     """
-    n = ctx.n if n is None else n
-    if n < 2:
+    if ctx.n < 2:
         raise ValueError("BIC order tuning needs at least two samples")
     p = ctx.p
     cap = min(p - 1, int(round(2.0 * np.sqrt(p) + 8.0)))
-    if max_support is not None:
-        cap = min(cap, max_support)
-    log_n = np.log(n)
+    log_n = np.log(ctx.n)
     best = None
     best_score = np.inf
     strikes = 0
     for i in range(1, cap + 1):
         order = i - 1
         try:
-            rep = white_noise_report(ctx, eps0) if order == 0 else fit(ctx, order)
+            rep = white_noise_report(ctx) if order == 0 else fit(ctx, order)
         except _INFEASIBLE:
             strikes += 1
-            if strikes >= patience:
+            if strikes >= _PATIENCE:
                 break
             continue
-        score = i * log_n - 0.5 * n * rep.loglik
+        score = i * log_n - 0.5 * ctx.n * rep.loglik
         if score < best_score:
             best, best_score, strikes = rep, score, 0
         else:
             strikes += 1
-            if strikes >= patience:
+            if strikes >= _PATIENCE:
                 break
     if best is None:
         raise RuntimeError("order tuning produced no feasible candidate")
@@ -623,10 +603,6 @@ def tune_box_family(
     fit_factory,
     ctx: LikelihoodContext,
     families=DEFAULT_FAMILIES,
-    n: int | None = None,
-    eps_eta: float = 1e-3,
-    eps0: float = 1e-6,
-    max_support: int | None = None,
 ) -> EstimationReport:
     """Run the estimator under each bound family and keep the best fit.
 
@@ -638,8 +614,8 @@ def tune_box_family(
         raise ValueError("at least one bound family is required")
     best = None
     for family in families:
-        spec = box_spec_for(family, ctx.p, eps_eta)
-        rep = tune_order(fit_factory(spec), ctx, n=n, eps0=eps0, max_support=max_support)
+        spec = box_spec_for(family, ctx.p)
+        rep = tune_order(fit_factory(spec), ctx)
         if rep.family_id is None:
             rep.family_id = spec.family_id
         if best is None or rep.loglik > best.loglik:

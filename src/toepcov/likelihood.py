@@ -235,10 +235,11 @@ class GsObjective:
     the shared O(P^2) work single-pass.
     """
 
-    def __init__(self, ctx: LikelihoodContext, cache_size: int = 4):
+    _CACHE_SIZE = 4
+
+    def __init__(self, ctx: LikelihoodContext):
         self.ctx = ctx
         self._cache: list = []
-        self._cache_size = cache_size
 
     def _lookup(self, alpha: GsParams):
         key = (alpha.alpha0, alpha.alpha_rest.tobytes())
@@ -247,7 +248,7 @@ class GsObjective:
                 return ev
         ev = _evaluate(self.ctx, alpha)
         self._cache.append((key, ev))
-        if len(self._cache) > self._cache_size:
+        if len(self._cache) > self._CACHE_SIZE:
             self._cache.pop(0)
         return ev
 

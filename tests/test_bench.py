@@ -302,6 +302,13 @@ class TestCli:
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == 1
 
+    def test_estimate_seed_flag_rejected(self, tmp_path, capsys):
+        """Every estimate is a deterministic function of the samples; a seed would be ignored."""
+        samples = tmp_path / "x.csv"
+        write_samples(samples)
+        assert main(["estimate", "--input", str(samples), "--estimator", "pls", "--seed", "3"]) == 1
+        assert "--seed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_value_rejected(self, tmp_path, capsys, bad):
         path = tmp_path / "x.csv"

@@ -5,14 +5,14 @@ import pytest
 
 from toepcov.constraints import (
     DEFAULT_FAMILIES,
+    EPS_EIG,
+    EPS_F,
     BoxSpec,
     FunctionFamily,
-    ToleranceSet,
     bisect_box_scale,
     box_bound,
     box_spec_for,
     cross_diagonals,
-    eig_constraints,
     frob_constraint,
     frobenius_gain_sq,
     project_box,
@@ -188,14 +188,14 @@ class TestProjectBox:
 
 class TestFrobConstraint:
     def test_white_noise_strictly_feasible(self):
-        val, _ = frob_constraint(GsParams(1.0, np.zeros(7)), 1e-4)
+        val, _ = frob_constraint(GsParams(1.0, np.zeros(7)))
         assert val == pytest.approx(1e-4 - 1.0)
 
     def test_feasible_implies_pd(self):
         hits = 0
         while hits < 25:
             alpha = random_alpha(int(rng.integers(2, 16)), scale=0.25)
-            val, _ = frob_constraint(alpha, 1e-4)
+            val, _ = frob_constraint(alpha)
             if val < 0:
                 assert spectral_pd_check(alpha)
                 hits += 1
@@ -205,8 +205,8 @@ class TestFrobConstraint:
         """Every coordinate, including the scale; complex entries pack d/dRe + i d/dIm."""
         for p in (2, 3, 10, 33):
             alpha = random_alpha(p, scale=0.5 / np.sqrt(p), complex_case=complex_case)
-            val, grad = frob_constraint(alpha, 1e-4)
-            assert val == pytest.approx(frobenius_gain_sq(alpha) - 1.0 + 1e-4, abs=1e-15)
+            val, grad = frob_constraint(alpha)
+            assert val == pytest.approx(frobenius_gain_sq(alpha) - 1.0 + EPS_F, abs=1e-15)
             assert grad.shape == (p,) and np.iscomplexobj(grad) == complex_case
             full = alpha.full.astype(grad.dtype)
             parts = [(i, 1.0) for i in range(p)] + [(i, 1j) for i in range(1, p) if complex_case]
@@ -222,8 +222,8 @@ class TestFrobConstraint:
 
     def test_support_selects_entries(self):
         alpha = random_alpha(12, scale=0.1, complex_case=True)
-        _, grad = frob_constraint(alpha, 1e-4)
-        _, sub = frob_constraint(alpha, 1e-4, support=[0, 3, 7])
+        _, grad = frob_constraint(alpha)
+        _, sub = frob_constraint(alpha, support=[0, 3, 7])
         assert np.array_equal(sub, grad[[0, 3, 7]])
 
     def test_no_overflow_warning_far_outside(self):
@@ -232,31 +232,30 @@ class TestFrobConstraint:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert frobenius_gain_sq(alpha) == np.inf
-            assert frob_constraint(alpha, 1e-4)[0] == np.inf
+            assert frob_constraint(alpha)[0] == np.inf
             assert not np.all(np.isfinite(cross_diagonals(alpha)))
             assert not spectral_pd_check(alpha)
 
 
 class TestEigConstraints:
     def test_white_noise(self):
-        vals = eig_constraints(GsParams(1.0, np.zeros(15)), 1e-6)
-        assert np.allclose(vals, 1.0 - 1e-6)
+        vals = np.linalg.eigvalsh(gs_assemble(GsParams(1.0, np.zeros(15))))
+        assert np.allclose(vals, 1.0) and vals.min() > EPS_EIG
 
     def test_matches_oracle_eigenvalues(self):
+        """Eigenvalues of the assembled matrix are those of (B B^H - Z Z^H) / a_0."""
         for _ in range(10):
             alpha = random_alpha(16, scale=0.3)
-            got = eig_constraints(alpha, 0.0)
-            want = np.linalg.eigvalsh(gs_assemble(alpha))
-            assert np.allclose(np.sort(got), np.sort(want), atol=1e-9)
+            b = gs_factor_b(alpha).dense()
+            z = gs_factor_z(alpha).dense()
+            got = np.linalg.eigvalsh(gs_assemble(alpha))
+            want = np.linalg.eigvalsh((b @ b.T - z @ z.T) / alpha.alpha0)
+            assert np.allclose(got, want, atol=1e-9)
 
     def test_positive_iff_pd(self):
         for _ in range(30):
             alpha = random_alpha(int(rng.integers(2, 12)), scale=rng.uniform(0.2, 1.0))
-            assert (eig_constraints(alpha, 0.0).min() > 0) == spectral_pd_check(alpha)
-
-    def test_dimension_guard(self):
-        with pytest.raises(ValueError, match="Frobenius or box"):
-            eig_constraints(GsParams(1.0, np.zeros(100)), 1e-6)
+            assert (np.linalg.eigvalsh(gs_assemble(alpha)).min() > 0) == spectral_pd_check(alpha)
 
 
 class TestContainment:
@@ -265,7 +264,6 @@ class TestContainment:
         Frobenius surrogate holds, which implies positive definiteness."""
         p = 16
         spec = box_spec_for(DEFAULT_FAMILIES[3], p)
-        tol = ToleranceSet()
         checked = 0
         for trial in range(10_000):
             a0 = float(rng.uniform(0.1, 5.0))
@@ -275,7 +273,7 @@ class TestContainment:
                 rest = rng.normal(size=p - 1) * rng.uniform(0.02, 0.8)
             alpha = GsParams(a0, rest)
             in_box = bool(np.all(np.abs(rest) <= spec.k * a0))
-            frob_ok = frobenius_gain_sq(alpha) - 1.0 + tol.eps_f < 0
+            frob_ok = frobenius_gain_sq(alpha) - 1.0 + EPS_F < 0
             if in_box:
                 assert frobenius_gain_sq(alpha) < 1.0
             if frob_ok:
@@ -283,9 +281,3 @@ class TestContainment:
                 assert pd
                 checked += 1
         assert checked > 1000
-
-
-class TestToleranceSet:
-    def test_positive_required(self):
-        with pytest.raises(ValueError):
-            ToleranceSet(eps0=0.0)
