@@ -2,17 +2,21 @@
 tapering with cross-validated bandwidth, circulant maximum likelihood, EM
 over a circulant embedding, and shrinkage toward structured targets.
 
-Banded and tapered estimates expose a covariance-only surface; none of the
-estimators here guarantees an invertible result except where noted.
+Everything Toeplitz or circulant here reads a matrix through its diagonal
+(lag) sums, one O(P^2) pass, and moves between lags and spectra with FFTs;
+only EM's P x P inverse and products are cubic.  Banded and tapered
+estimates expose a covariance-only surface; none of the estimators here
+guarantees an invertible result except where noted.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .toeplitz import HermitianToeplitz
+from .toeplitz import HermitianToeplitz, lag_sums, toeplitz_from_lags
 
 __all__ = [
     "MaskSpec",
@@ -40,15 +44,13 @@ def toeplitz_avg(scm, max_lag: int | None = None) -> HermitianToeplitz:
     """Toeplitzified covariance: each lag is the mean of its diagonal.
 
     Unbiased for Toeplitz truth but not necessarily positive semidefinite.
-    ``max_lag`` limits the averaged lags (the rest are zero), which keeps
-    banded estimates at O(P * max_lag) cost.
+    ``max_lag`` limits the averaged lags (the rest are zero).
     """
     scm = np.asarray(scm)
     p = scm.shape[0]
     last = p - 1 if max_lag is None else min(max_lag, p - 1)
-    c = np.zeros(p, dtype=scm.dtype)
-    for q in range(last + 1):
-        c[q] = np.mean(np.diagonal(scm, offset=-q))
+    c = np.zeros(p, dtype=np.result_type(scm.dtype, np.float64))
+    c[: last + 1] = lag_sums(scm, last)[last:] / np.arange(p, p - last - 1, -1)
     return HermitianToeplitz(c)
 
 
@@ -66,13 +68,17 @@ class MaskSpec:
             raise ValueError("mask bandwidth must be nonnegative")
 
     def weights(self, p: int) -> np.ndarray:
-        q = np.arange(p, dtype=float)
-        if self.kind == "banding":
-            return (q <= self.k).astype(float)
-        if self.k == 0:
-            return (q == 0).astype(float)
-        # flat up to k/2, then linear decay hitting zero at lag k
-        return np.clip(2.0 - 2.0 * q / self.k, 0.0, 1.0)
+        return _lag_weights(self.kind, self.k, p)
+
+
+def _lag_weights(kind: str, k, p: int) -> np.ndarray:
+    """Mask weights of lags 0..P-1; an array of bandwidths ``k`` broadcasts."""
+    q = np.arange(p, dtype=float)
+    if kind == "banding":
+        return (q <= k).astype(float)
+    # flat up to k/2, then linear decay hitting zero at lag k; bandwidth zero
+    # keeps lag 0 alone, as bandwidth one does
+    return np.clip(2.0 - 2.0 * q / np.maximum(k, 1), 0.0, 1.0)
 
 
 def mask_apply(t: HermitianToeplitz, spec: MaskSpec) -> HermitianToeplitz:
@@ -89,90 +95,122 @@ def band_estimate(scm, spec: MaskSpec) -> HermitianToeplitz:
 _CV_FOLDS = 4
 
 
-def cv_tune_mask(samples, kind: str = "banding") -> MaskSpec:
-    """Pick the mask bandwidth by four-fold cross validation.
+def _cv_risks(samples, kind: str) -> np.ndarray:
+    """Summed held-out Frobenius risk of every bandwidth 0..P-1.
 
-    Risk of a candidate is the Frobenius distance between the masked
-    diagonal-average estimate of the training folds and the raw sample
-    covariance of the held-out fold, averaged over folds.
+    Per fold, ``||M_k - S_val||^2`` of the masked Toeplitz average ``M_k``
+    (lags ``w_k(l) c_l``) splits by lag into ``sum_l w_k(l)^2 mass_l -
+    2 w_k(l) cross_l`` plus ``||S_val||^2``, with ``mass_l`` the squared
+    mass of lag ``l`` in the unmasked average and ``cross_l`` its inner
+    product with the lag-``l`` diagonals of ``S_val``.  All bandwidths then
+    cost one O(P^2) product.
     """
     x = np.atleast_2d(np.asarray(samples))
     n, p = x.shape
     if n < _CV_FOLDS:
         raise ValueError(f"cross validation needs at least {_CV_FOLDS} samples, got {n}")
-    fold_idx = np.array_split(np.arange(n), _CV_FOLDS)
+    weights = _lag_weights(kind, np.arange(p)[:, None], p)  # row k: bandwidth k
+    count = p - np.arange(p)  # entries on diagonal l, and on diagonal -l
     risks = np.zeros(p)
-    for val in fold_idx:
+    for val in np.array_split(np.arange(n), _CV_FOLDS):
         train = np.setdiff1d(np.arange(n), val)
-        s_train = sample_cov(x[train])
+        c = toeplitz_avg(sample_cov(x[train])).first_col
         s_val = sample_cov(x[val])
-        avg = toeplitz_avg(s_train)
-        for k in range(p):
-            masked = mask_apply(avg, MaskSpec(kind, k)).dense()
-            risks[k] += np.linalg.norm(masked - s_val) ** 2
-    return MaskSpec(kind, int(np.argmin(risks)))
+        sums = lag_sums(s_val)
+        mass = 2.0 * count * np.abs(c) ** 2
+        cross = np.real(np.conj(c) * sums[p - 1 :] + c * sums[p - 1 :: -1])
+        mass[0] /= 2.0  # lag 0 is one diagonal, every other lag two
+        cross[0] /= 2.0
+        risks += weights**2 @ mass - 2.0 * (weights @ cross) + np.linalg.norm(s_val) ** 2
+    return risks
 
 
-def _unitary_dft(g: int) -> np.ndarray:
-    return np.fft.fft(np.eye(g), norm="ortho")
+def cv_tune_mask(samples, kind: str = "banding") -> MaskSpec:
+    """Pick the mask bandwidth by four-fold cross validation.
+
+    Risk of a candidate is the Frobenius distance between the masked
+    diagonal-average estimate of the training folds and the raw sample
+    covariance of the held-out fold, summed over folds; the smallest
+    bandwidth of least risk wins.  Every bandwidth is scored from the lag
+    sums of each fold, in O(P^2) per fold.
+    """
+    return MaskSpec(kind, int(np.argmin(_cv_risks(samples, kind))))
+
+
+def _circular_spectrum(q, g: int) -> np.ndarray:
+    """Diagonal of ``F E q E^T F^H`` for the unitary G-point DFT ``F``, with
+    ``E`` placing the P x P matrix ``q`` in the top-left corner: the DFT of
+    the lag sums folded modulo G, over G."""
+    p = q.shape[0]
+    sums = lag_sums(q)
+    folded = np.zeros(g, dtype=sums.dtype)
+    folded[:p] = sums[p - 1 :]
+    folded[g - p + 1 :] += sums[: p - 1]  # lags -(P-1) .. -1
+    return np.fft.fft(folded).real / g
+
+
+def _circulant_block(spec, p: int, real: bool) -> np.ndarray:
+    """Top-left P x P block of the circulant with eigenvalues ``spec``."""
+    col = np.fft.ifft(spec)[:p]
+    col = col.real if real else col
+    return toeplitz_from_lags(np.concatenate((np.conj(col[:0:-1]), col)))
 
 
 def circulant_mle(scm) -> np.ndarray:
     """Closed-form Gaussian MLE over circulant covariance matrices.
 
-    Conjugates the sample covariance into the Fourier basis, keeps the
-    (nonnegative) diagonal, and maps back; exact on circulant input.
+    The spectrum is the DFT of the circular lag sums of the sample
+    covariance, clipped at zero; one inverse FFT gives the circulant.
+    Exact on circulant input; O(P^2).
     """
     scm = np.asarray(scm)
     p = scm.shape[0]
-    f = _unitary_dft(p)
-    d = np.real(np.einsum("ij,jk,ik->i", f, scm, np.conj(f)))
-    d = np.maximum(d, 0.0)
-    est = f.conj().T @ (d[:, None] * f)
-    return est.real if not np.iscomplexobj(scm) else est
+    spec = np.maximum(_circular_spectrum(scm, p), 0.0)
+    return _circulant_block(spec, p, not np.iscomplexobj(scm))
+
+
+def _relative_change(new, old) -> float:
+    step = new - old
+    return math.sqrt(step @ step) / max(math.sqrt(old @ old), 1e-300)
 
 
 def _em_iterates(scm, g: int, max_iter: int, tol: float, ridge: float):
     """Yield (spectrum, covariance-block) per EM iteration."""
     scm = np.asarray(scm)
     p = scm.shape[0]
-    f = _unitary_dft(g)
-    ft = f[:, :p]
+    real = not np.iscomplexobj(scm)
     scale = float(np.real(np.trace(scm))) / p
-    s_emb = np.zeros((g, g), dtype=complex)
-    s_emb[:p, :p] = scm
-    idx = np.arange(p, g)
-    s_emb[idx, idx] = scale
-    spec = np.maximum(np.real(np.einsum("ij,jk,ik->i", f, s_emb, np.conj(f))), 0.0)
+    # the embedded SCM pads the unobserved diagonal with the mean variance
+    spec = np.maximum(_circular_spectrum(scm, g) + (g - p) * scale / g, 0.0)
     for _ in range(max_iter):
-        cp = ft.conj().T @ (spec[:, None] * ft)
-        cp = 0.5 * (cp + cp.conj().T)
+        cp = _circulant_block(spec, p, real)
         try:
             cp_inv = np.linalg.inv(cp)
         except np.linalg.LinAlgError:
             cp = cp + ridge * scale * np.eye(p)
             cp_inv = np.linalg.inv(cp)
         yield spec, cp
-        x = ft @ cp_inv  # (G, P)
-        t_data = np.real(np.einsum("ij,ij->i", x @ scm, np.conj(x)))
-        t_model = np.real(np.einsum("ij,ij->i", x, np.conj(ft)))
-        new_spec = spec**2 * t_data + spec - spec**2 * t_model
+        # E-step moments t_data - t_model, with t_data from cp^-1 S cp^-1 and
+        # t_model from cp^-1 = cp^-1 cp cp^-1: one spectrum of their difference
+        new_spec = spec + spec**2 * _circular_spectrum(cp_inv @ (scm - cp) @ cp_inv, g)
         new_spec = np.maximum(new_spec, 0.0)
-        change = np.linalg.norm(new_spec - spec) / max(np.linalg.norm(spec), 1e-300)
+        change = _relative_change(new_spec, spec)
         spec = new_spec
         if change < tol:
             break
-    cp = ft.conj().T @ (spec[:, None] * ft)
-    yield spec, 0.5 * (cp + cp.conj().T)
+    yield spec, _circulant_block(spec, p, real)
 
 
-def em_toeplitz(scm, g: int | None = None, max_iter: int = 200, tol: float = 1e-7) -> np.ndarray:
+def em_toeplitz(scm, g: int | None = None, max_iter: int = 200, tol: float = 1e-7,
+                *, work: dict | None = None) -> np.ndarray:
     """EM estimate of a Toeplitz covariance via a larger circulant model.
 
     The observed window is treated as a partial view of a ``g``-periodic
     process; the circulant spectrum is re-estimated until its relative
     change drops below ``tol``.  Returns the upper-left P x P covariance
-    block.
+    block.  An iteration costs one P x P inverse, two P x P products and
+    FFTs of lag sums.  A ``work`` dict receives ``iterations`` (spectrum
+    updates made) and ``converged`` (whether the last one met ``tol``).
     """
     scm = np.asarray(scm)
     p = scm.shape[0]
@@ -180,10 +218,13 @@ def em_toeplitz(scm, g: int | None = None, max_iter: int = 200, tol: float = 1e-
         g = 2 * p
     if g < p:
         raise ValueError("embedding size must be at least the sample dimension")
-    last = None
-    for _, cp in _em_iterates(scm, g, max_iter, tol, ridge=1e-10):
-        last = cp
-    return last.real if not np.iscomplexobj(scm) else last
+    iterations, prev, spec = -1, None, None
+    for new_spec, last in _em_iterates(scm, g, max_iter, tol, ridge=1e-10):
+        iterations, prev, spec = iterations + 1, spec, new_spec
+    if work is not None:
+        converged = prev is not None and _relative_change(spec, prev) < tol
+        work.update(iterations=iterations, converged=bool(converged))
+    return last
 
 
 def _const_offdiag_target(scm) -> np.ndarray:

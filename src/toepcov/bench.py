@@ -140,6 +140,12 @@ def _banded(kind):
     return lambda d: baselines.band_estimate(d.scm, pinned), fit
 
 
+def _em_fit(data):
+    """Tuned ``em``: the estimate with its iteration count and convergence."""
+    work: dict = {}
+    return baselines.em_toeplitz(data.scm, work=work), work
+
+
 def _shrinkage(target):
     """``(raw, fit)`` of shrinkage; the tuned fit records the plug-in weight."""
 
@@ -161,9 +167,10 @@ ESTIMATORS = {
                   lambda d: (baselines.toeplitz_avg(d.scm).dense(), {})),
         _baseline("banding", False, "linear in dim times bandwidth", *_banded("banding")),
         _baseline("tapering", False, "linear in dim times bandwidth", *_banded("tapering")),
-        _baseline("circ", True, "cubic (dense DFT)", lambda d: baselines.circulant_mle(d.scm)),
-        _baseline("em", True, "cubic per iteration",
-                  lambda d: baselines.em_toeplitz(d.scm)),
+        _baseline("circ", True, "quadratic (lag sums and FFT)",
+                  lambda d: baselines.circulant_mle(d.scm)),
+        _baseline("em", True, "cubic per iteration (one inverse, two products)",
+                  lambda d: baselines.em_toeplitz(d.scm), _em_fit),
         _baseline("shrink_avg", False, "cubic (target build dominates)", *_shrinkage("avg")),
         _baseline("shrink_const", True, "quadratic", *_shrinkage("const")),
         # one eig Newton iteration takes (order + 2)^2 Cholesky factorizations

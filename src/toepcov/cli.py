@@ -116,7 +116,8 @@ def _cmd_estimate(args) -> int:
     cm, icm, meta, fit = info.tuned(data) if order is None else info.pinned(data, order)
     report = dict.fromkeys(("alpha0", "alpha", "family_id", "loglik", "nmse_c", "nmse_icm",
                             "iterations", "converged"))
-    report.update(estimator=name, order=meta.get("mask_k"), cm_first_col=cm[:, 0].tolist())
+    report.update(estimator=name, order=meta.get("mask_k"), iterations=meta.get("iterations"),
+                  converged=meta.get("converged"), cm_first_col=cm[:, 0].tolist())
     if fit is not None:
         report.update(
             alpha0=fit.alpha.alpha0,

@@ -20,6 +20,8 @@ __all__ = [
     "LowerTriToeplitz",
     "GsParams",
     "PartialDiagSums",
+    "lag_sums",
+    "toeplitz_from_lags",
     "fib_seq",
     "gs_factor_b",
     "gs_factor_z",
@@ -86,10 +88,7 @@ class HermitianToeplitz:
 
     def dense(self) -> np.ndarray:
         c = self.first_col
-        i, j = np.indices((c.size, c.size))
-        lag = i - j
-        m = np.where(lag >= 0, c[np.abs(lag)], np.conj(c[np.abs(lag)]))
-        return m if np.iscomplexobj(c) else m.real
+        return toeplitz_from_lags(np.concatenate((np.conj(c[:0:-1]), c)))
 
 
 @dataclass(frozen=True)
@@ -189,11 +188,43 @@ class PartialDiagSums:
         q = np.asarray(q)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("matrix must be square")
-        # t[k, m] = q[k, m] + t[k+1, m+1], accumulated bottom-up.
+        # t[k, m] = q[k, m] + t[k+1, m+1], accumulated bottom-up in place.
         t = q.astype(np.result_type(q.dtype, np.float64), copy=True)
         for k in range(q.shape[0] - 2, -1, -1):
-            t[k, :-1] = q[k, :-1] + t[k + 1, 1:]
+            t[k, :-1] += t[k + 1, 1:]
         return cls(t)
+
+
+def lag_sums(q, max_lag: int | None = None) -> np.ndarray:
+    """Sums along the diagonals of a square matrix, by lag.
+
+    Entry ``L+l`` holds ``sum_j q[j+l, j]`` for lags ``l = -L .. L``, where
+    ``L`` is ``P-1`` or ``max_lag`` if smaller.  All lags take one O(P^2)
+    pass, so a Toeplitz fit, a Frobenius inner product with a Toeplitz
+    matrix or a circulant spectrum costs no more than reading ``q``; a band
+    of lags costs one trace per lag, O(P * max_lag).
+    """
+    q = np.asarray(q)
+    p = q.shape[0]
+    if max_lag is not None and max_lag < p - 1:
+        return np.array([np.trace(q, offset=-lag) for lag in range(-max_lag, max_lag + 1)])
+    # Each row reversed and zero-padded to 2P entries, then read back as rows
+    # of 2P - 1: entry [i, j] lands in column P-1+i-j of row i.
+    z = np.zeros((p, 2 * p), dtype=np.result_type(q.dtype, np.float64))
+    z[:, :p] = q[:, ::-1]
+    return z.reshape(-1)[: p * (2 * p - 1)].reshape(p, 2 * p - 1).sum(axis=0)
+
+
+def toeplitz_from_lags(lags) -> np.ndarray:
+    """Dense Toeplitz matrix with entry ``[i, j] = lags[P-1+i-j]``, the lag
+    layout of :func:`lag_sums` (lags ``-(P-1) .. P-1``, length ``2P-1``)."""
+    lags = np.ascontiguousarray(_as_1d(lags, "lags"))
+    p = (lags.size + 1) // 2
+    if lags.size != 2 * p - 1:
+        raise ValueError("lags must have odd length 2P-1")
+    # a view from lags[P-1] that steps forward in lags per row, back per column
+    step = lags.itemsize
+    return np.ndarray((p, p), lags.dtype, lags, (p - 1) * step, (step, -step)).copy()
 
 
 def fib_seq(r, up_to: int) -> np.ndarray:

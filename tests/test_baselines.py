@@ -5,6 +5,7 @@ import pytest
 
 from toepcov.baselines import (
     MaskSpec,
+    _cv_risks,
     _em_iterates,
     band_estimate,
     circulant_mle,
@@ -20,6 +21,80 @@ from toepcov.processes import ProcessSpec, sample
 from toepcov.toeplitz import HermitianToeplitz
 
 rng = np.random.default_rng(777)
+
+
+# -- dense reference implementations -----------------------------------------
+# The baselines work on lag sums and FFTs; these are the dense G x G DFT and
+# per-bandwidth formulas they replaced, kept as oracles.
+
+
+def _unitary_dft(g):
+    return np.fft.fft(np.eye(g), norm="ortho")
+
+
+def oracle_circulant_mle(scm):
+    p = scm.shape[0]
+    f = _unitary_dft(p)
+    d = np.maximum(np.real(np.einsum("ij,jk,ik->i", f, scm, np.conj(f))), 0.0)
+    est = f.conj().T @ (d[:, None] * f)
+    return est.real if not np.iscomplexobj(scm) else est
+
+
+def oracle_em_iterates(scm, g, max_iter, tol, ridge):
+    p = scm.shape[0]
+    f = _unitary_dft(g)
+    ft = f[:, :p]
+    scale = float(np.real(np.trace(scm))) / p
+    s_emb = np.zeros((g, g), dtype=complex)
+    s_emb[:p, :p] = scm
+    idx = np.arange(p, g)
+    s_emb[idx, idx] = scale
+    spec = np.maximum(np.real(np.einsum("ij,jk,ik->i", f, s_emb, np.conj(f))), 0.0)
+    for _ in range(max_iter):
+        cp = ft.conj().T @ (spec[:, None] * ft)
+        cp = 0.5 * (cp + cp.conj().T)
+        try:
+            cp_inv = np.linalg.inv(cp)
+        except np.linalg.LinAlgError:
+            cp = cp + ridge * scale * np.eye(p)
+            cp_inv = np.linalg.inv(cp)
+        yield spec, cp
+        x = ft @ cp_inv
+        t_data = np.real(np.einsum("ij,ij->i", x @ scm, np.conj(x)))
+        t_model = np.real(np.einsum("ij,ij->i", x, np.conj(ft)))
+        new_spec = np.maximum(spec**2 * t_data + spec - spec**2 * t_model, 0.0)
+        change = np.linalg.norm(new_spec - spec) / max(np.linalg.norm(spec), 1e-300)
+        spec = new_spec
+        if change < tol:
+            break
+    cp = ft.conj().T @ (spec[:, None] * ft)
+    yield spec, 0.5 * (cp + cp.conj().T)
+
+
+def oracle_cv_risks(samples, kind):
+    x = np.atleast_2d(samples)
+    n, p = x.shape
+    risks = np.zeros(p)
+    for val in np.array_split(np.arange(n), 4):
+        train = np.setdiff1d(np.arange(n), val)
+        avg = toeplitz_avg(sample_cov(x[train]))
+        s_val = sample_cov(x[val])
+        for k in range(p):
+            masked = mask_apply(avg, MaskSpec(kind, k)).dense()
+            risks[k] += np.linalg.norm(masked - s_val) ** 2
+    return risks
+
+
+def random_scm(p, n, complex_data, seed):
+    local = np.random.default_rng(seed)
+    x = local.normal(size=(n, p))
+    if complex_data:
+        x = x + 1j * local.normal(size=(n, p))
+    return sample_cov(x)
+
+
+def rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
 
 
 class TestSampleCov:
@@ -122,6 +197,29 @@ class TestCvTuneMask:
         with pytest.raises(ValueError, match="at least 4"):
             cv_tune_mask(rng.normal(size=(3, 8)))
 
+    @pytest.mark.parametrize("kind", ["banding", "tapering"])
+    def test_risks_match_dense_oracle(self, kind):
+        spec = ProcessSpec("ma", 12, b=(0.5,), sigma2=1.0)
+        for seed in range(20):
+            x = sample(spec, 9 + seed % 5, 6100 + seed).samples
+            if seed % 2:
+                x = x + 1j * np.random.default_rng(seed).normal(size=x.shape)
+            got, want = _cv_risks(x, kind), oracle_cv_risks(x, kind)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert cv_tune_mask(x, kind).k == int(np.argmin(want))
+
+    @pytest.mark.parametrize("kind", ["banding", "tapering"])
+    def test_exact_tie_keeps_smallest_bandwidth(self, kind):
+        # scaled basis vectors: every lag above 0 of every training average is
+        # exactly zero, so every bandwidth gives the same estimate and risk
+        p = 7
+        x = np.zeros((8, p))
+        x[np.arange(8), np.arange(8) % p] = np.arange(1.0, 9.0)
+        risks = _cv_risks(x, kind)
+        assert np.all(risks == risks[0])
+        assert np.all(oracle_cv_risks(x, kind) == oracle_cv_risks(x, kind)[0])
+        assert cv_tune_mask(x, kind).k == 0
+
 
 class TestCirculantMle:
     def test_identity_fixed(self):
@@ -138,6 +236,23 @@ class TestCirculantMle:
             s = sample_cov(rng.normal(size=(3, 8)))
             est = circulant_mle(s)
             assert np.linalg.eigvalsh(est).min() >= -1e-12
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_matches_dense_oracle(self, complex_data):
+        for p in (1, 2, 5, 16, 33):
+            s = random_scm(p, 3, complex_data, 40 + p)
+            got, want = circulant_mle(s), oracle_circulant_mle(s)
+            assert got.dtype == want.dtype
+            assert rel_err(got, want) <= 1e-13
+
+    def test_large_dimension_structure(self):
+        p = 2048
+        x = np.random.default_rng(5).normal(size=(4, p))
+        est = circulant_mle(sample_cov(x))
+        col = est[:, 0]
+        assert np.array_equal(est[1:, 1:], est[:-1, :-1])  # Toeplitz
+        assert np.array_equal(est, est.T)
+        assert np.fft.fft(col).real.min() >= -1e-12 * np.abs(col).max()
 
     def test_output_is_circulant(self):
         s = sample_cov(rng.normal(size=(5, 8)))
@@ -188,6 +303,44 @@ class TestEmToeplitz:
     def test_embedding_size_validated(self):
         with pytest.raises(ValueError):
             em_toeplitz(np.eye(8), g=4)
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_iterates_match_dense_oracle(self, complex_data):
+        for p in (1, 2, 5, 16):
+            s = random_scm(p, 3, complex_data, 70 + p)
+            for g in (p, 2 * p, 2 * p + 1, 3 * p):
+                got = list(_em_iterates(s, g, 25, 1e-9, 1e-10))
+                want = list(oracle_em_iterates(s, g, 25, 1e-9, 1e-10))
+                assert len(got) == len(want)
+                for (spec, cp), (spec_o, cp_o) in zip(got, want):
+                    assert rel_err(spec, spec_o) <= 1e-12
+                    assert rel_err(cp, cp_o) <= 1e-12
+
+    def test_real_data_stays_real(self):
+        s = random_scm(6, 3, False, 1)
+        assert all(not np.iscomplexobj(cp) for _, cp in _em_iterates(s, 12, 5, 0.0, 1e-10))
+
+    def test_work_reports_iterations_at_max_iter(self):
+        s = sample(ProcessSpec("ar", 16, a=(0.5,), sigma2=0.64), 8, 500).scm
+        work = {}
+        out = em_toeplitz(s, max_iter=7, work=work)
+        assert work == {"iterations": 7, "converged": False}
+        assert np.array_equal(out, em_toeplitz(s, max_iter=7))
+
+    def test_work_reports_convergence(self):
+        work = {}
+        em_toeplitz(np.eye(5), g=5, max_iter=4, work=work)
+        assert work == {"iterations": 1, "converged": True}
+
+    def test_large_dimension_structure(self):
+        p = 1024
+        s = sample_cov(np.random.default_rng(6).normal(size=(4, p)))
+        *_, (spec, cp) = _em_iterates(s, 2 * p, 3, 1e-7, 1e-10)
+        assert spec.min() >= 0.0
+        out = em_toeplitz(s, max_iter=3)
+        assert np.array_equal(out, cp)
+        assert np.array_equal(out[1:, 1:], out[:-1, :-1])  # Toeplitz
+        assert np.array_equal(out, out.T)
 
 
 class TestShrink:

@@ -355,3 +355,25 @@ def test_registry_entry_drives_estimate_benchmark_and_timing(name, tmp_path):
     assert row["nmse_icm_count"] == int(info.supports_icm)
     (timed,) = timing_benchmark((8,), (name,), n=8, reps=1)
     assert timed["median_ms"] >= 0.0 and timed["complexity"] == info.complexity
+
+
+def test_em_reports_its_iterations(tmp_path):
+    """em's iteration count and convergence reach the estimate JSON and results.json."""
+    samples = tmp_path / "x.csv"
+    write_samples(samples, p=8, n=8)
+    out = tmp_path / "report.json"
+    assert main(["estimate", "--input", str(samples), "--estimator", "em", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert isinstance(report["iterations"], int) and 1 <= report["iterations"] <= 200
+    assert isinstance(report["converged"], bool)
+    assert report["converged"] or report["iterations"] == 200  # stopping early means converged
+    cfg = ExperimentConfig(
+        kind="ar", points=((0.5,),), sigma2=0.64, dims=(8,),
+        sample_counts=(8,), estimators=("em", "circ"), runs=2, seed=2,
+    )
+    run_benchmark(cfg, str(tmp_path / "bench"))
+    detail = json.loads((tmp_path / "bench" / "results.json").read_text())
+    by_name = {cell["estimator"]: cell["records"] for cell in detail["cells"]}
+    for rec in by_name["em"]:
+        assert isinstance(rec["iterations"], int) and isinstance(rec["converged"], bool)
+    assert all("iterations" not in rec for rec in by_name["circ"])

@@ -15,6 +15,8 @@ from toepcov.toeplitz import (
     gs_factor_b,
     gs_factor_z,
     gs_to_ar,
+    lag_sums,
+    toeplitz_from_lags,
     toeplitz_logdet,
     trace_general_tri_shift,
     trace_toep_tri_shift,
@@ -300,6 +302,47 @@ class TestTypes:
                 want = sum(q[k + j, m + j] for j in range(run))
                 assert abs(table[k, m] - want) < 1e-12
         assert abs(table[0, 0] - np.trace(q)) < 1e-12
+
+    @pytest.mark.parametrize("complex_case", [False, True])
+    @pytest.mark.parametrize("p", [1, 2, 17, 128])
+    def test_partial_diag_sums_equal_row_loop_bit_for_bit(self, p, complex_case):
+        q = rng.normal(size=(p, p)) + (1j * rng.normal(size=(p, p)) if complex_case else 0)
+        # reference: the bottom-up row recursion, one new temporary per row
+        want = q.astype(np.result_type(q.dtype, np.float64), copy=True)
+        for k in range(p - 2, -1, -1):
+            want[k, :-1] = q[k, :-1] + want[k + 1, 1:]
+        got = PartialDiagSums.from_matrix(q).table
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("complex_case", [False, True])
+    def test_hermitian_dense_matches_index_formula(self, complex_case):
+        for p in (1, 2, 9):
+            c = rng.normal(size=p) + (1j * rng.normal(size=p) if complex_case else 0)
+            c[0] = c[0].real
+            i, j = np.indices((p, p))
+            lag = i - j
+            want = np.where(lag >= 0, c[np.abs(lag)], np.conj(c[np.abs(lag)]))
+            got = HermitianToeplitz(c).dense()
+            assert got.dtype == c.dtype and np.array_equal(got, want)
+
+    def test_lag_sums_against_traces(self):
+        for p in (1, 2, 6):
+            q = rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p))
+            for max_lag in (None, 0, 1, p - 1, p + 2):
+                last = p - 1 if max_lag is None else min(max_lag, p - 1)
+                want = [np.trace(q, offset=-lag) for lag in range(-last, last + 1)]
+                got = lag_sums(q, max_lag)
+                assert got.shape == (2 * last + 1,)
+                assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+    def test_toeplitz_from_lags_inverts_lag_layout(self):
+        lags = np.arange(-3.0, 4.0)  # lags -3 .. 3 of a 4 x 4 matrix
+        m = toeplitz_from_lags(lags)
+        assert np.array_equal(m[:, 0], [0.0, 1.0, 2.0, 3.0])
+        assert np.array_equal(m[0], [0.0, -1.0, -2.0, -3.0])
+        assert np.array_equal(lag_sums(m), lags * (4 - np.abs(lags)))
+        with pytest.raises(ValueError):
+            toeplitz_from_lags(np.zeros(4))
 
     def test_order_property(self):
         assert GsParams(1.0, np.array([0.3, 0.0, 0.1, 0.0])).order == 3
