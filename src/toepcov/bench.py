@@ -22,6 +22,7 @@ import numpy as np
 from . import baselines
 from .constraints import DEFAULT_FAMILIES, box_spec_for
 from .estimators import (
+    best_family_fit,
     estimate_eig,
     estimate_frob,
     estimate_pgd,
@@ -120,7 +121,7 @@ def _gs(name, complexity, fit, boxed=False, **timing):
         if not boxed:
             return _gs_result(fit(ctx, order, None))
         fits = (fit(ctx, order, box_spec_for(family, ctx.p)) for family in DEFAULT_FAMILIES)
-        return _gs_result(max(fits, key=lambda r: r.loglik))  # ties keep the earlier family
+        return _gs_result(best_family_fit(fits))
 
     def timed(data):
         spec = box_spec_for(DEFAULT_FAMILIES[1], data.p) if boxed else None
@@ -178,10 +179,12 @@ ESTIMATORS = {
         _gs("eig", "cubic times the squared order per iteration (small dims)",
             lambda c, w, spec: estimate_eig(c, order=w)),
         # one frob or pgd Newton iteration takes order + 2 gradient passes
-        # (2 order + 2 for complex data)
+        # (2 order + 2 for complex data); after the O(P^2) table of the SCM's
+        # diagonal sums a likelihood gradient costs O(P + order^2), so frob's
+        # O(P^2) constraint passes dominate its iterations
         _gs("frob", "quadratic times the order per iteration",
             lambda c, w, spec: estimate_frob(c, order=w)),
-        _gs("pgd", "quadratic times the order per iteration",
+        _gs("pgd", "quadratic once (SCM diagonal sums), then linear times the order per iteration",
             lambda c, w, spec: estimate_pgd(c, spec, w), boxed=True),
         _gs("pls", "linear plus cubic in the order",
             lambda c, w, spec, **kw: estimate_pls(c, spec, order=w, **kw), boxed=True,

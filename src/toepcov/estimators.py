@@ -55,6 +55,7 @@ __all__ = [
     "estimate_pls",
     "tune_order",
     "tune_box_family",
+    "best_family_fit",
     "white_noise_report",
 ]
 
@@ -607,17 +608,30 @@ def tune_box_family(
     """Run the estimator under each bound family and keep the best fit.
 
     ``fit_factory(spec)`` returns a ``fit(ctx, order)`` callable bound to
-    the family's box.  The winner maximizes the log-likelihood; ties keep
-    the earlier family.
+    the family's box.  The winner is chosen by :func:`best_family_fit`.
     """
     if not families:
         raise ValueError("at least one bound family is required")
+
+    def fits():
+        for family in families:
+            spec = box_spec_for(family, ctx.p)
+            rep = tune_order(fit_factory(spec), ctx)
+            rep.family_id = rep.family_id or spec.family_id
+            yield rep
+
+    return best_family_fit(fits())
+
+
+def best_family_fit(reports) -> EstimationReport:
+    """The highest log-likelihood fit among ``reports``, one per bound family.
+
+    A later family wins only by more than the Newton fits' stop tolerance
+    ``_REL_TOL max(1, |L|)``: smaller gaps are rounding noise, and ties keep
+    the earlier family.
+    """
     best = None
-    for family in families:
-        spec = box_spec_for(family, ctx.p)
-        rep = tune_order(fit_factory(spec), ctx)
-        if rep.family_id is None:
-            rep.family_id = spec.family_id
-        if best is None or rep.loglik > best.loglik:
+    for rep in reports:
+        if best is None or rep.loglik > best.loglik + _REL_TOL * max(1.0, abs(best.loglik)):
             best = rep
     return best

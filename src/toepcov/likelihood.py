@@ -1,14 +1,18 @@
 """Gaussian log-likelihood of GS-parameterized precision matrices.
 
-The likelihood value and its full analytic gradient are both evaluated in
-O(P^2) total: the inverse of the assembled matrix comes from the step-down
-recursion, the log-determinant from Levinson prediction errors, and every
-gradient coordinate from the two O(P) shifted-trace kernels.
+At order w the data enter only through the (w+1)^2 + w^2 corner entries of
+the sample covariance's partial diagonal sum table, the lagged-product
+sufficient statistic of an exact AR(w) likelihood (Box, Jenkins & Reinsel,
+Time Series Analysis).  The table is built once per context in O(P^2).
+After that a value costs O(w^2) beyond O(P) bookkeeping: the
+log-determinant comes from the step-down prediction errors, the trace term
+from the two corners.  A gradient entry costs O(w) more: the same corners
+of the implied covariance's table, built from its first max(support, w) + 1
+lags.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -20,9 +24,10 @@ from .toeplitz import (
     _step_down,
     ar_to_autocov,
     gs_assemble,
+    gs_factor_b,
     gs_factor_z,
     gs_to_ar,
-    trace_toep_tri_shift,
+    toeplitz_partial_sums,
 )
 
 __all__ = ["DegenerateDataError", "SampleSet", "LikelihoodContext", "loglik", "grad", "GsObjective"]
@@ -55,7 +60,8 @@ class SampleSet:
 
 
 class LikelihoodContext:
-    """Sample covariance plus the precomputed tables the gradient needs."""
+    """Sample covariance plus its partial diagonal sum table ``scm_sums``,
+    the statistic every likelihood value and gradient reads."""
 
     def __init__(self, scm, n: int):
         scm = np.asarray(scm)
@@ -77,42 +83,9 @@ class LikelihoodContext:
     def scm_sums(self) -> PartialDiagSums:
         return PartialDiagSums.from_matrix(self.scm)
 
-    @cached_property
-    def scm_superdiags(self) -> tuple:
-        return tuple(np.ascontiguousarray(np.diagonal(self.scm, offset=k)) for k in range(self.p))
 
-
-class _Evaluation:
-    """Everything loglik and grad share for one parameter vector.
-
-    The inverse's first column (needed by the gradient only) and the dense
-    assembled matrix (debug path only) are computed lazily.
-    """
-
-    __slots__ = ("alpha", "trace_sg", "value", "_acov", "_gamma")
-
-    def __init__(self, alpha, trace_sg, value):
-        self.alpha = alpha
-        self.trace_sg = trace_sg
-        self.value = value
-        self._acov = None
-        self._gamma = None
-
-    @property
-    def acov(self) -> np.ndarray:
-        if self._acov is None:
-            a, sigma2 = gs_to_ar(self.alpha)
-            self._acov = ar_to_autocov(a, sigma2, self.alpha.dim).first_col
-        return self._acov
-
-    @property
-    def gamma(self) -> np.ndarray:
-        if self._gamma is None:
-            self._gamma = gs_assemble(self.alpha)
-        return self._gamma
-
-
-def _evaluate(ctx: LikelihoodContext, alpha: GsParams) -> _Evaluation:
+def _evaluate(ctx: LikelihoodContext, alpha: GsParams) -> tuple:
+    """``(log-likelihood, tr(Gamma S))`` at ``alpha``."""
     if alpha.dim != ctx.p:
         raise ValueError("parameter dimension does not match the context")
     a, sigma2 = gs_to_ar(alpha)
@@ -121,22 +94,23 @@ def _evaluate(ctx: LikelihoodContext, alpha: GsParams) -> _Evaluation:
     # log-determinant in closed form (errors are flat beyond the AR order).
     _, _, pe = _step_down(a, sigma2)
     w = a.size
-    logdet_cov = float(np.sum(np.log(pe[:w])) + (ctx.p - w) * np.log(sigma2))
-    # tr(Gamma S) through the nonzero diagonals of the assembled matrix;
-    # the k-th one pairs with the k-th superdiagonal of S.
-    a_full = alpha.full
-    z_col = gs_factor_z(alpha).first_col
     p = ctx.p
-    trace_sg = 0.0
-    for k in range(alpha.order + 1):
-        d = np.cumsum(a_full[k:] * np.conj(a_full[: p - k])) - np.cumsum(
-            z_col[k:] * np.conj(z_col[: p - k])
-        )
-        pair = np.dot(d, ctx.scm_superdiags[k])
-        trace_sg += np.real(pair) if k == 0 else 2.0 * np.real(pair)
-    trace_sg = float(trace_sg) / alpha.alpha0
-    value = -logdet_cov - trace_sg
-    return _Evaluation(alpha, trace_sg, value)
+    logdet_cov = float(np.sum(np.log(pe[:w])) + (p - w) * np.log(sigma2))
+    # alpha0 tr(Gamma S) = b^H T b - z^H T z over the two corners of the table
+    # that the nonzero entries of the GS factors reach.
+    b, z = _factor_heads(alpha, w)
+    table = ctx.scm_sums.table
+    quad = np.vdot(b, table[: w + 1, : w + 1] @ b) - np.vdot(z, table[p - w :, p - w :] @ z)
+    trace_sg = float(np.real(quad)) / alpha.alpha0
+    return -logdet_cov - trace_sg, trace_sg
+
+
+def _factor_heads(alpha, w):
+    """Nonzero parts of the GS factors' first columns at order ``w``:
+    ``b = (alpha_0, ..., alpha_w)`` and ``z = conj(alpha_w, ..., alpha_1)``,
+    entries P-w..P-1 of the first column of :func:`gs_factor_z`."""
+    rest = alpha.alpha_rest[:w]
+    return np.concatenate(([alpha.alpha0], rest)), np.conj(rest[::-1])
 
 
 def loglik(ctx: LikelihoodContext, alpha: GsParams) -> float:
@@ -145,7 +119,7 @@ def loglik(ctx: LikelihoodContext, alpha: GsParams) -> float:
     Raises when the assembled matrix is not positive definite; feasibility
     is the caller's business via the constraints module.
     """
-    return _evaluate(ctx, alpha).value
+    return _evaluate(ctx, alpha)[0]
 
 
 def grad(ctx: LikelihoodContext, alpha: GsParams, support=None, dense: bool = False):
@@ -157,64 +131,60 @@ def grad(ctx: LikelihoodContext, alpha: GsParams, support=None, dense: bool = Fa
     ``d/dRe + i d/dIm`` form.  ``dense=True`` switches to the O(P^3) dense
     cross-check path.
     """
-    ev = _evaluate(ctx, alpha)
-    return _grad_from_eval(ctx, ev, support, dense)
-
-
-def _grad_from_eval(ctx, ev, support=None, dense=False):
-    p = ctx.p
-    if support is None:
-        support = range(p)
-    support = tuple(int(i) for i in support)
-    if any(i < 0 or i >= p for i in support):
-        raise ValueError("support indices out of range")
+    trace_sg = _evaluate(ctx, alpha)[1]
     if dense:
-        return _grad_dense(ctx, ev, support)
-    alpha = ev.alpha
-    a0 = alpha.alpha0
-    b_col = alpha.full
-    z_col = gs_factor_z(alpha).first_col
-    acov = ev.acov
+        return _grad_dense(ctx, alpha, _support_indices(ctx.p, support))
+    return _grad(ctx, alpha, trace_sg, support)
+
+
+def _support_indices(p, support):
+    idx = np.arange(p) if support is None else np.array([int(i) for i in support], dtype=int)
+    if np.any((idx < 0) | (idx >= p)):
+        raise ValueError("support indices out of range")
+    return idx
+
+
+def _grad(ctx, alpha, trace_sg, support):
+    """Gradient from the table corners of the data and of the model.
+
+    Entry i is 2/alpha0 [(T_C - T)[i, :w+1] b - conj((T_C - T)[P-i, P-w:] z)],
+    where T is the data's table and T_C that of the implied covariance C;
+    entry 0 differentiates the scale instead.
+    """
+    p = ctx.p
+    idx = _support_indices(p, support)
+    a, sigma2 = gs_to_ar(alpha)
+    w = a.size
+    b, z = _factor_heads(alpha, w)
+    # the rows and columns read below reach lags up to max(support, w) of C
+    acov = ar_to_autocov(a, sigma2, max(w, idx.max(initial=0)) + 1).first_col
     table = ctx.scm_sums.table
-    complex_out = np.iscomplexobj(b_col)
-    rest = [i for i in support if i != 0]
-    out = np.zeros(len(support), dtype=np.complex128 if complex_out else np.float64)
-    if rest:
-        shifts_b = np.array(rest)
-        shifts_z = p - shifts_b
-        tb = trace_toep_tri_shift(acov, b_col, shifts_b) - table[shifts_b, :] @ b_col
-        tz = trace_toep_tri_shift(acov, z_col, shifts_z) - table[shifts_z, :] @ z_col
-        vals = (tb - np.conj(tz)) if np.iscomplexobj(b_col) else np.real(tb - tz)
-        vals = 2.0 / a0 * vals
-        pos = 0
-        for j, i in enumerate(support):
-            if i != 0:
-                out[j] = vals[pos]
-                pos += 1
-    if 0 in support:
-        tb0 = trace_toep_tri_shift(acov, b_col, 0) - np.dot(table[0, :], b_col)
-        g0 = (2.0 * np.real(tb0) - (p - ev.trace_sg)) / a0
-        out[support.index(0)] = g0
-    return out
+    tb = (toeplitz_partial_sums(acov, idx, np.arange(w + 1), p) - table[idx, : w + 1]) @ b
+    shifted = idx != 0
+    rows_z = p - idx[shifted]
+    tz = (toeplitz_partial_sums(acov, rows_z, np.arange(p - w, p), p) - table[rows_z, p - w :]) @ z
+    tb[shifted] -= np.conj(tz)  # leaves the scale entries as they are
+    g = 2.0 / alpha.alpha0 * tb
+    g[~shifted] = (2.0 * np.real(tb[~shifted]) - (p - trace_sg)) / alpha.alpha0
+    return g if np.iscomplexobj(alpha.alpha_rest) else np.real(g)
 
 
-def _grad_dense(ctx, ev, support):
+def _grad_dense(ctx, alpha, support):
     """Dense-matrix gradient used to cross-check the fast kernels."""
-    from .toeplitz import HermitianToeplitz, gs_factor_b
-
-    alpha = ev.alpha
     p = ctx.p
     a0 = alpha.alpha0
-    cov = HermitianToeplitz(ev.acov).dense()
+    a, sigma2 = gs_to_ar(alpha)
+    cov = ar_to_autocov(a, sigma2, p).dense()
     m = cov - ctx.scm
     b = gs_factor_b(alpha).dense()
     z = gs_factor_z(alpha).dense()
+    gamma = gs_assemble(alpha)
     shift = np.eye(p, k=-1)
     complex_out = np.iscomplexobj(alpha.full)
     out = np.zeros(len(support), dtype=np.complex128 if complex_out else np.float64)
     for pos, i in enumerate(support):
         if i == 0:
-            out[pos] = np.real(np.trace(m @ (b + b.conj().T - ev.gamma))) / a0
+            out[pos] = np.real(np.trace(m @ (b + b.conj().T - gamma))) / a0
         else:
             ei = np.linalg.matrix_power(shift, i)
             ep = np.linalg.matrix_power(shift, p - i)
@@ -231,8 +201,9 @@ class GsObjective:
     """Log-likelihood objective with a tiny per-parameter evaluation cache.
 
     Optimizers evaluate a point during line search and then ask for the
-    gradient at the accepted point; caching the last few evaluations keeps
-    the shared O(P^2) work single-pass.
+    gradient at the accepted point; the cache keeps the last few
+    ``(value, tr(Gamma S))`` pairs, so the gradient reuses the trace and the
+    stability check of its point.
     """
 
     _CACHE_SIZE = 4
@@ -243,18 +214,17 @@ class GsObjective:
 
     def _lookup(self, alpha: GsParams):
         key = (alpha.alpha0, alpha.alpha_rest.tobytes())
-        for k, ev in self._cache:
+        for k, found in self._cache:
             if k == key:
-                return ev
-        ev = _evaluate(self.ctx, alpha)
-        self._cache.append((key, ev))
+                return found
+        found = _evaluate(self.ctx, alpha)
+        self._cache.append((key, found))
         if len(self._cache) > self._CACHE_SIZE:
             self._cache.pop(0)
-        return ev
+        return found
 
     def value(self, alpha: GsParams) -> float:
-        return self._lookup(alpha).value
+        return self._lookup(alpha)[0]
 
     def gradient(self, alpha: GsParams, support=None):
-        ev = self._lookup(alpha)
-        return _grad_from_eval(self.ctx, ev, support)
+        return _grad(self.ctx, alpha, self._lookup(alpha)[1], support)

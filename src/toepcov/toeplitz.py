@@ -31,6 +31,7 @@ __all__ = [
     "ar_to_gs",
     "ar_to_autocov",
     "toeplitz_logdet",
+    "toeplitz_partial_sums",
     "trace_toep_tri_shift",
     "trace_general_tri_shift",
 ]
@@ -418,28 +419,38 @@ def toeplitz_logdet(cm: HermitianToeplitz) -> float:
     return float(logdet)
 
 
+def toeplitz_partial_sums(c, rows, cols, p: int) -> np.ndarray:
+    """Entries ``rows`` x ``cols`` of the :class:`PartialDiagSums` table of
+    the P x P Hermitian Toeplitz matrix with lags ``c``: entry ``[k, m]`` is
+    ``(P - max(k, m)) c(k - m)`` with ``c(-l) = conj(c(l))``.  ``c`` needs
+    only the lags the entries reach; one past its end raises ``IndexError``.
+    """
+    rows = np.asarray(rows)[..., None]
+    cols = np.asarray(cols)
+    lags = c[np.abs(rows - cols)]
+    if np.iscomplexobj(c):
+        lags = np.where(cols <= rows, lags, np.conj(lags))
+    return (p - np.maximum(rows, cols)) * lags
+
+
 def trace_toep_tri_shift(c, d, k):
     """Trace of (Hermitian Toeplitz) x (lower tri Toeplitz) x (shift-up^k).
 
-    ``c`` and ``d`` are first columns; the evaluation is a single O(P)
-    weighted dot product over lags.  ``k`` may be an array of shifts, which
-    gives one trace per shift.
+    ``c`` and ``d`` are first columns; the trace is row ``k`` of the Toeplitz
+    matrix's partial diagonal sum table (:func:`toeplitz_partial_sums`)
+    times ``d``, a single O(P) dot product.  ``k`` may be an array of
+    shifts, which gives one trace per shift.
     """
     c = _as_1d(np.asarray(c), "c")
     d = _as_1d(np.asarray(d), "d")
     p = c.size
     if d.size != p:
         raise ValueError("c and d must have equal length")
-    m = np.arange(p)
-    shifts = np.asarray(k)[..., None]
-    weights = np.minimum(p - shifts, p - m)
     try:  # a shift outside [0, p-1] indexes past the end of the column
-        lags = c[np.abs(shifts - m)]
+        rows = toeplitz_partial_sums(c, k, np.arange(p), p)
     except IndexError:
         raise ValueError(f"shift {k} out of range for dimension {p}") from None
-    if np.iscomplexobj(c):
-        lags = np.where(m <= shifts, lags, np.conj(lags))
-    return (weights * d * lags).sum(axis=-1)
+    return (rows * d).sum(axis=-1)
 
 
 def trace_general_tri_shift(q_sums: PartialDiagSums, d, k: int):

@@ -5,8 +5,10 @@ import pytest
 
 from toepcov.baselines import sample_cov
 from toepcov.constraints import DEFAULT_FAMILIES, box_spec_for, spectral_pd_check
+from toepcov import bench
 from toepcov.estimators import (
     BarrierOptions,
+    EstimationReport,
     PgdOptions,
     estimate_eig,
     estimate_frob,
@@ -18,7 +20,7 @@ from toepcov.estimators import (
 )
 from toepcov.likelihood import LikelihoodContext, SampleSet, loglik
 from toepcov.processes import ProcessSpec, nmse, sample, true_cm
-from toepcov.toeplitz import ar_to_autocov, gs_to_ar
+from toepcov.toeplitz import GsParams, ar_to_autocov, gs_to_ar
 
 rng = np.random.default_rng(31337)
 
@@ -299,6 +301,28 @@ class TestTuneBoxFamily:
             lambda spec: (lambda c, w: estimate_pls(c, spec, order=w)), ctx
         )
         assert best.loglik == pytest.approx(max(per_family))
+
+    @pytest.mark.parametrize("path", ["tuned", "pinned"])
+    def test_rounding_noise_keeps_earlier_family(self, monkeypatch, path):
+        """A family ahead by 1e-12 relative loglik loses to the earlier one;
+        one ahead by 1e-6 wins.  Both the BIC-tuned and the pinned-order
+        registry fit apply the rule."""
+        data = ar1_data()
+        ids = [f.family_id for f in DEFAULT_FAMILIES]
+
+        def selected(gain):
+            def fake_pgd(ctx, spec, order):
+                value = 100.0 * (1.0 + (gain if spec.family_id == ids[1] else 0.0))
+                return EstimationReport(GsParams(1.0, np.zeros(15)), order, value, 1, True,
+                                        family_id=spec.family_id)
+
+            monkeypatch.setattr(bench, "estimate_pgd", fake_pgd)
+            info = bench.ESTIMATORS["pgd"]
+            _, _, meta, _ = info.tuned(data) if path == "tuned" else info.pinned(data, 2)
+            return meta["family"]
+
+        assert selected(1e-12) == ids[0]
+        assert selected(1e-6) == ids[1]
 
     def test_decay_tracks_coefficient_size(self):
         """The selected bound family must accommodate the lag-one ratio.

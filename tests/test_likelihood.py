@@ -22,11 +22,14 @@ from toepcov.toeplitz import (
 rng = np.random.default_rng(555)
 
 
-def feasible_alpha(p, complex_case=False, scale=None):
+def feasible_alpha(p, complex_case=False, scale=None, order=None):
+    """Random feasible point; ``order`` zeroes the coefficients past it."""
     scale = scale if scale is not None else 0.4 / max(p, 3)
     rest = rng.normal(size=p - 1) * scale
     if complex_case:
         rest = rest + 1j * rng.normal(size=p - 1) * scale
+    if order is not None:
+        rest[order:] = 0.0
     return GsParams(float(rng.uniform(0.5, 2.5)), rest)
 
 
@@ -69,13 +72,17 @@ class TestLoglik:
 
     @pytest.mark.parametrize("complex_case", [False, True])
     def test_matches_dense(self, complex_case):
-        for _ in range(25):
-            p = int(rng.integers(2, 24))
+        """Full and lower orders, down to white noise, and P = 2, 3, where
+        the two table corners the value reads overlap; the gradient matches
+        the dense path at the same points."""
+        low = [(2, 1), (3, 1), (3, 2), (9, 0), (12, 3), (20, 6)]
+        for p, order in low + [(int(rng.integers(2, 24)), None) for _ in range(25)]:
             ctx = random_context(p, complex_case=complex_case)
-            alpha = feasible_alpha(p, complex_case)
+            alpha = feasible_alpha(p, complex_case, order=order)
             gam = gs_assemble(alpha)
             want = np.linalg.slogdet(gam)[1].real - np.real(np.trace(gam @ ctx.scm))
             assert loglik(ctx, alpha) == pytest.approx(want, rel=1e-9, abs=1e-9)
+            assert np.allclose(grad(ctx, alpha), grad(ctx, alpha, dense=True), rtol=1e-9, atol=1e-9)
 
     def test_deterministic(self):
         ctx = random_context(12)
@@ -105,10 +112,14 @@ class TestGrad:
 
     @pytest.mark.parametrize("p", [8, 16, 32])
     def test_matches_finite_differences(self, p):
+        """Full and lower orders, and the white-noise start of the fits:
+        order 0 with the gradient over coefficients 0..6."""
         ctx = random_context(p)
-        for _ in range(8):
-            alpha = feasible_alpha(p)
+        for order in (None, None, None, None, None, 3, 1, 0):
+            alpha = feasible_alpha(p, order=order)
             support = sorted(set([0]) | set(map(int, rng.integers(1, p, size=3))))
+            if order == 0:
+                support = list(range(7))
             fast = grad(ctx, alpha, support)
             dense = grad(ctx, alpha, support, dense=True)
             fd = fd_loglik_grad(ctx, alpha, support)
@@ -117,11 +128,12 @@ class TestGrad:
             assert rel.max() < 1e-5
 
     def test_complex_case_matches_finite_differences(self):
-        for _ in range(10):
-            p = int(rng.integers(3, 14))
+        """Full and lower orders, the white-noise start and P = 2, 3."""
+        low = [(2, None), (3, None), (3, 1), (12, 0), (12, 3)]
+        for p, order in low + [(int(rng.integers(3, 14)), None) for _ in range(10)]:
             ctx = random_context(p, complex_case=True)
-            alpha = feasible_alpha(p, complex_case=True)
-            support = [0, 1, p - 1]
+            alpha = feasible_alpha(p, complex_case=True, order=order)
+            support = list(range(7)) if order == 0 else [0, 1, p - 1]
             fast = grad(ctx, alpha, support)
             dense = grad(ctx, alpha, support, dense=True)
             fd = fd_loglik_grad(ctx, alpha, support)

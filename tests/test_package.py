@@ -1,5 +1,7 @@
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -16,4 +18,20 @@ def test_all_names_resolve(module):
     """A name removed from a module must also leave its ``__all__``."""
     mod = importlib.import_module(f"toepcov.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing
+
+
+def test_perfbench_targets_resolve():
+    """Every entry point the benchmark traces still exists in the package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module, attr, _ in tracing.TARGETS:
+        obj = importlib.import_module(f"toepcov.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(f"toepcov.{module}.{attr}")
     assert not missing
