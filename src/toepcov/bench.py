@@ -178,13 +178,13 @@ ESTIMATORS = {
         # ((2 order + 2)^2 for complex data)
         _gs("eig", "cubic times the squared order per iteration (small dims)",
             lambda c, w, spec: estimate_eig(c, order=w)),
-        # one frob or pgd Newton iteration takes order + 2 gradient passes
-        # (2 order + 2 for complex data); after the O(P^2) table of the SCM's
-        # diagonal sums a likelihood gradient costs O(P + order^2), so frob's
-        # O(P^2) constraint passes dominate its iterations
+        # one frob Newton iteration takes order + 2 gradient passes (2 order + 2
+        # for complex data); after the O(P^2) table of the SCM's diagonal sums
+        # a likelihood gradient costs O(P + order^2), so frob's O(P^2)
+        # constraint passes dominate its iterations
         _gs("frob", "quadratic times the order per iteration",
             lambda c, w, spec: estimate_frob(c, order=w)),
-        _gs("pgd", "quadratic once (SCM diagonal sums), then linear times the order per iteration",
+        _gs("pgd", "quadratic once (SCM diagonal sums), then quartic in the order per iteration",
             lambda c, w, spec: estimate_pgd(c, spec, w), boxed=True),
         _gs("pls", "linear plus cubic in the order",
             lambda c, w, spec, **kw: estimate_pls(c, spec, order=w, **kw), boxed=True,

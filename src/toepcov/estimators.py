@@ -3,15 +3,16 @@
 Four fitting routes share one contract (the returned parameters always
 assemble to a positive definite matrix):
 
-* active-set projected Newton ascent inside certified box constraints,
+* active-set projected Newton ascent inside certified box constraints, with
+  the scale maximized in closed form and exact derivatives,
 * log-barrier interior point with damped Newton steps under the Frobenius
   surrogate constraint, whose exact gradient costs O(P^2),
 * the same barrier driver with exact eigenvalue constraints (small P only),
 * a closed-form conditional-likelihood least-squares fit projected onto the
   box.
 
-Both Newton fits share one eigenvalue-floored Newton step and one Armijo
-backtracking line search.
+Both Newton fits share one active-set Newton loop with an eigenvalue-floored
+step and an Armijo backtracking line search.
 
 Order selection (BIC) and bound-family selection wrappers sit on top.
 """
@@ -34,7 +35,7 @@ from .constraints import (
     frobenius_gain_sq,
     project_box,
 )
-from .likelihood import GsObjective, LikelihoodContext
+from .likelihood import GsObjective, LikelihoodContext, ProfiledObjective
 from .toeplitz import (
     GsParams,
     HermitianToeplitz,
@@ -114,15 +115,6 @@ class BarrierOptions:
     inner_max_iter: int = 150
 
 
-def _white_noise_start(ctx: LikelihoodContext) -> GsParams:
-    scale = max(ctx.trace_scale, 1e-300)
-    a0 = max(1.0 / scale, EPS0)
-    rest = np.zeros(ctx.p - 1)
-    if np.iscomplexobj(ctx.scm):
-        rest = rest.astype(complex)
-    return GsParams(a0, rest)
-
-
 def white_noise_report(ctx: LikelihoodContext) -> EstimationReport:
     """Closed-form order-zero fit: inverse of the average diagonal power."""
     trace = ctx.trace_scale * ctx.p
@@ -150,18 +142,13 @@ def _stacked(g):
     return g
 
 
-def _fd_jacobian(fn, x, f0, idx, lo, hi):
-    """Forward-difference Jacobian of ``fn`` (value ``f0`` at ``x``) on ``idx``.
-
-    Each probe moves toward the roomier side of ``[lo, hi]``, so it stays
-    inside.
-    """
-    jac = np.empty((idx.size, idx.size))
-    for col, j in enumerate(idx):
-        h = 1e-6 * max(1.0, abs(x[j]))
+def _fd_jacobian(fn, x, f0):
+    """Forward-difference Jacobian of ``fn`` (value ``f0`` at ``x``)."""
+    jac = np.empty((x.size, x.size))
+    for j in range(x.size):
         probe = x.copy()
-        probe[j] = np.clip(x[j] + (h if hi[j] - x[j] >= x[j] - lo[j] else -h), lo[j], hi[j])
-        jac[:, col] = (fn(probe)[idx] - f0[idx]) / (probe[j] - x[j])
+        probe[j] += 1e-6 * max(1.0, abs(x[j]))
+        jac[:, j] = (fn(probe) - f0) / (probe[j] - x[j])
     return jac
 
 
@@ -195,6 +182,41 @@ def _line_search(evaluate, x, d, value, g, lo, hi):
     return None
 
 
+def _newton_ascent(evaluate, derivatives, x, lo, hi, max_iter, trail=None):
+    """Active-set projected Newton ascent from ``x`` inside ``[lo, hi]``
+    (Bertsekas, SIAM J. Control Optim. 1982): each iteration holds
+    coordinates at a bound whose gradient points outward, takes a Newton
+    step on the others, clips it to the box and halves it until the Armijo
+    rule holds.  ``evaluate(x)`` is the objective (-inf where infeasible),
+    ``derivatives(x)`` its gradient, Hessian and a stationarity measure.
+    Returns ``(x, iterations, converged)``; ``trail`` gets each ``(x, value)``.
+    """
+    value = evaluate(x)
+    if trail is not None:
+        trail.append((x, value))
+    iters = 0
+    for iters in range(1, max_iter + 1):
+        g, hess, measure = derivatives(x)
+        stationary = measure < _STAT_TOL * (1.0 + abs(value))
+        free = ~(((x <= lo) & (g <= 0)) | ((x >= hi) & (g >= 0)))
+        if np.linalg.norm(g[free]) < 1e-14 * (1.0 + abs(value)):
+            return x, iters, True
+        idx = np.flatnonzero(free)
+        d = np.zeros_like(x)
+        d[idx] = _newton_step(hess[np.ix_(idx, idx)], g[idx])
+        accepted = _line_search(evaluate, x, d, value, g, lo, hi)
+        if accepted is None:
+            return x, iters, True
+        x, new_value = accepted
+        improvement = new_value - value
+        value = new_value
+        if trail is not None:
+            trail.append((x, value))
+        if improvement < _REL_TOL * max(1.0, abs(value)) and stationary:
+            return x, iters, True
+    return x, iters, False
+
+
 def estimate_pgd(
     ctx: LikelihoodContext,
     spec: BoxSpec,
@@ -203,95 +225,55 @@ def estimate_pgd(
 ) -> EstimationReport:
     """Active-set projected Newton ascent on the likelihood inside the box.
 
-    Works on the real vector ``x = (s, u)``: the scale ``s = alpha_0`` and
-    the ratios ``u_i = alpha_i / alpha_0`` (real and imaginary parts
-    stacked for complex data).  The box is fixed there (``s >= EPS0``, each
-    ratio within ``+-K_i``, or ``+-K_i / 2`` per part), so projection is a
-    clip.  Each iteration (Bertsekas, SIAM J. Control Optim. 1982) holds
-    coordinates at a bound whose gradient points outward, takes a Newton
-    step on the others, clips it to the box and halves it until the Armijo
-    rule holds.  The fit starts at the white-noise point; every iterate lies
+    The box ``alpha_0 >= EPS0``, ``|alpha_i| <= K_i alpha_0`` is the scale
+    floor times a fixed box on the ratios ``u_i = alpha_i / alpha_0`` (within
+    ``+-K_i``, or ``+-K_i / 2`` per part for complex data).  So the scale is
+    maximized in closed form (:class:`ProfiledObjective`), and
+    :func:`_newton_ascent` runs from white noise over the ratios alone (real
+    and imaginary parts stacked) with exact derivatives.  Every iterate lies
     in the box, so the positive-definiteness certificate holds throughout.
+    Loglik and gradient norm come from :class:`GsObjective` at the end.
     """
     opts = opts or PgdOptions()
-    p = ctx.p
-    if not 1 <= order <= p - 1:
-        raise ValueError(f"order must lie in [1, {p - 1}], got {order}")
-    if spec.dim != p:
+    if spec.dim != ctx.p:
         raise ValueError("box dimension does not match the context")
-    support = tuple(range(order + 1))
-    obj = GsObjective(ctx)
-    is_complex = np.iscomplexobj(ctx.scm)
-    k = np.tile(spec.k[:order] / 2.0, 2) if is_complex else spec.k[:order]
-    lo = np.concatenate(([EPS0], -k))
-    hi = np.concatenate(([np.inf], k))
-    x = np.zeros(k.size + 1)
-    x[0] = _white_noise_start(ctx).alpha0
-
-    def pack(x):
-        u = x[1 : order + 1] + 1j * x[order + 1 :] if is_complex else x[1:]
-        rest = np.zeros(p - 1, dtype=u.dtype)
-        rest[:order] = x[0] * u
-        return GsParams(x[0], rest)
-
-    def grad(x):
-        g = _stacked(obj.gradient(pack(x), support))
-        return np.concatenate(([g[0] + g[1:] @ x[1:]], x[0] * g[1:]))
+    prof = ProfiledObjective(ctx, order)  # checks the order
+    hi = np.tile(spec.k[:order] / 2.0, 2) if prof.is_complex else spec.k[:order]
+    lo = -hi
 
     def value_at(x):
         try:
-            return obj.value(pack(x))
+            return prof.value(x)
         except _INFEASIBLE:
             return -np.inf
 
-    def mapping_norm(x, g):
-        """Projected-gradient mapping norm, ratio entries without the factor s."""
-        step = np.concatenate((g[:1], g[1:] / x[0]))
-        return float(np.linalg.norm(np.clip(x + step, lo, hi) - x))
+    def derivatives(x):  # stationarity: the mapping norm of the gradient in alpha_i
+        g, hess = prof.derivatives(x)
+        return g, hess, np.linalg.norm(np.clip(x + g / prof.params(x).alpha0, lo, hi) - x)
 
-    alpha = pack(x)
-    value = obj.value(alpha)
-    track = opts.track_iterates
-    iterates = [alpha] if track else None
-    values = [value] if track else None
-    converged = False
-    iters = 0
-    for iters in range(1, opts.max_iter + 1):
-        g = grad(x)
-        stationary = mapping_norm(x, g) < _STAT_TOL * (1.0 + abs(value))
-        free = ~(((x <= lo) & (g <= 0)) | ((x >= hi) & (g >= 0)))
-        if np.linalg.norm(g[free]) < 1e-14 * (1.0 + abs(value)):
-            converged = True
-            break
-        idx = np.flatnonzero(free)
-        d = np.zeros_like(x)
-        d[idx] = _newton_step(_fd_jacobian(grad, x, g, idx, lo, hi), g[idx])
-        accepted = _line_search(value_at, x, d, value, g, lo, hi)
-        if accepted is None:
-            converged = True
-            break
-        x, new_value = accepted
-        alpha = pack(x)
-        improvement = new_value - value
-        value = new_value
-        if track:
-            iterates.append(alpha)
-            values.append(value)
-        if improvement < _REL_TOL * max(1.0, abs(value)) and stationary:
-            converged = True
-            break
+    trail = [] if opts.track_iterates else None
+    x, iters, converged = _newton_ascent(
+        value_at, derivatives, np.zeros(hi.size), lo, hi, opts.max_iter, trail
+    )
+    alpha = prof.params(x)
+    obj = GsObjective(ctx)
+    # the same mapping norm in (alpha_0, u); the scale entry differentiates along (1, u)
+    g = _stacked(obj.gradient(alpha, range(order + 1)))
+    head = np.append(alpha.alpha0, x)
+    step = np.append(g[0] + g[1:] @ x, g[1:])
+    moved = np.clip(head + step, np.append(EPS0, lo), np.append(np.inf, hi))
     report = EstimationReport(
         alpha=alpha,
         order=order,
-        loglik=value,
+        loglik=obj.value(alpha),
         iterations=iters,
         converged=converged,
         family_id=spec.family_id,
-        grad_norm=mapping_norm(x, grad(x)),
+        grad_norm=float(np.linalg.norm(moved - head)),
     )
-    if track:
-        report.extras["iterates"] = iterates
-        report.extras["objectives"] = values
+    if trail is not None:
+        report.extras["iterates"] = [prof.params(y) for y, _ in trail]
+        report.extras["objectives"] = [value for _, value in trail]
     return report
 
 
@@ -302,15 +284,13 @@ def _barrier_fit(ctx, order, opts, log_slack, slack_derivatives) -> EstimationRe
     maximizes ``L + mu (log(alpha_0 - EPS0) + psi)`` over the real vector
     ``x = (alpha_0, Re a_1..a_order[, Im a_1..a_order])``, where
     ``psi = log_slack(alpha)`` is the constraint's log-slack (-inf when
-    infeasible).  ``slack_derivatives(pack, x, jacobian)`` returns the
-    gradient and Hessian of ``psi`` in ``x``; ``pack`` maps ``x`` to GS
-    parameters and ``jacobian(fn, x, fn(x))`` forward-differences a vector
-    function.  Every inner iteration is a damped Newton step
+    infeasible).  ``slack_derivatives(pack, x)`` returns the gradient and
+    Hessian of ``psi`` in ``x``, where ``pack`` maps ``x`` to GS parameters.
+    Every inner round is :func:`_newton_ascent` with damped Newton steps
     (Boyd & Vandenberghe, Convex Optimization, 11.3): the likelihood Hessian
-    is forward-differenced from its analytic gradient, the scale barrier's
-    curvature is exact, and the step halves until the Armijo rule holds.
-    The barriers keep every iterate strictly feasible, hence positive
-    definite.
+    is forward-differenced from its analytic gradient and the scale
+    barrier's curvature is exact.  The barriers keep every iterate strictly
+    feasible, hence positive definite.
     """
     opts = opts or BarrierOptions()
     p = ctx.p
@@ -320,10 +300,7 @@ def _barrier_fit(ctx, order, opts, log_slack, slack_derivatives) -> EstimationRe
     obj = GsObjective(ctx)
     is_complex = np.iscomplexobj(ctx.scm)
     size = 2 * order + 1 if is_complex else order + 1
-    idx = np.arange(size)
-    lo = np.full(size, -np.inf)
-    lo[0] = EPS0
-    hi = np.full(size, np.inf)
+    lo, hi = np.full(size, -np.inf), np.full(size, np.inf)
 
     def pack(x):
         coef = x[1 : order + 1] + 1j * x[order + 1 :] if is_complex else x[1:]
@@ -334,16 +311,12 @@ def _barrier_fit(ctx, order, opts, log_slack, slack_derivatives) -> EstimationRe
     def loglik_grad(x):
         return _stacked(obj.gradient(pack(x), support))
 
-    def jacobian(fn, x, f0):
-        return _fd_jacobian(fn, x, f0, idx, lo, hi)
-
     x = np.zeros(size)
-    x[0] = _white_noise_start(ctx).alpha0
+    x[0] = max(1.0 / max(ctx.trace_scale, 1e-300), EPS0)  # white noise
     mu = _MU0
     total_iters = 0
     converged = False
     for _ in range(opts.outer_iters):
-        converged = False
 
         def phi(x, mu=mu):
             if x[0] <= EPS0:
@@ -358,30 +331,16 @@ def _barrier_fit(ctx, order, opts, log_slack, slack_derivatives) -> EstimationRe
                 return -np.inf
             return base + mu * (np.log(x[0] - EPS0) + slack)
 
-        value = phi(x)
-        iters = 0
-        for iters in range(1, opts.inner_max_iter + 1):
+        def derivatives(x, mu=mu):
             g_lik = loglik_grad(x)
-            s_grad, s_hess = slack_derivatives(pack, x, jacobian)
+            s_grad, s_hess = slack_derivatives(pack, x)
             g = g_lik + mu * s_grad
             g[0] += mu / (x[0] - EPS0)
-            g_norm = float(np.linalg.norm(g))
-            stationary = g_norm < _STAT_TOL * (1.0 + abs(value))
-            if g_norm < 1e-14 * (1.0 + abs(value)):
-                converged = True
-                break
-            hess = jacobian(loglik_grad, x, g_lik) + mu * s_hess
+            hess = _fd_jacobian(loglik_grad, x, g_lik) + mu * s_hess
             hess[0, 0] -= mu / (x[0] - EPS0) ** 2
-            accepted = _line_search(phi, x, _newton_step(hess, g), value, g, lo, hi)
-            if accepted is None:
-                converged = True
-                break
-            x, new_value = accepted
-            improvement = new_value - value
-            value = new_value
-            if improvement < _REL_TOL * max(1.0, abs(value)) and stationary:
-                converged = True
-                break
+            return g, hess, float(np.linalg.norm(g))
+
+        x, iters, converged = _newton_ascent(phi, derivatives, x, lo, hi, opts.inner_max_iter)
         total_iters += iters
         mu *= _MU_SHRINK
     alpha = pack(x)
@@ -420,13 +379,13 @@ def estimate_frob(
 
     support = range(order + 1)
 
-    def slack_derivatives(pack, x, jacobian):
+    def slack_derivatives(pack, x):
         def c_grad(y):
             return _stacked(frob_constraint(pack(y), support)[1])
 
         c, dc = frob_constraint(pack(x), support)
         dc = _stacked(dc)
-        return dc / c, jacobian(c_grad, x, dc) / c - np.outer(dc, dc) / c**2
+        return dc / c, _fd_jacobian(c_grad, x, dc) / c - np.outer(dc, dc) / c**2
 
     report = _barrier_fit(ctx, order, opts, log_slack, slack_derivatives)
     report.extras["constraint_value"] = frobenius_gain_sq(report.alpha) - 1.0 + EPS_F
@@ -465,7 +424,7 @@ def estimate_eig(
         )
     floor = EPS_EIG * ctx.trace_scale
 
-    def slack_derivatives(pack, x, jacobian):
+    def slack_derivatives(pack, x):
         def slack_grad(y):
             base = _pd_slack_logdet(pack(y), floor)
             out = np.empty(y.size)
@@ -476,7 +435,7 @@ def estimate_eig(
             return out
 
         g = slack_grad(x)
-        return g, jacobian(slack_grad, x, g)
+        return g, _fd_jacobian(slack_grad, x, g)
 
     return _barrier_fit(ctx, order, opts, lambda a: _pd_slack_logdet(a, floor), slack_derivatives)
 

@@ -377,9 +377,16 @@ def ar_to_autocov(a, sigma2: float, p: int) -> HermitianToeplitz:
     w = a.size
     if w > p - 1:
         raise ValueError(f"AR order {w} too large for dimension {p}")
-    stages, refl, pe = _step_down(a, sigma2)
-    dtype = np.result_type(a.dtype if w else np.float64, np.float64)
-    c = np.zeros(p, dtype=dtype)
+    return HermitianToeplitz(_autocov_lags(_step_down(a, sigma2), p))
+
+
+def _autocov_lags(steps, p: int) -> np.ndarray:
+    """Lags 0..p-1 of the AR autocovariance from the output ``steps`` of
+    :func:`_step_down`: forward recursion to the AR order, then the AR one."""
+    stages, refl, pe = steps
+    a = stages[-1]
+    w = a.size
+    c = np.zeros(p, dtype=a.dtype)
     c[0] = pe[0]
     for m in range(1, p):
         if m <= w:
@@ -388,7 +395,7 @@ def ar_to_autocov(a, sigma2: float, p: int) -> HermitianToeplitz:
             c[m] = refl[m - 1] * pe[m - 1] + tail
         else:
             c[m] = np.dot(a, c[m - 1 : m - 1 - w : -1]) if w else 0.0
-    return HermitianToeplitz(c)
+    return c
 
 
 def toeplitz_logdet(cm: HermitianToeplitz) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from toepcov.baselines import sample_cov
-from toepcov.constraints import DEFAULT_FAMILIES, box_spec_for, spectral_pd_check
+from toepcov.constraints import EPS0, DEFAULT_FAMILIES, box_spec_for, spectral_pd_check
 from toepcov import bench
 from toepcov.estimators import (
     BarrierOptions,
@@ -18,7 +18,7 @@ from toepcov.estimators import (
     tune_order,
     white_noise_report,
 )
-from toepcov.likelihood import LikelihoodContext, SampleSet, loglik
+from toepcov.likelihood import LikelihoodContext, SampleSet, grad, loglik
 from toepcov.processes import ProcessSpec, nmse, sample, true_cm
 from toepcov.toeplitz import GsParams, ar_to_autocov, gs_to_ar
 
@@ -91,6 +91,33 @@ class TestPgd:
         assert rep.converged
         assert rep.iterations < PgdOptions().max_iter
         assert rep.grad_norm < 1e-5 * (1.0 + abs(rep.loglik))
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_scale_profiled_exactly(self, order, spec16):
+        """Off the floor alpha_0 is the exact best scale for the fitted
+        ratios: the gradient along the scale direction (alpha_0..alpha_w)
+        vanishes to rounding, and so does its alpha_0 entry when no ratio
+        sits on a bound."""
+        for complex_case, seed in itertools.product((False, True), range(6)):
+            ctx = (complex_ar1_data(seed=seed) if complex_case else ar1_data(seed=seed)).context()
+            rep = estimate_pgd(ctx, spec16, order)
+            assert rep.alpha.alpha0 > EPS0
+            head = rep.alpha.full[: order + 1]
+            g = grad(ctx, rep.alpha, range(order + 1))
+            tol = 1 + abs(rep.loglik)
+            assert abs(np.real(np.vdot(g, head))) < 1e-12 * tol
+            lim = spec16.k[:order] / (2 if complex_case else 1) * (1 - 1e-12)
+            ratios = head[1:] / head[0]
+            if np.all(np.abs(ratios.real) < lim) and np.all(np.abs(ratios.imag) < lim):
+                assert abs(g[0]) < 1e-7 * tol
+
+    def test_iteration_cap_reported(self, spec16):
+        """A fit stopped by max_iter before it converged says so."""
+        ctx = ar1_data(seed=0).context()
+        assert estimate_pgd(ctx, spec16, 3).iterations > 1
+        rep = estimate_pgd(ctx, spec16, 3, opts=PgdOptions(max_iter=1))
+        assert rep.iterations == 1
+        assert not rep.converged
 
     def test_order_bounds(self, spec16):
         ctx = ar1_data().context()

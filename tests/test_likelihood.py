@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from toepcov.baselines import sample_cov
+from toepcov.constraints import EPS0
 from toepcov.likelihood import (
     DegenerateDataError,
     GsObjective,
     LikelihoodContext,
+    ProfiledObjective,
     SampleSet,
     grad,
     loglik,
@@ -154,6 +156,44 @@ class TestObjectiveCache:
         alpha = feasible_alpha(12)
         assert obj.value(alpha) == pytest.approx(loglik(ctx, alpha))
         assert np.allclose(obj.gradient(alpha, [0, 1, 2]), grad(ctx, alpha, [0, 1, 2]))
+
+
+class TestProfiledObjective:
+    """The likelihood with the scale maximized out, over the ratios u."""
+
+    CASES = [(2, 1), (3, 1), (3, 2), (16, 1), (16, 3), (16, 15), (128, 1), (128, 3)]
+
+    @staticmethod
+    def central_differences(fn, x, h=1e-5):
+        return np.array([(fn(x + h * e) - fn(x - h * e)) / (2 * h) for e in np.eye(x.size)])
+
+    @pytest.mark.parametrize("complex_case", [False, True])
+    @pytest.mark.parametrize("factor", [1.0, 1e4], ids=["interior", "floor"])
+    def test_matches_loglik_and_central_differences(self, complex_case, factor):
+        """Value against ``loglik`` at (alpha_0*(u), u); exact gradient and
+        Hessian against central differences.  Off the floor the likelihood's
+        derivative along the scale direction (alpha_0..alpha_w) vanishes.
+        Samples times 1e4 put the best scale P/q below EPS0, on the floor."""
+        for p, order in self.CASES:
+            x = rng.normal(size=(6, p))
+            if complex_case:
+                x = (x + 1j * rng.normal(size=(6, p))) / np.sqrt(2)
+            ctx = LikelihoodContext(sample_cov(factor * x), 6)
+            prof = ProfiledObjective(ctx, order)
+            point = rng.normal(size=order * (2 if complex_case else 1)) * 0.3 / order
+            alpha = prof.params(point)
+            assert alpha.order == order and np.iscomplexobj(alpha.alpha_rest) == complex_case
+            assert (alpha.alpha0 == EPS0) == (factor > 1)
+            want = loglik(ctx, alpha)
+            assert abs(prof.value(point) - want) <= 1e-13 * abs(want)
+            along_scale = np.real(np.vdot(grad(ctx, alpha, range(order + 1)), alpha.full[: order + 1]))
+            assert (abs(along_scale) < 1e-12 * max(1.0, abs(want))) == (factor == 1.0)
+            g, hess = prof.derivatives(point)
+            fd_g = self.central_differences(prof.value, point)
+            fd_hess = self.central_differences(lambda y: prof.derivatives(y)[0], point)
+            assert np.abs(g - fd_g).max() <= 1e-7 * max(1.0, np.abs(fd_g).max())
+            assert np.abs(hess - fd_hess).max() <= 1e-7 * max(1.0, np.abs(fd_hess).max())
+            assert np.allclose(hess, hess.T, rtol=0, atol=1e-12 * max(1.0, np.abs(hess).max()))
 
 
 class TestGradScaling:
