@@ -175,14 +175,17 @@ ESTIMATORS = {
         _baseline("shrink_avg", False, "cubic (target build dominates)", *_shrinkage("avg")),
         _baseline("shrink_const", True, "quadratic", *_shrinkage("const")),
         # one eig Newton iteration takes (order + 2)^2 Cholesky factorizations
-        # ((2 order + 2)^2 for complex data)
+        # of the slack ((2 order + 2)^2 for complex data); its likelihood
+        # Hessian is exact, as frob's
         _gs("eig", "cubic times the squared order per iteration (small dims)",
             lambda c, w, spec: estimate_eig(c, order=w)),
-        # one frob Newton iteration takes order + 2 gradient passes (2 order + 2
-        # for complex data); after the O(P^2) table of the SCM's diagonal sums
-        # a likelihood gradient costs O(P + order^2), so frob's O(P^2)
-        # constraint passes dominate its iterations
-        _gs("frob", "quadratic times the order per iteration",
+        # after the O(P^2) table of the SCM's diagonal sums, one frob Newton
+        # iteration takes one O(P + order^2) likelihood gradient, the exact
+        # likelihood Hessian (quartic in the order) and order + 2 constraint
+        # passes (2 order + 2 for complex data) on the order + 1 leading
+        # parameters, quadratic in the order each
+        _gs("frob", "quadratic once (SCM diagonal sums), "
+            "then linear plus quartic in the order per iteration",
             lambda c, w, spec: estimate_frob(c, order=w)),
         _gs("pgd", "quadratic once (SCM diagonal sums), then quartic in the order per iteration",
             lambda c, w, spec: estimate_pgd(c, spec, w), boxed=True),

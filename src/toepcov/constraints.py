@@ -36,7 +36,7 @@ __all__ = [
 # Positive-definiteness margins of the constraint sets, fixed as in the paper.
 EPS0 = 1e-6  # scale floor: alpha_0 >= EPS0
 EPS_F = 1e-4  # Frobenius margin: gain^2 <= 1 - EPS_F
-EPS_EIG = 1e-6  # eigenvalue floor, relative to the trace scale of the SCM
+EPS_EIG = 1e-6  # floor on the precision's eigenvalues, over the trace scale of the SCM
 
 # Eigenvalue constraints cost O(P^3) per evaluation; refuse above this.
 EIG_DIM_LIMIT = 64
@@ -57,8 +57,11 @@ def cross_diagonals(alpha: GsParams) -> np.ndarray:
 
     The product of the mirrored factor's adjoint with the inverse adjoint
     of the main factor is upper triangular Toeplitz; its d-th diagonal value
-    is ``g_d = sum_j (a_{P-j}/a_0) F_{d-j}(-conj(a_{>=1})/a_0)``.  Far
-    outside the positive definite set the sequence overflows to inf or nan.
+    is ``g_d = sum_j (a_{P-j}/a_0) F_{d-j}(-conj(a_{>=1})/a_0)``.  At order
+    w only the last w diagonals are nonzero, and they read ``F_0..F_{w-1}``
+    alone: they equal the diagonals of the (w+1)-term truncation
+    ``GsParams(a_0, a_1..a_w)``.  Far outside the positive definite set the
+    sequence overflows to inf or nan.
     """
     if alpha.dim == 1:
         return np.zeros(0)

@@ -5,8 +5,9 @@ assemble to a positive definite matrix):
 
 * active-set projected Newton ascent inside certified box constraints, with
   the scale maximized in closed form and exact derivatives,
-* log-barrier interior point with damped Newton steps under the Frobenius
-  surrogate constraint, whose exact gradient costs O(P^2),
+* log-barrier interior point with damped Newton steps and an exact
+  likelihood Hessian under the Frobenius surrogate constraint, evaluated
+  with its exact gradient on the order-sized truncation of the parameters,
 * the same barrier driver with exact eigenvalue constraints (small P only),
 * a closed-form conditional-likelihood least-squares fit projected onto the
   box.
@@ -143,7 +144,12 @@ def _stacked(g):
 
 
 def _fd_jacobian(fn, x, f0):
-    """Forward-difference Jacobian of ``fn`` (value ``f0`` at ``x``)."""
+    """Forward-difference Jacobian of ``fn`` (value ``f0`` at ``x``).
+
+    Only the constraint barriers use it: the Hessian of the Frobenius
+    constraint and the derivatives of the eigenvalue slack.  Likelihood
+    derivatives are all exact.
+    """
     jac = np.empty((x.size, x.size))
     for j in range(x.size):
         probe = x.copy()
@@ -161,7 +167,10 @@ def _newton_step(hess, g):
     """
     lam, vec = np.linalg.eigh(-0.5 * (hess + hess.T))
     lam = np.maximum(lam, _CURVATURE_FLOOR * np.abs(lam).max())
-    return vec @ ((vec.T @ g) / lam)
+    d = vec @ ((vec.T @ g) / lam)
+    if not np.all(np.isfinite(d)):  # overflowed derivatives: a numerical failure
+        raise np.linalg.LinAlgError("Newton direction is not finite")
+    return d
 
 
 def _line_search(evaluate, x, d, value, g, lo, hi):
@@ -287,15 +296,19 @@ def _barrier_fit(ctx, order, opts, log_slack, slack_derivatives) -> EstimationRe
     infeasible).  ``slack_derivatives(pack, x)`` returns the gradient and
     Hessian of ``psi`` in ``x``, where ``pack`` maps ``x`` to GS parameters.
     Every inner round is :func:`_newton_ascent` with damped Newton steps
-    (Boyd & Vandenberghe, Convex Optimization, 11.3): the likelihood Hessian
-    is forward-differenced from its analytic gradient and the scale
-    barrier's curvature is exact.  The barriers keep every iterate strictly
-    feasible, hence positive definite.
+    (Boyd & Vandenberghe, Convex Optimization, 11.3).  The likelihood
+    gradient is one analytic pass per iteration, and its Hessian is exact:
+    :meth:`ProfiledObjective.joint_hessian`, whose cost does not grow with P
+    once the SCM table is built.  The scale stays a coordinate rather than
+    being maximized out as in ``pgd``: the eigenvalue barrier couples it
+    with the ratios, so it has no closed-form optimum there, and one driver
+    serves both constraint sets.  The scale barrier's curvature is exact
+    too.  The barriers keep every iterate strictly feasible, hence positive
+    definite.
     """
     opts = opts or BarrierOptions()
     p = ctx.p
-    if not 1 <= order <= p - 1:
-        raise ValueError(f"order must lie in [1, {p - 1}], got {order}")
+    prof = ProfiledObjective(ctx, order)  # checks the order
     support = tuple(range(order + 1))
     obj = GsObjective(ctx)
     is_complex = np.iscomplexobj(ctx.scm)
@@ -307,9 +320,6 @@ def _barrier_fit(ctx, order, opts, log_slack, slack_derivatives) -> EstimationRe
         rest = np.zeros(p - 1, dtype=coef.dtype)
         rest[:order] = coef
         return GsParams(x[0], rest)
-
-    def loglik_grad(x):
-        return _stacked(obj.gradient(pack(x), support))
 
     x = np.zeros(size)
     x[0] = max(1.0 / max(ctx.trace_scale, 1e-300), EPS0)  # white noise
@@ -332,11 +342,10 @@ def _barrier_fit(ctx, order, opts, log_slack, slack_derivatives) -> EstimationRe
             return base + mu * (np.log(x[0] - EPS0) + slack)
 
         def derivatives(x, mu=mu):
-            g_lik = loglik_grad(x)
             s_grad, s_hess = slack_derivatives(pack, x)
-            g = g_lik + mu * s_grad
+            g = _stacked(obj.gradient(pack(x), support)) + mu * s_grad
             g[0] += mu / (x[0] - EPS0)
-            hess = _fd_jacobian(loglik_grad, x, g_lik) + mu * s_hess
+            hess = prof.joint_hessian(x) + mu * s_hess
             hess[0, 0] -= mu / (x[0] - EPS0) ** 2
             return g, hess, float(np.linalg.norm(g))
 
@@ -366,29 +375,31 @@ def estimate_frob(
     """Interior-point fit under the Frobenius surrogate constraint.
 
     The barrier ``log(-c)`` keeps ``c = gain^2 - 1 + EPS_F`` strictly
-    negative.  Its gradient and Hessian come from the exact gradient of
+    negative.  At order w only the last w cross diagonals are nonzero, and
+    they read ``alpha_0..alpha_w`` alone, so ``c`` and its gradient are
+    evaluated on that (w+1)-term truncation at O(w^2) cost, whatever P.
+    The barrier's gradient and Hessian come from the exact gradient of
     ``c``: only the Hessian of ``c`` is forward-differenced, the singular
-    term ``-grad c grad c^T / c^2`` is exact.  One Newton iteration costs
-    ``order + 2`` O(P^2) passes of the likelihood gradient and of
-    ``frob_constraint`` (``2 order + 2`` for complex data).
+    term ``-grad c grad c^T / c^2`` is exact.
     """
 
-    def log_slack(a):
-        fval = frobenius_gain_sq(a) - 1.0 + EPS_F
-        return np.log(-fval) if fval < 0 else -np.inf
+    def head(a):  # the truncation: same gain, same gradient entries 0..order
+        return GsParams(a.alpha0, a.alpha_rest[:order])
 
-    support = range(order + 1)
+    def log_slack(a):
+        fval = frobenius_gain_sq(head(a)) - 1.0 + EPS_F
+        return np.log(-fval) if fval < 0 else -np.inf
 
     def slack_derivatives(pack, x):
         def c_grad(y):
-            return _stacked(frob_constraint(pack(y), support)[1])
+            return _stacked(frob_constraint(head(pack(y)))[1])
 
-        c, dc = frob_constraint(pack(x), support)
+        c, dc = frob_constraint(head(pack(x)))
         dc = _stacked(dc)
         return dc / c, _fd_jacobian(c_grad, x, dc) / c - np.outer(dc, dc) / c**2
 
     report = _barrier_fit(ctx, order, opts, log_slack, slack_derivatives)
-    report.extras["constraint_value"] = frobenius_gain_sq(report.alpha) - 1.0 + EPS_F
+    report.extras["constraint_value"] = frobenius_gain_sq(head(report.alpha)) - 1.0 + EPS_F
     return report
 
 
@@ -410,19 +421,21 @@ def estimate_eig(
 ) -> EstimationReport:
     """Interior-point fit under exact eigenvalue constraints.
 
-    The barrier is ``log det(Gamma - floor I)``.  Its gradient is
+    The barrier is ``log det(Gamma - floor I)``.  The floor bounds the
+    eigenvalues of the precision, so it is ``EPS_EIG`` over the SCM's trace
+    scale and rescales with the data.  The barrier's gradient is
     forward-differenced along each real coordinate and its Hessian is the
     forward-difference Jacobian of that gradient: ``(order + 2)^2`` Cholesky
     factorizations per Newton iteration, ``(2 order + 2)^2`` for complex
-    data.  Reference implementation for cross-validating the cheaper
-    constraint sets; refuses dimensions where that work is no longer
-    acceptable.
+    data; the likelihood's derivatives are exact, as in every barrier fit.
+    Reference implementation for cross-validating the cheaper constraint
+    sets; refuses dimensions where that work is no longer acceptable.
     """
     if ctx.p > EIG_DIM_LIMIT:
         raise ValueError(
             f"eigenvalue-constrained estimation limited to dimension {EIG_DIM_LIMIT}"
         )
-    floor = EPS_EIG * ctx.trace_scale
+    floor = EPS_EIG / ctx.trace_scale
 
     def slack_derivatives(pack, x):
         def slack_grad(y):

@@ -9,7 +9,8 @@ log-determinant comes from the step-down prediction errors, the trace term
 from the two corners.  A gradient entry costs O(w) more: the same corners
 of the implied covariance's table, built from its first max(support, w) + 1
 lags, taken from the value's step-down recursion.  :class:`ProfiledObjective`
-maximizes the scale out, with exact derivatives in the coefficient ratios.
+maximizes the scale out, with exact derivatives in the coefficient ratios,
+and gives the exact Hessian in the GS coordinates themselves.
 """
 
 from __future__ import annotations
@@ -252,6 +253,8 @@ class ProfiledObjective:
     term dropped on the floor), ``d_r h = tr(R d_r G)`` and ``d_rs h =
     -tr(R d_r G R d_s G) + tr(R d_rs G)`` for ``R = G^-1``, the Toeplitz
     matrix of lags 0..w of the unit-innovation AR autocovariance.
+    :meth:`joint_hessian` carries the same pieces to the Hessian of the
+    likelihood in ``(alpha_0, alpha_rest)``, the barrier fits' coordinates.
     """
 
     def __init__(self, ctx: LikelihoodContext, order: int):
@@ -301,9 +304,9 @@ class ProfiledObjective:
         _, _, q, a0, h, _ = self._terms(x)
         return self.p * np.log(a0) + h - a0 * q
 
-    def derivatives(self, x):
-        """Gradient and Hessian of ``L_c`` in ``x``."""
-        u, v, q, a0, _, steps = self._terms(x)
+    def _parts(self, x):
+        """``(grad h, hess h, grad q)`` in ``x``; ``hess q`` is constant."""
+        u, v, _, _, _, steps = self._terms(x)
         m = x.size
         grad_q = 2.0 * np.real(self._jac.conj().T @ (self._form[1:] @ v))
         lags = _autocov_lags(steps, self.order + 1)
@@ -312,12 +315,43 @@ class ProfiledObjective:
         half = self._d_b @ self._tri(v).conj().T - self._d_z @ z.conj().T
         d_g = half + half.conj().swapaxes(1, 2)  # d_r G
         r_dg = r @ d_g
-        grad = np.real(d_g.reshape(m, -1) @ r.T.ravel()) - a0 * grad_q  # tr(R d_r G)
+        grad_h = np.real(d_g.reshape(m, -1) @ r.T.ravel())  # tr(R d_r G)
         # tr(R d_r G R d_s G), and tr(R d_rs G) = 2 Re tr(R (d_r B d_s B^H - d_r Z d_s Z^H))
         second = r_dg.reshape(m, -1) @ r_dg.swapaxes(1, 2).reshape(m, -1).T
         curv = (r @ self._d_b).reshape(m, -1) @ self._d_b.reshape(m, -1).conj().T
         curv -= (r @ self._d_z).reshape(m, -1) @ self._d_z.reshape(m, -1).conj().T
-        hess = np.real(2.0 * curv - second) - a0 * self._hess_q
+        return grad_h, np.real(2.0 * curv - second), grad_q
+
+    def derivatives(self, x):
+        """Gradient and Hessian of ``L_c`` in ``x``."""
+        _, _, q, a0, _, _ = self._terms(x)
+        grad_h, hess_h, grad_q = self._parts(x)
+        hess = hess_h - a0 * self._hess_q
         if self.p / q >= EPS0:
             hess += a0**2 / self.p * np.outer(grad_q, grad_q)
-        return grad, hess
+        return grad_h - a0 * grad_q, hess
+
+    def joint_hessian(self, y):
+        """Hessian of the likelihood ``L = P log alpha_0 + h(u) - alpha_0 q(u)``
+        itself, scale not maximized out, in ``y = (alpha_0, alpha_0 x)``.
+
+        The Hessian in ``(alpha_0, x)`` is carried through ``x = y[1:] /
+        alpha_0`` by the chain rule: ``J^T H J`` for the Jacobian ``J`` of
+        that map, plus ``dL/dx`` times the map's own second derivatives.
+        """
+        a0 = y[0]
+        x = y[1:] / a0
+        grad_h, hess_h, grad_q = self._parts(x)
+        g = grad_h - a0 * grad_q  # dL/dx at fixed alpha_0
+        inner = np.empty((y.size, y.size))
+        inner[0, 0] = -self.p / a0**2
+        inner[0, 1:] = inner[1:, 0] = -grad_q
+        inner[1:, 1:] = hess_h - a0 * self._hess_q
+        jac = np.eye(y.size) / a0
+        jac[0, 0] = 1.0
+        jac[1:, 0] = -x / a0
+        hess = jac.T @ inner @ jac
+        hess[0, 0] += 2.0 * (g @ x) / a0**2
+        hess[0, 1:] -= g / a0**2
+        hess[1:, 0] -= g / a0**2
+        return hess

@@ -226,6 +226,26 @@ class TestFrobConstraint:
         _, sub = frob_constraint(alpha, support=[0, 3, 7])
         assert np.array_equal(sub, grad[[0, 3, 7]])
 
+    @pytest.mark.parametrize("complex_case", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("order", [1, 3, 6])
+    def test_order_sized_truncation(self, complex_case, order):
+        """At order w the gain and the gradient entries 0..w read alpha_0..alpha_w
+        alone: dimension P gives what the (w+1)-term truncation gives, up to
+        rounding (``np.dot`` groups its sum by position, so the leading zero
+        diagonals can move the last bit)."""
+        for p in (order + 1, 16, 128, 512):
+            for _ in range(5):
+                alpha = random_alpha(order + 1, scale=0.6 / order, complex_case=complex_case)
+                rest = np.zeros(p - 1, dtype=alpha.alpha_rest.dtype)
+                rest[:order] = alpha.alpha_rest
+                padded = GsParams(alpha.alpha0, rest)
+                gain = frobenius_gain_sq(alpha)
+                assert frobenius_gain_sq(padded) == pytest.approx(gain, rel=1e-15, abs=0)
+                val, grad = frob_constraint(padded, support=range(order + 1))
+                want_val, want = frob_constraint(alpha)
+                assert val == pytest.approx(want_val, rel=1e-15, abs=0)
+                assert np.abs(grad - want).max() <= 1e-15 * np.abs(want).max()
+
     def test_no_overflow_warning_far_outside(self):
         """Far from the feasible set the value is inf, not a numpy warning."""
         alpha = GsParams(1.0, np.array([1e3] * 6 + [0.0] * 121))

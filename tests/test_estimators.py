@@ -5,7 +5,7 @@ import pytest
 
 from toepcov.baselines import sample_cov
 from toepcov.constraints import EPS0, DEFAULT_FAMILIES, box_spec_for, spectral_pd_check
-from toepcov import bench
+from toepcov import bench, constraints, likelihood, toeplitz
 from toepcov.estimators import (
     BarrierOptions,
     EstimationReport,
@@ -166,6 +166,27 @@ class TestFrob:
         assert rep.iterations < opts.outer_iters * opts.inner_max_iter
         assert not rep.converged
 
+    def test_work_is_order_sized(self, monkeypatch):
+        """At P=512 the constraint runs on the order + 1 leading parameters
+        (``fib_seq`` only up to order - 1) and each Newton iteration makes at
+        most one likelihood gradient pass, plus one for the report."""
+        order = 6
+        fib_calls, grad_calls = [], []
+
+        def counted(fn, calls):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (constraints, toeplitz):
+            monkeypatch.setattr(module, "fib_seq", counted(toeplitz.fib_seq, fib_calls))
+        monkeypatch.setattr(likelihood, "_grad", counted(likelihood._grad, grad_calls))
+        rep = estimate_frob(ar1_data(p=512, n=32, seed=4).context(), order=order)
+        assert fib_calls and max(up_to for _, up_to in fib_calls) < order
+        assert len(grad_calls) <= rep.iterations + 1
+        assert spectral_pd_check(rep.alpha)
+
 
 class TestEig:
     def test_white_noise_optimum(self):
@@ -186,10 +207,31 @@ class TestEig:
         rep = estimate_eig(data.context(), order=2)
         assert spectral_pd_check(rep.alpha)
 
+    @pytest.mark.parametrize("factor", [1e-2, 1e2, 1e3])
+    def test_scale_equivariant(self, factor):
+        """The floor bounds the precision's eigenvalues, so it scales inversely
+        with the data's power; as a multiple of the SCM's trace scale it
+        exceeded the start's eigenvalues at x1e2 and the fit raised."""
+        data = ar1_data(p=16, n=32, seed=1)
+        base = estimate_eig(data.context(), order=2).cm().dense()
+        rep = estimate_eig(SampleSet(factor * data.samples).context(), order=2)
+        assert spectral_pd_check(rep.alpha)
+        assert np.abs(rep.cm().dense() / factor**2 - base).max() <= 1e-8 * np.abs(base).max()
+
     def test_dimension_guard(self):
         ctx = LikelihoodContext(np.eye(80), 8)
         with pytest.raises(ValueError):
             estimate_eig(ctx, order=1)
+
+
+@pytest.mark.parametrize("fit", [estimate_frob, estimate_eig], ids=["frob", "eig"])
+def test_start_on_scale_floor_fails_numerically(fit):
+    """Open: at x1e4 the barrier's white-noise start sits on the absolute scale
+    floor EPS0 and its scale barrier divides by zero.  Until the floor is
+    relative to the data, the fit fails as a numerical error, not as bad input."""
+    ctx = SampleSet(1e4 * ar1_data(p=16, n=32, seed=1).samples).context()
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+        fit(ctx, order=2)
 
 
 class TestPls:

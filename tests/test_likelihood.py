@@ -195,6 +195,28 @@ class TestProfiledObjective:
             assert np.abs(hess - fd_hess).max() <= 1e-7 * max(1.0, np.abs(fd_hess).max())
             assert np.allclose(hess, hess.T, rtol=0, atol=1e-12 * max(1.0, np.abs(hess).max()))
 
+    @pytest.mark.parametrize("complex_case", [False, True], ids=["real", "complex"])
+    def test_joint_hessian_matches_central_differences(self, complex_case):
+        """The barrier fits' exact likelihood Hessian in y = (alpha_0, Re a[, Im a])
+        against central differences of ``GsObjective.gradient``; symmetric."""
+        for p, order in [(3, 1), (3, 2), (16, 3), (16, 15), (128, 6)]:
+            ctx = random_context(p, complex_case=complex_case)
+            obj = GsObjective(ctx)
+            prof = ProfiledObjective(ctx, order)
+            y = np.append(rng.uniform(0.5, 2.5),
+                          rng.normal(size=order * (2 if complex_case else 1)) * 0.3 / order)
+
+            def gradient(y):
+                coef = y[1 : order + 1] + 1j * y[order + 1 :] if complex_case else y[1:]
+                alpha = GsParams(y[0], np.concatenate((coef, np.zeros(p - 1 - order))))
+                g = obj.gradient(alpha, range(order + 1))
+                return np.concatenate(([g[0].real], g[1:].real, g[1:].imag)) if complex_case else g
+
+            hess = prof.joint_hessian(y)
+            fd = self.central_differences(gradient, y).T
+            assert np.abs(hess - fd).max() <= 1e-7 * max(1.0, np.abs(fd).max())
+            assert np.allclose(hess, hess.T, rtol=0, atol=1e-12 * max(1.0, np.abs(hess).max()))
+
 
 class TestGradScaling:
     def test_quadratic_soft_bound(self):
