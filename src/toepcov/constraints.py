@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .toeplitz import GsParams, fib_seq
+from .toeplitz import GsParams, fib_seq, toeplitz_from_lags
 
 __all__ = [
     "EPS0",
@@ -36,7 +36,7 @@ __all__ = [
 # Positive-definiteness margins of the constraint sets, fixed as in the paper.
 EPS0 = 1e-6  # scale floor: alpha_0 >= EPS0
 EPS_F = 1e-4  # Frobenius margin: gain^2 <= 1 - EPS_F
-EPS_EIG = 1e-6  # floor on the precision's eigenvalues, over the trace scale of the SCM
+EPS_EIG = 1e-6  # floor on the eigenvalues of Gamma / alpha_0, the precision over its scale
 
 # Eigenvalue constraints cost O(P^3) per evaluation; refuse above this.
 EIG_DIM_LIMIT = 64
@@ -99,9 +99,7 @@ def spectral_pd_check(alpha: GsParams) -> bool:
     g = cross_diagonals(alpha)
     if not np.all(np.isfinite(g)):  # overflowed: far outside the PD set
         return False
-    i, j = np.indices((p, p))
-    lag = j - i
-    m = np.where(lag > 0, np.concatenate(([0.0], g))[np.clip(lag, 0, p - 1)], 0.0)
+    m = toeplitz_from_lags(np.concatenate((g[::-1], np.zeros(p))))  # strictly upper
     return bool(np.linalg.norm(m, 2) < 1.0)
 
 
@@ -115,11 +113,8 @@ def box_bound(k_vec) -> float:
     k_vec = np.atleast_1d(np.asarray(k_vec, dtype=float))
     if k_vec.size and k_vec.min() < 0:
         raise ValueError("box bounds must be componentwise nonnegative")
-    p = k_vec.size + 1
-    if p == 1:
-        return 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _gain_sq(np.convolve(k_vec[::-1], fib_seq(k_vec, p - 2))[: p - 1])
+    # the corner -K of the box drives the Fibonacci sequence with weights K
+    return frobenius_gain_sq(GsParams(1.0, -k_vec))
 
 
 @dataclass(frozen=True)

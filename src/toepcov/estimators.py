@@ -3,17 +3,19 @@
 Four fitting routes share one contract (the returned parameters always
 assemble to a positive definite matrix):
 
-* active-set projected Newton ascent inside certified box constraints, with
-  the scale maximized in closed form and exact derivatives,
-* log-barrier interior point with damped Newton steps and an exact
-  likelihood Hessian under the Frobenius surrogate constraint, evaluated
-  with its exact gradient on the order-sized truncation of the parameters,
-* the same barrier driver with exact eigenvalue constraints (small P only),
+* active-set projected Newton ascent inside certified box constraints,
+* log-barrier interior point under the Frobenius surrogate constraint,
+  evaluated with its exact gradient at order-sized cost,
+* log-barrier interior point under exact eigenvalue constraints (small P
+  only),
 * a closed-form conditional-likelihood least-squares fit projected onto the
   box.
 
-Both Newton fits share one active-set Newton loop with an eigenvalue-floored
-step and an Armijo backtracking line search.
+Every constraint set is a condition on the coefficient ratios
+``u = alpha_rest / alpha_0`` alone, so the first three are one Newton fit
+over ``u`` with the scale maximized in closed form and exact likelihood
+derivatives: one active-set Newton loop per barrier round, with an
+eigenvalue-floored step and an Armijo backtracking line search.
 
 Order selection (BIC) and bound-family selection wrappers sit on top.
 """
@@ -70,8 +72,9 @@ _ARMIJO_C1 = 1e-4
 _ARMIJO_MAX_BACKTRACKS = 40
 # Smallest curvature the Newton step may use, relative to the largest.
 _CURVATURE_FLOOR = 1e-8
-# Stop rules of both Newton fits: a step gains less than _REL_TOL max(1, |L|)
-# at a point whose (projected) gradient is below _STAT_TOL (1 + |L|).
+# Stop rule of every Newton round: a step gains less than _REL_TOL max(1, |f|)
+# at a point whose projected gradient is below _STAT_TOL (1 + |f|), where f is
+# the objective: the likelihood's gain over white noise, plus any barrier.
 _REL_TOL = 1e-8
 _STAT_TOL = 1e-5
 # Barrier weight of the first outer round and its factor per round.
@@ -183,6 +186,8 @@ def _line_search(evaluate, x, d, value, g, lo, hi):
     step = 1.0
     for _ in range(_ARMIJO_MAX_BACKTRACKS):
         x_new = np.clip(x + step * d, lo, hi)
+        if np.array_equal(x_new, x):  # the step vanished in rounding
+            return None
         cand_value = evaluate(x_new)
         gain = float(g @ (x_new - x))
         if cand_value > value and cand_value >= value + _ARMIJO_C1 * max(gain, 0.0):
@@ -197,7 +202,8 @@ def _newton_ascent(evaluate, derivatives, x, lo, hi, max_iter, trail=None):
     coordinates at a bound whose gradient points outward, takes a Newton
     step on the others, clips it to the box and halves it until the Armijo
     rule holds.  ``evaluate(x)`` is the objective (-inf where infeasible),
-    ``derivatives(x)`` its gradient, Hessian and a stationarity measure.
+    ``derivatives(x)`` its gradient and Hessian; stationarity is measured by
+    the gradient's projected mapping norm ``|clip(x + g) - x|``.
     Returns ``(x, iterations, converged)``; ``trail`` gets each ``(x, value)``.
     """
     value = evaluate(x)
@@ -205,8 +211,8 @@ def _newton_ascent(evaluate, derivatives, x, lo, hi, max_iter, trail=None):
         trail.append((x, value))
     iters = 0
     for iters in range(1, max_iter + 1):
-        g, hess, measure = derivatives(x)
-        stationary = measure < _STAT_TOL * (1.0 + abs(value))
+        g, hess = derivatives(x)
+        stationary = np.linalg.norm(np.clip(x + g, lo, hi) - x) < _STAT_TOL * (1.0 + abs(value))
         free = ~(((x <= lo) & (g <= 0)) | ((x >= hi) & (g >= 0)))
         if np.linalg.norm(g[free]) < 1e-14 * (1.0 + abs(value)):
             return x, iters, True
@@ -226,6 +232,77 @@ def _newton_ascent(evaluate, derivatives, x, lo, hi, max_iter, trail=None):
     return x, iters, False
 
 
+def _ratio_fit(ctx, order, max_iter, hi=None, slack=None, rounds=1,
+               trail=None) -> EstimationReport:
+    """Newton fit of every iterative GS estimator, over the coefficient ratios.
+
+    Maximizes ``L_c(u) + mu psi(u)`` over the real vector ``x`` of the ratios
+    ``u = alpha_rest / alpha_0`` (real, then imaginary parts), with the scale
+    maximized in closed form (:class:`ProfiledObjective`).  Each round is
+    :func:`_newton_ascent` inside ``[-hi, hi]`` (unbounded by default) from
+    where the last stopped, the first from white noise.  The likelihood
+    enters through :meth:`ProfiledObjective.gain`, whose rounding does not
+    grow with the data's scale, and its derivatives are exact.  Without a
+    ``slack`` there is no barrier (``mu = 0``).  With one, ``slack =
+    (log_slack, slack_derivatives)``: ``psi = log_slack(u)`` is a
+    constraint's log-slack (-inf when infeasible) and
+    ``slack_derivatives(ratios, x)`` its gradient and Hessian in ``x``, where
+    ``ratios`` maps ``x`` to ``u``; the weight ``mu`` starts at ``_MU0`` and
+    shrinks by ``_MU_SHRINK`` per round.  Every constraint set is a
+    condition on ``u`` alone, so the scale needs no barrier.  Loglik and
+    gradient norm come from :class:`GsObjective` at the end.
+    """
+    prof = ProfiledObjective(ctx, order)  # checks the order
+    if hi is None:
+        hi = np.full(2 * order if prof.is_complex else order, np.inf)
+    lo = -hi
+    log_slack, slack_derivatives = slack or (None, None)
+    mus = [_MU0 * _MU_SHRINK**k for k in range(rounds)] if slack else [0.0]
+
+    def value_at(x, mu):
+        try:
+            value = prof.gain(x)
+        except _INFEASIBLE:
+            return -np.inf
+        return value + mu * log_slack(prof.ratios(x)) if mu else value
+
+    def derivatives(x, mu):
+        g, hess = prof.derivatives(x)
+        if not mu:
+            return g, hess
+        s_grad, s_hess = slack_derivatives(prof.ratios, x)
+        return g + mu * s_grad, hess + mu * s_hess
+
+    x = np.zeros(hi.size)
+    total_iters = 0
+    converged = False
+    for mu in mus:
+        x, iters, converged = _newton_ascent(
+            lambda y, mu=mu: value_at(y, mu), lambda y, mu=mu: derivatives(y, mu),
+            x, lo, hi, max_iter, trail,
+        )
+        total_iters += iters
+    alpha = prof.params(x)
+    obj = GsObjective(ctx)
+    # the likelihood's mapping norm in (alpha_0, u); the scale entry differentiates along (1, u)
+    g = _stacked(obj.gradient(alpha, range(order + 1)))
+    head = np.append(alpha.alpha0, x)
+    step = np.append(g[0] + g[1:] @ x, g[1:])
+    moved = np.clip(head + step, np.append(EPS0, lo), np.append(np.inf, hi))
+    report = EstimationReport(
+        alpha=alpha,
+        order=order,
+        loglik=obj.value(alpha),
+        iterations=total_iters,
+        converged=converged,
+        grad_norm=float(np.linalg.norm(moved - head)),
+    )
+    if trail is not None:
+        report.extras["iterates"] = [prof.params(y) for y, _ in trail]
+        report.extras["objectives"] = [value for _, value in trail]
+    return report
+
+
 def estimate_pgd(
     ctx: LikelihoodContext,
     spec: BoxSpec,
@@ -236,135 +313,20 @@ def estimate_pgd(
 
     The box ``alpha_0 >= EPS0``, ``|alpha_i| <= K_i alpha_0`` is the scale
     floor times a fixed box on the ratios ``u_i = alpha_i / alpha_0`` (within
-    ``+-K_i``, or ``+-K_i / 2`` per part for complex data).  So the scale is
-    maximized in closed form (:class:`ProfiledObjective`), and
-    :func:`_newton_ascent` runs from white noise over the ratios alone (real
-    and imaginary parts stacked) with exact derivatives.  Every iterate lies
-    in the box, so the positive-definiteness certificate holds throughout.
-    Loglik and gradient norm come from :class:`GsObjective` at the end.
+    ``+-K_i``, or ``+-K_i / 2`` per part for complex data).  So
+    :func:`_ratio_fit` runs one round without a barrier, its Newton loop
+    projected onto that box.  Every iterate lies in the box, so the
+    positive-definiteness certificate holds throughout.
     """
     opts = opts or PgdOptions()
     if spec.dim != ctx.p:
         raise ValueError("box dimension does not match the context")
-    prof = ProfiledObjective(ctx, order)  # checks the order
-    hi = np.tile(spec.k[:order] / 2.0, 2) if prof.is_complex else spec.k[:order]
-    lo = -hi
-
-    def value_at(x):
-        try:
-            return prof.value(x)
-        except _INFEASIBLE:
-            return -np.inf
-
-    def derivatives(x):  # stationarity: the mapping norm of the gradient in alpha_i
-        g, hess = prof.derivatives(x)
-        return g, hess, np.linalg.norm(np.clip(x + g / prof.params(x).alpha0, lo, hi) - x)
-
+    k = spec.k[:order]
+    hi = np.tile(k / 2.0, 2) if np.iscomplexobj(ctx.scm) else k
     trail = [] if opts.track_iterates else None
-    x, iters, converged = _newton_ascent(
-        value_at, derivatives, np.zeros(hi.size), lo, hi, opts.max_iter, trail
-    )
-    alpha = prof.params(x)
-    obj = GsObjective(ctx)
-    # the same mapping norm in (alpha_0, u); the scale entry differentiates along (1, u)
-    g = _stacked(obj.gradient(alpha, range(order + 1)))
-    head = np.append(alpha.alpha0, x)
-    step = np.append(g[0] + g[1:] @ x, g[1:])
-    moved = np.clip(head + step, np.append(EPS0, lo), np.append(np.inf, hi))
-    report = EstimationReport(
-        alpha=alpha,
-        order=order,
-        loglik=obj.value(alpha),
-        iterations=iters,
-        converged=converged,
-        family_id=spec.family_id,
-        grad_norm=float(np.linalg.norm(moved - head)),
-    )
-    if trail is not None:
-        report.extras["iterates"] = [prof.params(y) for y, _ in trail]
-        report.extras["objectives"] = [value for _, value in trail]
+    report = _ratio_fit(ctx, order, opts.max_iter, hi, trail=trail)
+    report.family_id = spec.family_id
     return report
-
-
-def _barrier_fit(ctx, order, opts, log_slack, slack_derivatives) -> EstimationReport:
-    """Log-barrier interior-point fit shared by the constraint sets.
-
-    For a barrier weight ``mu`` shrinking by ``_MU_SHRINK`` per outer round,
-    maximizes ``L + mu (log(alpha_0 - EPS0) + psi)`` over the real vector
-    ``x = (alpha_0, Re a_1..a_order[, Im a_1..a_order])``, where
-    ``psi = log_slack(alpha)`` is the constraint's log-slack (-inf when
-    infeasible).  ``slack_derivatives(pack, x)`` returns the gradient and
-    Hessian of ``psi`` in ``x``, where ``pack`` maps ``x`` to GS parameters.
-    Every inner round is :func:`_newton_ascent` with damped Newton steps
-    (Boyd & Vandenberghe, Convex Optimization, 11.3).  The likelihood
-    gradient is one analytic pass per iteration, and its Hessian is exact:
-    :meth:`ProfiledObjective.joint_hessian`, whose cost does not grow with P
-    once the SCM table is built.  The scale stays a coordinate rather than
-    being maximized out as in ``pgd``: the eigenvalue barrier couples it
-    with the ratios, so it has no closed-form optimum there, and one driver
-    serves both constraint sets.  The scale barrier's curvature is exact
-    too.  The barriers keep every iterate strictly feasible, hence positive
-    definite.
-    """
-    opts = opts or BarrierOptions()
-    p = ctx.p
-    prof = ProfiledObjective(ctx, order)  # checks the order
-    support = tuple(range(order + 1))
-    obj = GsObjective(ctx)
-    is_complex = np.iscomplexobj(ctx.scm)
-    size = 2 * order + 1 if is_complex else order + 1
-    lo, hi = np.full(size, -np.inf), np.full(size, np.inf)
-
-    def pack(x):
-        coef = x[1 : order + 1] + 1j * x[order + 1 :] if is_complex else x[1:]
-        rest = np.zeros(p - 1, dtype=coef.dtype)
-        rest[:order] = coef
-        return GsParams(x[0], rest)
-
-    x = np.zeros(size)
-    x[0] = max(1.0 / max(ctx.trace_scale, 1e-300), EPS0)  # white noise
-    mu = _MU0
-    total_iters = 0
-    converged = False
-    for _ in range(opts.outer_iters):
-
-        def phi(x, mu=mu):
-            if x[0] <= EPS0:
-                return -np.inf
-            a = pack(x)
-            slack = log_slack(a)
-            if not np.isfinite(slack):
-                return -np.inf
-            try:
-                base = obj.value(a)
-            except _INFEASIBLE:
-                return -np.inf
-            return base + mu * (np.log(x[0] - EPS0) + slack)
-
-        def derivatives(x, mu=mu):
-            s_grad, s_hess = slack_derivatives(pack, x)
-            g = _stacked(obj.gradient(pack(x), support)) + mu * s_grad
-            g[0] += mu / (x[0] - EPS0)
-            hess = prof.joint_hessian(x) + mu * s_hess
-            hess[0, 0] -= mu / (x[0] - EPS0) ** 2
-            return g, hess, float(np.linalg.norm(g))
-
-        x, iters, converged = _newton_ascent(phi, derivatives, x, lo, hi, opts.inner_max_iter)
-        total_iters += iters
-        mu *= _MU_SHRINK
-    alpha = pack(x)
-    value = obj.value(alpha)
-    g = np.array(obj.gradient(alpha, support), copy=True)
-    if alpha.alpha0 <= EPS0 * (1.0 + 1e-9) and np.real(g[0]) < 0:
-        g[0] = 0.0
-    return EstimationReport(
-        alpha=alpha,
-        order=order,
-        loglik=value,
-        iterations=total_iters,
-        converged=converged,
-        grad_norm=float(np.linalg.norm(g)),
-    )
 
 
 def estimate_frob(
@@ -375,40 +337,44 @@ def estimate_frob(
     """Interior-point fit under the Frobenius surrogate constraint.
 
     The barrier ``log(-c)`` keeps ``c = gain^2 - 1 + EPS_F`` strictly
-    negative.  At order w only the last w cross diagonals are nonzero, and
-    they read ``alpha_0..alpha_w`` alone, so ``c`` and its gradient are
-    evaluated on that (w+1)-term truncation at O(w^2) cost, whatever P.
-    The barrier's gradient and Hessian come from the exact gradient of
-    ``c``: only the Hessian of ``c`` is forward-differenced, the singular
-    term ``-grad c grad c^T / c^2`` is exact.
+    negative.  The gain does not depend on the scale, so ``c`` is evaluated
+    at ``(1, u)``; at order w that (w+1)-term vector has the same gain as the
+    P-length parameters (only the last w cross diagonals are nonzero, and
+    they read ``alpha_0..alpha_w`` alone), so ``c`` and its exact gradient
+    cost O(w^2), whatever P.  Only the Hessian of ``c`` is
+    forward-differenced; the singular term ``-grad c grad c^T / c^2`` is
+    exact.  :func:`_ratio_fit` runs one damped Newton round per barrier
+    weight (Boyd & Vandenberghe, Convex Optimization, 11.3), so every
+    iterate is strictly feasible, hence positive definite.
     """
+    opts = opts or BarrierOptions()
 
-    def head(a):  # the truncation: same gain, same gradient entries 0..order
-        return GsParams(a.alpha0, a.alpha_rest[:order])
+    def constraint(u):
+        return frobenius_gain_sq(GsParams(1.0, u)) - 1.0 + EPS_F
 
-    def log_slack(a):
-        fval = frobenius_gain_sq(head(a)) - 1.0 + EPS_F
-        return np.log(-fval) if fval < 0 else -np.inf
+    def log_slack(u):
+        c = constraint(u)
+        return np.log(-c) if c < 0 else -np.inf
 
-    def slack_derivatives(pack, x):
+    def slack_derivatives(ratios, x):
         def c_grad(y):
-            return _stacked(frob_constraint(head(pack(y)))[1])
+            return _stacked(frob_constraint(GsParams(1.0, ratios(y)))[1])[1:]
 
-        c, dc = frob_constraint(head(pack(x)))
-        dc = _stacked(dc)
+        c, dc = frob_constraint(GsParams(1.0, ratios(x)))
+        dc = _stacked(dc)[1:]
         return dc / c, _fd_jacobian(c_grad, x, dc) / c - np.outer(dc, dc) / c**2
 
-    report = _barrier_fit(ctx, order, opts, log_slack, slack_derivatives)
-    report.extras["constraint_value"] = frobenius_gain_sq(head(report.alpha)) - 1.0 + EPS_F
+    report = _ratio_fit(ctx, order, opts.inner_max_iter, slack=(log_slack, slack_derivatives),
+                        rounds=opts.outer_iters)
+    alpha = report.alpha
+    report.extras["constraint_value"] = constraint(alpha.alpha_rest[:order] / alpha.alpha0)
     return report
 
 
-def _pd_slack_logdet(alpha: GsParams, floor: float):
-    """log det(assembled - floor * I), or -inf when not feasible."""
-    gam = gs_assemble(alpha)
-    shifted = gam - floor * np.eye(alpha.dim)
+def _pd_slack_logdet(gram: np.ndarray):
+    """log det(gram - EPS_EIG I), or -inf when not feasible."""
     try:
-        chol = np.linalg.cholesky(shifted)
+        chol = np.linalg.cholesky(gram - EPS_EIG * np.eye(gram.shape[0]))
     except np.linalg.LinAlgError:
         return -np.inf
     return 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
@@ -421,13 +387,14 @@ def estimate_eig(
 ) -> EstimationReport:
     """Interior-point fit under exact eigenvalue constraints.
 
-    The barrier is ``log det(Gamma - floor I)``.  The floor bounds the
-    eigenvalues of the precision, so it is ``EPS_EIG`` over the SCM's trace
-    scale and rescales with the data.  The barrier's gradient is
-    forward-differenced along each real coordinate and its Hessian is the
-    forward-difference Jacobian of that gradient: ``(order + 2)^2`` Cholesky
-    factorizations per Newton iteration, ``(2 order + 2)^2`` for complex
-    data; the likelihood's derivatives are exact, as in every barrier fit.
+    The barrier is ``log det(G - EPS_EIG I)`` for ``G = Gamma / alpha_0``,
+    the P-square GS assembly of ``(1, u)``: it keeps ``Gamma`` positive
+    definite and, like ``u``, does not change with the data's scale.  Its
+    gradient is forward-differenced along each entry of ``x`` and its Hessian
+    is the forward-difference Jacobian of that gradient: ``(order + 1)^2``
+    Cholesky factorizations per Newton iteration, ``(2 order + 1)^2`` for
+    complex data; the likelihood's derivatives are exact, as in every fit.
+    :func:`_ratio_fit` runs one damped Newton round per barrier weight.
     Reference implementation for cross-validating the cheaper constraint
     sets; refuses dimensions where that work is no longer acceptable.
     """
@@ -435,22 +402,27 @@ def estimate_eig(
         raise ValueError(
             f"eigenvalue-constrained estimation limited to dimension {EIG_DIM_LIMIT}"
         )
-    floor = EPS_EIG / ctx.trace_scale
+    opts = opts or BarrierOptions()
 
-    def slack_derivatives(pack, x):
+    def log_slack(u):
+        padded = np.concatenate((u, np.zeros(ctx.p - 1 - order)))
+        return _pd_slack_logdet(gs_assemble(GsParams(1.0, padded)))
+
+    def slack_derivatives(ratios, x):
         def slack_grad(y):
-            base = _pd_slack_logdet(pack(y), floor)
+            base = log_slack(ratios(y))
             out = np.empty(y.size)
             for j in range(y.size):
                 bumped = y.copy()
                 bumped[j] += 1e-7 * max(1.0, abs(y[j]))
-                out[j] = (_pd_slack_logdet(pack(bumped), floor) - base) / (bumped[j] - y[j])
+                out[j] = (log_slack(ratios(bumped)) - base) / (bumped[j] - y[j])
             return out
 
         g = slack_grad(x)
         return g, _fd_jacobian(slack_grad, x, g)
 
-    return _barrier_fit(ctx, order, opts, lambda a: _pd_slack_logdet(a, floor), slack_derivatives)
+    return _ratio_fit(ctx, order, opts.inner_max_iter, slack=(log_slack, slack_derivatives),
+                      rounds=opts.outer_iters)
 
 
 def _conditional_moments(scm: np.ndarray, order: int) -> np.ndarray:
@@ -598,9 +570,9 @@ def tune_box_family(
 def best_family_fit(reports) -> EstimationReport:
     """The highest log-likelihood fit among ``reports``, one per bound family.
 
-    A later family wins only by more than the Newton fits' stop tolerance
-    ``_REL_TOL max(1, |L|)``: smaller gaps are rounding noise, and ties keep
-    the earlier family.
+    A later family wins only by more than ``_REL_TOL max(1, |L|)``, the
+    Newton fits' relative stop tolerance: smaller gaps are rounding noise,
+    and ties keep the earlier family.
     """
     best = None
     for rep in reports:

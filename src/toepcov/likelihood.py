@@ -9,8 +9,8 @@ log-determinant comes from the step-down prediction errors, the trace term
 from the two corners.  A gradient entry costs O(w) more: the same corners
 of the implied covariance's table, built from its first max(support, w) + 1
 lags, taken from the value's step-down recursion.  :class:`ProfiledObjective`
-maximizes the scale out, with exact derivatives in the coefficient ratios,
-and gives the exact Hessian in the GS coordinates themselves.
+maximizes the scale out, with exact derivatives in the coefficient ratios;
+every iterative fit runs on it.
 """
 
 from __future__ import annotations
@@ -208,10 +208,11 @@ def _grad_dense(ctx, alpha, support):
 class GsObjective:
     """Log-likelihood objective with a tiny per-parameter evaluation cache.
 
-    Optimizers evaluate a point during line search and then ask for the
-    gradient at the accepted point; the cache keeps the last few ``(value,
-    tr(Gamma S), step-down output)``, so the gradient reuses the trace, the
-    stability check and the step-down recursion of its point.
+    No optimizer iterates on it (they run on :class:`ProfiledObjective`);
+    fit reports evaluate the value at their final parameters and then the
+    gradient there.  The cache keeps the last few ``(value, tr(Gamma S),
+    step-down output)``, so the gradient reuses the trace, the stability
+    check and the step-down recursion of its point.
     """
 
     _CACHE_SIZE = 4
@@ -253,8 +254,9 @@ class ProfiledObjective:
     term dropped on the floor), ``d_r h = tr(R d_r G)`` and ``d_rs h =
     -tr(R d_r G R d_s G) + tr(R d_rs G)`` for ``R = G^-1``, the Toeplitz
     matrix of lags 0..w of the unit-innovation AR autocovariance.
-    :meth:`joint_hessian` carries the same pieces to the Hessian of the
-    likelihood in ``(alpha_0, alpha_rest)``, the barrier fits' coordinates.
+    :meth:`gain` is ``L_c(x) - L_c(0)``, the increase over white noise: it
+    drops the ``-2 P log c`` that ``L_c`` carries at data scale ``c``, so its
+    rounding, and a fit that compares its values, do not depend on the scale.
     """
 
     def __init__(self, ctx: LikelihoodContext, order: int):
@@ -277,6 +279,8 @@ class ProfiledObjective:
         self._d_b = np.moveaxis(self._tri(np.vstack((pad, self._jac))), -1, 0)
         self._d_z = np.moveaxis(self._tri(np.vstack((pad, np.conj(self._jac[::-1])))), -1, 0)
         self._last = (None, None)
+        self._q0 = float(np.real(self._form[0, 0]))  # q and a* at white noise, x = 0
+        self._a0 = max(self.p / self._q0, EPS0)
 
     def _tri(self, col):
         """Lower triangular Toeplitz matrices with first columns ``col`` (axis 0)."""
@@ -286,13 +290,17 @@ class ProfiledObjective:
         """``(u, v, q, a*, h, step-down output)``; the last point is kept for
         the derivatives at the point a line search accepted."""
         if self._last[0] != x.tobytes():
-            u = self._jac @ x
+            u = self.ratios(x)
             v = np.append(1.0, u)
             q = float(np.real(np.vdot(v, self._form @ v)))
             steps = _step_down(-u, 1.0)
             h = -float(np.sum(np.log(steps[2][:-1])))
             self._last = (x.tobytes(), (u, v, q, max(self.p / q, EPS0), h, steps))
         return self._last[1]
+
+    def ratios(self, x) -> np.ndarray:
+        """The ratios ``u`` (complex for complex data) of the real vector ``x``."""
+        return self._jac @ x
 
     def params(self, x) -> GsParams:
         """GS parameters ``(a*, a* u)`` at ``x``, zero-padded."""
@@ -304,9 +312,14 @@ class ProfiledObjective:
         _, _, q, a0, h, _ = self._terms(x)
         return self.p * np.log(a0) + h - a0 * q
 
-    def _parts(self, x):
-        """``(grad h, hess h, grad q)`` in ``x``; ``hess q`` is constant."""
-        u, v, _, _, _, steps = self._terms(x)
+    def gain(self, x) -> float:
+        """``L_c(x) - L_c(0)``, as ``P log(a* / a*_0) + h - a* q + a*_0 q_0``."""
+        _, _, q, a0, h, _ = self._terms(x)
+        return self.p * np.log(a0 / self._a0) + h - a0 * q + self._a0 * self._q0
+
+    def derivatives(self, x):
+        """Gradient and Hessian of ``L_c`` in ``x``."""
+        u, v, q, a0, _, steps = self._terms(x)
         m = x.size
         grad_q = 2.0 * np.real(self._jac.conj().T @ (self._form[1:] @ v))
         lags = _autocov_lags(steps, self.order + 1)
@@ -320,38 +333,7 @@ class ProfiledObjective:
         second = r_dg.reshape(m, -1) @ r_dg.swapaxes(1, 2).reshape(m, -1).T
         curv = (r @ self._d_b).reshape(m, -1) @ self._d_b.reshape(m, -1).conj().T
         curv -= (r @ self._d_z).reshape(m, -1) @ self._d_z.reshape(m, -1).conj().T
-        return grad_h, np.real(2.0 * curv - second), grad_q
-
-    def derivatives(self, x):
-        """Gradient and Hessian of ``L_c`` in ``x``."""
-        _, _, q, a0, _, _ = self._terms(x)
-        grad_h, hess_h, grad_q = self._parts(x)
-        hess = hess_h - a0 * self._hess_q
+        hess = np.real(2.0 * curv - second) - a0 * self._hess_q
         if self.p / q >= EPS0:
             hess += a0**2 / self.p * np.outer(grad_q, grad_q)
         return grad_h - a0 * grad_q, hess
-
-    def joint_hessian(self, y):
-        """Hessian of the likelihood ``L = P log alpha_0 + h(u) - alpha_0 q(u)``
-        itself, scale not maximized out, in ``y = (alpha_0, alpha_0 x)``.
-
-        The Hessian in ``(alpha_0, x)`` is carried through ``x = y[1:] /
-        alpha_0`` by the chain rule: ``J^T H J`` for the Jacobian ``J`` of
-        that map, plus ``dL/dx`` times the map's own second derivatives.
-        """
-        a0 = y[0]
-        x = y[1:] / a0
-        grad_h, hess_h, grad_q = self._parts(x)
-        g = grad_h - a0 * grad_q  # dL/dx at fixed alpha_0
-        inner = np.empty((y.size, y.size))
-        inner[0, 0] = -self.p / a0**2
-        inner[0, 1:] = inner[1:, 0] = -grad_q
-        inner[1:, 1:] = hess_h - a0 * self._hess_q
-        jac = np.eye(y.size) / a0
-        jac[0, 0] = 1.0
-        jac[1:, 0] = -x / a0
-        hess = jac.T @ inner @ jac
-        hess[0, 0] += 2.0 * (g @ x) / a0**2
-        hess[0, 1:] -= g / a0**2
-        hess[1:, 0] -= g / a0**2
-        return hess

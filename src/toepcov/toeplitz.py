@@ -110,9 +110,7 @@ class LowerTriToeplitz:
 
     def dense(self) -> np.ndarray:
         d = self.first_col
-        i, j = np.indices((d.size, d.size))
-        lag = i - j
-        return np.where(lag >= 0, d[np.abs(lag)], np.zeros_like(d[0]))
+        return toeplitz_from_lags(np.concatenate((np.zeros(d.size - 1, dtype=d.dtype), d)))
 
 
 @dataclass(frozen=True)

@@ -196,26 +196,25 @@ class TestProfiledObjective:
             assert np.allclose(hess, hess.T, rtol=0, atol=1e-12 * max(1.0, np.abs(hess).max()))
 
     @pytest.mark.parametrize("complex_case", [False, True], ids=["real", "complex"])
-    def test_joint_hessian_matches_central_differences(self, complex_case):
-        """The barrier fits' exact likelihood Hessian in y = (alpha_0, Re a[, Im a])
-        against central differences of ``GsObjective.gradient``; symmetric."""
-        for p, order in [(3, 1), (3, 2), (16, 3), (16, 15), (128, 6)]:
-            ctx = random_context(p, complex_case=complex_case)
-            obj = GsObjective(ctx)
-            prof = ProfiledObjective(ctx, order)
-            y = np.append(rng.uniform(0.5, 2.5),
-                          rng.normal(size=order * (2 if complex_case else 1)) * 0.3 / order)
-
-            def gradient(y):
-                coef = y[1 : order + 1] + 1j * y[order + 1 :] if complex_case else y[1:]
-                alpha = GsParams(y[0], np.concatenate((coef, np.zeros(p - 1 - order))))
-                g = obj.gradient(alpha, range(order + 1))
-                return np.concatenate(([g[0].real], g[1:].real, g[1:].imag)) if complex_case else g
-
-            hess = prof.joint_hessian(y)
-            fd = self.central_differences(gradient, y).T
-            assert np.abs(hess - fd).max() <= 1e-7 * max(1.0, np.abs(fd).max())
-            assert np.allclose(hess, hess.T, rtol=0, atol=1e-12 * max(1.0, np.abs(hess).max()))
+    def test_gain_is_the_increase_over_white_noise(self, complex_case):
+        """``gain(x) = value(x) - value(0)``, and unlike the value (which moves
+        by ``-2 P log c``) it does not change when the data are scaled by c.
+        The data have power 0.5 per entry, so x1e3 stays off the floor EPS0."""
+        for p, order in self.CASES:
+            x = rng.normal(size=(6, p))
+            if complex_case:
+                x = (x + 1j * rng.normal(size=(6, p))) / np.sqrt(2)
+            x *= np.sqrt(0.5 * x.size / np.sum(np.abs(x) ** 2))
+            point = rng.normal(size=order * (2 if complex_case else 1)) * 0.3 / order
+            gains = []
+            for factor in (1.0, 1e-4, 1e-2, 1e2, 1e3):
+                prof = ProfiledObjective(LikelihoodContext(sample_cov(factor * x), 6), order)
+                assert prof.params(point).alpha0 > EPS0
+                value, gain = prof.value(point), prof.gain(point)
+                white = prof.value(np.zeros_like(point))
+                assert abs(gain - (value - white)) <= 1e-12 * (1 + abs(value))
+                gains.append(gain)
+            assert np.abs(np.array(gains) - gains[0]).max() <= 1e-12 * abs(gains[0])
 
 
 class TestGradScaling:
