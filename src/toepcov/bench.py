@@ -174,16 +174,12 @@ ESTIMATORS = {
                   lambda d: baselines.em_toeplitz(d.scm), _em_fit),
         _baseline("shrink_avg", False, "cubic (target build dominates)", *_shrinkage("avg")),
         _baseline("shrink_const", True, "quadratic", *_shrinkage("const")),
-        # one eig Newton iteration takes (order + 1)^2 Cholesky factorizations
-        # of the P-square slack ((2 order + 1)^2 for complex data); its
-        # likelihood derivatives are exact, as every GS fit's
-        _gs("eig", "cubic times the squared order per iteration (small dims)",
+        # one eig Newton iteration: one Cholesky factorization of the P-square
+        # slack, then P-square products per coefficient for exact derivatives
+        _gs("eig", "cubic times the order per iteration (small dims)",
             lambda c, w, spec: estimate_eig(c, order=w)),
-        # after the O(P^2) table of the SCM's diagonal sums, one frob Newton
-        # iteration takes pgd's exact likelihood derivatives (quartic in the
-        # order) and order + 1 constraint passes (2 order + 1 for complex
-        # data) on (1, u), u the order coefficient ratios, quadratic in the
-        # order each
+        # after the O(P^2) table of the SCM's diagonal sums, one frob Newton iteration takes
+        # its likelihood and constraint Hessians on (order + 1)-square GS factors, quartic in the order
         _gs("frob", "quadratic once (SCM diagonal sums), then quartic in the order per iteration",
             lambda c, w, spec: estimate_frob(c, order=w)),
         _gs("pgd", "quadratic once (SCM diagonal sums), then quartic in the order per iteration",

@@ -4,8 +4,7 @@ Four fitting routes share one contract (the returned parameters always
 assemble to a positive definite matrix):
 
 * active-set projected Newton ascent inside certified box constraints,
-* log-barrier interior point under the Frobenius surrogate constraint,
-  evaluated with its exact gradient at order-sized cost,
+* order-sized log-barrier interior point under the Frobenius surrogate,
 * log-barrier interior point under exact eigenvalue constraints (small P
   only),
 * a closed-form conditional-likelihood least-squares fit projected onto the
@@ -13,9 +12,10 @@ assemble to a positive definite matrix):
 
 Every constraint set is a condition on the coefficient ratios
 ``u = alpha_rest / alpha_0`` alone, so the first three are one Newton fit
-over ``u`` with the scale maximized in closed form and exact likelihood
-derivatives: one active-set Newton loop per barrier round, with an
-eigenvalue-floored step and an Armijo backtracking line search.
+over ``u`` with the scale maximized in closed form and exact derivatives
+(the likelihood's and both barriers' from one GS-factor kernel): one
+active-set Newton loop per barrier round, with an eigenvalue-floored step
+and an Armijo backtracking line search.
 
 Order selection (BIC) and bound-family selection wrappers sit on top.
 """
@@ -38,7 +38,7 @@ from .constraints import (
     frobenius_gain_sq,
     project_box,
 )
-from .likelihood import GsObjective, LikelihoodContext, ProfiledObjective
+from .likelihood import GsObjective, LikelihoodContext, ProfiledObjective, _GsFactors
 from .toeplitz import (
     GsParams,
     HermitianToeplitz,
@@ -146,21 +146,6 @@ def _stacked(g):
     return g
 
 
-def _fd_jacobian(fn, x, f0):
-    """Forward-difference Jacobian of ``fn`` (value ``f0`` at ``x``).
-
-    Only the constraint barriers use it: the Hessian of the Frobenius
-    constraint and the derivatives of the eigenvalue slack.  Likelihood
-    derivatives are all exact.
-    """
-    jac = np.empty((x.size, x.size))
-    for j in range(x.size):
-        probe = x.copy()
-        probe[j] += 1e-6 * max(1.0, abs(x[j]))
-        jac[:, j] = (fn(probe) - f0) / (probe[j] - x[j])
-    return jac
-
-
 def _newton_step(hess, g):
     """Newton ascent direction for gradient ``g`` and Hessian ``hess``.
 
@@ -237,26 +222,23 @@ def _ratio_fit(ctx, order, max_iter, hi=None, slack=None, rounds=1,
     """Newton fit of every iterative GS estimator, over the coefficient ratios.
 
     Maximizes ``L_c(u) + mu psi(u)`` over the real vector ``x`` of the ratios
-    ``u = alpha_rest / alpha_0`` (real, then imaginary parts), with the scale
-    maximized in closed form (:class:`ProfiledObjective`).  Each round is
+    ``u = alpha_rest / alpha_0`` (real, then imaginary parts), the scale
+    maximized in closed form (:class:`ProfiledObjective`, compared through
+    its scale-free :meth:`~ProfiledObjective.gain`).  Each round is
     :func:`_newton_ascent` inside ``[-hi, hi]`` (unbounded by default) from
-    where the last stopped, the first from white noise.  The likelihood
-    enters through :meth:`ProfiledObjective.gain`, whose rounding does not
-    grow with the data's scale, and its derivatives are exact.  Without a
-    ``slack`` there is no barrier (``mu = 0``).  With one, ``slack =
-    (log_slack, slack_derivatives)``: ``psi = log_slack(u)`` is a
-    constraint's log-slack (-inf when infeasible) and
-    ``slack_derivatives(ratios, x)`` its gradient and Hessian in ``x``, where
-    ``ratios`` maps ``x`` to ``u``; the weight ``mu`` starts at ``_MU0`` and
-    shrinks by ``_MU_SHRINK`` per round.  Every constraint set is a
-    condition on ``u`` alone, so the scale needs no barrier.  Loglik and
-    gradient norm come from :class:`GsObjective` at the end.
+    where the last stopped, the first from white noise.  Without a ``slack``
+    there is one round at ``mu = 0``.  With one, ``slack(prof)`` returns
+    ``(log_slack, slack_derivatives)`` for the objective ``prof``: ``psi =
+    log_slack(u)`` is a constraint's log-slack (-inf when infeasible) and
+    ``slack_derivatives(u)`` its exact gradient and Hessian in ``x``; ``mu``
+    starts at ``_MU0`` and shrinks by ``_MU_SHRINK`` per round.  Loglik and gradient norm come from
+    :class:`GsObjective` at the end.
     """
     prof = ProfiledObjective(ctx, order)  # checks the order
     if hi is None:
         hi = np.full(2 * order if prof.is_complex else order, np.inf)
     lo = -hi
-    log_slack, slack_derivatives = slack or (None, None)
+    log_slack, slack_derivatives = slack(prof) if slack else (None, None)
     mus = [_MU0 * _MU_SHRINK**k for k in range(rounds)] if slack else [0.0]
 
     def value_at(x, mu):
@@ -270,7 +252,7 @@ def _ratio_fit(ctx, order, max_iter, hi=None, slack=None, rounds=1,
         g, hess = prof.derivatives(x)
         if not mu:
             return g, hess
-        s_grad, s_hess = slack_derivatives(prof.ratios, x)
+        s_grad, s_hess = slack_derivatives(prof.ratios(x))
         return g + mu * s_grad, hess + mu * s_hess
 
     x = np.zeros(hi.size)
@@ -340,12 +322,11 @@ def estimate_frob(
     negative.  The gain does not depend on the scale, so ``c`` is evaluated
     at ``(1, u)``; at order w that (w+1)-term vector has the same gain as the
     P-length parameters (only the last w cross diagonals are nonzero, and
-    they read ``alpha_0..alpha_w`` alone), so ``c`` and its exact gradient
-    cost O(w^2), whatever P.  Only the Hessian of ``c`` is
-    forward-differenced; the singular term ``-grad c grad c^T / c^2`` is
-    exact.  :func:`_ratio_fit` runs one damped Newton round per barrier
-    weight (Boyd & Vandenberghe, Convex Optimization, 11.3), so every
-    iterate is strictly feasible, hence positive definite.
+    they read ``alpha_0..alpha_w`` alone).  So ``c``, its gradient and its
+    Hessian (on the likelihood's (w+1)-square GS factors) cost O(w^4) at
+    most, whatever P.  :func:`_ratio_fit` runs one damped Newton round per
+    barrier weight (Boyd & Vandenberghe, Convex Optimization, 11.3), so
+    every iterate is strictly feasible, hence positive definite.
     """
     opts = opts or BarrierOptions()
 
@@ -356,28 +337,18 @@ def estimate_frob(
         c = constraint(u)
         return np.log(-c) if c < 0 else -np.inf
 
-    def slack_derivatives(ratios, x):
-        def c_grad(y):
-            return _stacked(frob_constraint(GsParams(1.0, ratios(y)))[1])[1:]
+    def slack(prof):
+        def slack_derivatives(u):
+            c, dc = frob_constraint(GsParams(1.0, u))
+            dc = _stacked(dc)[1:]
+            return dc / c, prof.factors.gain_hessian(u) / c - np.outer(dc, dc) / c**2
 
-        c, dc = frob_constraint(GsParams(1.0, ratios(x)))
-        dc = _stacked(dc)[1:]
-        return dc / c, _fd_jacobian(c_grad, x, dc) / c - np.outer(dc, dc) / c**2
+        return log_slack, slack_derivatives
 
-    report = _ratio_fit(ctx, order, opts.inner_max_iter, slack=(log_slack, slack_derivatives),
-                        rounds=opts.outer_iters)
+    report = _ratio_fit(ctx, order, opts.inner_max_iter, slack=slack, rounds=opts.outer_iters)
     alpha = report.alpha
     report.extras["constraint_value"] = constraint(alpha.alpha_rest[:order] / alpha.alpha0)
     return report
-
-
-def _pd_slack_logdet(gram: np.ndarray):
-    """log det(gram - EPS_EIG I), or -inf when not feasible."""
-    try:
-        chol = np.linalg.cholesky(gram - EPS_EIG * np.eye(gram.shape[0]))
-    except np.linalg.LinAlgError:
-        return -np.inf
-    return 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
 
 
 def estimate_eig(
@@ -390,39 +361,37 @@ def estimate_eig(
     The barrier is ``log det(G - EPS_EIG I)`` for ``G = Gamma / alpha_0``,
     the P-square GS assembly of ``(1, u)``: it keeps ``Gamma`` positive
     definite and, like ``u``, does not change with the data's scale.  Its
-    gradient is forward-differenced along each entry of ``x`` and its Hessian
-    is the forward-difference Jacobian of that gradient: ``(order + 1)^2``
-    Cholesky factorizations per Newton iteration, ``(2 order + 1)^2`` for
-    complex data; the likelihood's derivatives are exact, as in every fit.
-    :func:`_ratio_fit` runs one damped Newton round per barrier weight.
-    Reference implementation for cross-validating the cheaper constraint
-    sets; refuses dimensions where that work is no longer acceptable.
+    exact gradient and Hessian take one Cholesky factorization per Newton
+    iteration and the likelihood's log-determinant formulas on P-square GS
+    factors, O(order P^3).  :func:`_ratio_fit` runs one damped Newton round
+    per barrier weight.  Reference implementation for cross-validating the
+    cheaper constraint sets; refuses dimensions where that work is no longer
+    acceptable.
     """
     if ctx.p > EIG_DIM_LIMIT:
-        raise ValueError(
-            f"eigenvalue-constrained estimation limited to dimension {EIG_DIM_LIMIT}"
-        )
+        raise ValueError(f"eigenvalue-constrained estimation limited to dimension {EIG_DIM_LIMIT}")
     opts = opts or BarrierOptions()
 
+    def cholesky(u):  # of G - EPS_EIG I; raises LinAlgError where it is not positive definite
+        gram = gs_assemble(GsParams(1.0, np.concatenate((u, np.zeros(ctx.p - 1 - order)))))
+        return np.linalg.cholesky(gram - EPS_EIG * np.eye(ctx.p))
+
     def log_slack(u):
-        padded = np.concatenate((u, np.zeros(ctx.p - 1 - order)))
-        return _pd_slack_logdet(gs_assemble(GsParams(1.0, padded)))
+        try:
+            return 2.0 * float(np.sum(np.log(np.real(np.diag(cholesky(u))))))
+        except np.linalg.LinAlgError:
+            return -np.inf
 
-    def slack_derivatives(ratios, x):
-        def slack_grad(y):
-            base = log_slack(ratios(y))
-            out = np.empty(y.size)
-            for j in range(y.size):
-                bumped = y.copy()
-                bumped[j] += 1e-7 * max(1.0, abs(y[j]))
-                out[j] = (log_slack(ratios(bumped)) - base) / (bumped[j] - y[j])
-            return out
+    def slack(prof):
+        factors = _GsFactors(ctx.p, order, prof.is_complex)
 
-        g = slack_grad(x)
-        return g, _fd_jacobian(slack_grad, x, g)
+        def slack_derivatives(u):
+            inv = np.linalg.inv(cholesky(u))
+            return factors.logdet_derivatives(u, inv.conj().T @ inv)
 
-    return _ratio_fit(ctx, order, opts.inner_max_iter, slack=(log_slack, slack_derivatives),
-                      rounds=opts.outer_iters)
+        return log_slack, slack_derivatives
+
+    return _ratio_fit(ctx, order, opts.inner_max_iter, slack=slack, rounds=opts.outer_iters)
 
 
 def _conditional_moments(scm: np.ndarray, order: int) -> np.ndarray:

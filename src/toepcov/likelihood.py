@@ -239,6 +239,62 @@ class GsObjective:
         return _grad(self.ctx, alpha, self._lookup(alpha), support)
 
 
+class _GsFactors:
+    """Derivatives through the n-square GS assembly ``G = B B^H - Z Z^H`` of
+    ``(1, u)``, in the real vector ``x`` of the order-w ratios ``u = J x``
+    (``J = jac``; real, then imaginary parts).  ``B`` and ``Z`` are lower
+    triangular Toeplitz with first columns ``(1, u, 0, ..., 0)`` and ``(0,
+    ..., 0, conj(u_w), ..., conj(u_1))``, so their derivatives ``d_r B``,
+    ``d_r Z`` are constant.  n = w + 1 serves the likelihood and the
+    Frobenius gain, n = P the eigenvalue barrier.
+    """
+
+    def __init__(self, n: int, order: int, is_complex: bool):
+        eye = np.eye(order)
+        self.jac = jac = np.hstack((eye, 1j * eye)) if is_complex else eye
+        self._pad = n - order  # the zeros that lead Z's first column
+        i, j = np.indices((n, n))
+        self._lower = np.where(i >= j, i - j, n)  # picks a triangular Toeplitz from its first column
+        self.d_b = np.moveaxis(self._tri(np.eye(n, order, -1) @ jac), -1, 0)
+        self.d_z = np.moveaxis(self._tri(np.eye(n, order, -self._pad) @ np.conj(jac[::-1])), -1, 0)
+
+    def _tri(self, col):
+        """Lower triangular Toeplitz matrices with first columns ``col`` (axis 0)."""
+        return np.concatenate((col, np.zeros_like(col[:1])))[self._lower]
+
+    def factors(self, u):
+        """``(B, Z)`` at the ratios ``u``."""
+        b = self._tri(np.concatenate(([1.0], u, np.zeros(self._pad - 1))))
+        return b, self._tri(np.concatenate((np.zeros(self._pad), np.conj(u[::-1]))))
+
+    def logdet_derivatives(self, u, r):
+        """Gradient and Hessian in ``x`` of ``log det(G - c I)``, any constant ``c``, from
+        ``R = (G - c I)^-1``: ``tr(R d_r G)`` and ``-tr(R d_r G R d_s G) + 2 Re tr(R (d_r B
+        d_s B^H - d_r Z d_s Z^H))`` (Boyd & Vandenberghe, Convex Optimization, A.4)."""
+        m = self.d_b.shape[0]
+        b, z = self.factors(u)
+        half = self.d_b @ b.conj().T - self.d_z @ z.conj().T
+        d_g = half + half.conj().swapaxes(1, 2)  # d_r G
+        r_dg = r @ d_g
+        second = r_dg.reshape(m, -1) @ r_dg.swapaxes(1, 2).reshape(m, -1).T
+        curv = (r @ self.d_b).reshape(m, -1) @ self.d_b.reshape(m, -1).conj().T
+        curv -= (r @ self.d_z).reshape(m, -1) @ self.d_z.reshape(m, -1).conj().T
+        return np.real(d_g.reshape(m, -1) @ r.T.ravel()), np.real(2.0 * curv - second)
+
+    def gain_hessian(self, u):
+        """Hessian in ``x`` of ``|M|_F^2``, ``M = B^-1 Z`` (the squared Frobenius
+        gain of ``(1, u)`` at n = w + 1): with ``N_r = d_r M = B^-1 (d_r Z -
+        d_r B M)``, ``2 Re tr(N_r N_s^H - (B^-1 d_s B N_r + B^-1 d_r B N_s) M^H)``."""
+        m = self.d_b.shape[0]
+        b, z = self.factors(u)
+        b_inv = np.linalg.inv(b)
+        mm = b_inv @ z
+        p_b = b_inv @ self.d_b  # B^-1 d_r B
+        nn = b_inv @ self.d_z - p_b @ mm  # N_r
+        cross = p_b.reshape(m, -1) @ (nn @ mm.conj().T).swapaxes(1, 2).reshape(m, -1).T
+        return 2.0 * np.real(nn.reshape(m, -1) @ nn.reshape(m, -1).conj().T - cross - cross.T)
+
+
 class ProfiledObjective:
     """Order-w log-likelihood with the scale maximized out in closed form.
 
@@ -246,17 +302,16 @@ class ProfiledObjective:
     (real, then imaginary parts for complex data).  With ``v = (1, u)``,
     ``tr(Gamma S) = alpha_0 q`` for a quadratic form ``q = v^H K v`` on the
     SCM table's corners, and ``log det Gamma = P log alpha_0 + h`` with
-    ``h = log det G`` for the (w+1)-square GS assembly ``G = B B^H - Z Z^H``
-    of ``v``.  The best scale ``a* = max(P / q, EPS0)`` leaves the exact
-    concentrated AR(w) likelihood (Box, Jenkins & Reinsel)
-    ``L_c = P log a* + h - a* q``, with ``grad L_c = grad h - a* grad q``,
-    ``hess L_c = hess h - a* hess q + (a*^2 / P) grad q grad q^T`` (the last
-    term dropped on the floor), ``d_r h = tr(R d_r G)`` and ``d_rs h =
-    -tr(R d_r G R d_s G) + tr(R d_rs G)`` for ``R = G^-1``, the Toeplitz
-    matrix of lags 0..w of the unit-innovation AR autocovariance.
-    :meth:`gain` is ``L_c(x) - L_c(0)``, the increase over white noise: it
-    drops the ``-2 P log c`` that ``L_c`` carries at data scale ``c``, so its
-    rounding, and a fit that compares its values, do not depend on the scale.
+    ``h = log det G`` for the (w+1)-square GS assembly ``G`` of ``v``
+    (``factors``).  The best scale ``a* = max(P / q, EPS0)`` leaves the exact
+    concentrated AR(w) likelihood (Box, Jenkins & Reinsel) ``L_c = P log a* +
+    h - a* q``, with ``grad L_c = grad h - a* grad q`` and ``hess L_c = hess h
+    - a* hess q + (a*^2 / P) grad q grad q^T`` (the last term dropped on the
+    floor); ``R = G^-1`` is the Toeplitz matrix of lags 0..w of the
+    unit-innovation AR autocovariance.  :meth:`gain` is ``L_c(x) - L_c(0)``,
+    the increase over white noise: it drops the ``-2 P log c`` that ``L_c``
+    carries at data scale ``c``, so its rounding, and a fit that compares its
+    values, do not depend on the scale.
     """
 
     def __init__(self, ctx: LikelihoodContext, order: int):
@@ -265,26 +320,14 @@ class ProfiledObjective:
         table = ctx.scm_sums.table
         self.p, self.order, w = ctx.p, order, order
         self.is_complex = np.iscomplexobj(table)
-        eye = np.eye(w)
-        self._jac = np.hstack((eye, 1j * eye)) if self.is_complex else eye  # du/dx
+        self.factors = _GsFactors(w + 1, w, self.is_complex)  # its jac is du/dx
         # K: v^H K v = v^H T[:w+1, :w+1] v - z^H T[P-w:, P-w:] z, z = conj(u reversed)
         self._form = table[: w + 1, : w + 1].copy()
         self._form[1:, 1:] -= np.conj(table[-w:, -w:][::-1, ::-1])
-        self._hess_q = 2.0 * np.real(self._jac.conj().T @ self._form[1:, 1:] @ self._jac)
-        # B, Z and their derivatives along x are lower triangular Toeplitz,
-        # picked from their first columns by one index
-        i, j = np.indices((w + 1, w + 1))
-        self._lower = np.where(i >= j, i - j, w + 1)
-        pad = np.zeros((1, self._jac.shape[1]))
-        self._d_b = np.moveaxis(self._tri(np.vstack((pad, self._jac))), -1, 0)
-        self._d_z = np.moveaxis(self._tri(np.vstack((pad, np.conj(self._jac[::-1])))), -1, 0)
+        self._hess_q = 2.0 * np.real(self.factors.jac.conj().T @ self._form[1:, 1:] @ self.factors.jac)
         self._last = (None, None)
         self._q0 = float(np.real(self._form[0, 0]))  # q and a* at white noise, x = 0
         self._a0 = max(self.p / self._q0, EPS0)
-
-    def _tri(self, col):
-        """Lower triangular Toeplitz matrices with first columns ``col`` (axis 0)."""
-        return np.concatenate((col, np.zeros_like(col[:1])))[self._lower]
 
     def _terms(self, x):
         """``(u, v, q, a*, h, step-down output)``; the last point is kept for
@@ -300,7 +343,7 @@ class ProfiledObjective:
 
     def ratios(self, x) -> np.ndarray:
         """The ratios ``u`` (complex for complex data) of the real vector ``x``."""
-        return self._jac @ x
+        return self.factors.jac @ x
 
     def params(self, x) -> GsParams:
         """GS parameters ``(a*, a* u)`` at ``x``, zero-padded."""
@@ -320,20 +363,11 @@ class ProfiledObjective:
     def derivatives(self, x):
         """Gradient and Hessian of ``L_c`` in ``x``."""
         u, v, q, a0, _, steps = self._terms(x)
-        m = x.size
-        grad_q = 2.0 * np.real(self._jac.conj().T @ (self._form[1:] @ v))
+        grad_q = 2.0 * np.real(self.factors.jac.conj().T @ (self._form[1:] @ v))
         lags = _autocov_lags(steps, self.order + 1)
         r = toeplitz_from_lags(np.concatenate((np.conj(lags[:0:-1]), lags)))
-        z = self._tri(np.append(0.0, np.conj(u[::-1])))
-        half = self._d_b @ self._tri(v).conj().T - self._d_z @ z.conj().T
-        d_g = half + half.conj().swapaxes(1, 2)  # d_r G
-        r_dg = r @ d_g
-        grad_h = np.real(d_g.reshape(m, -1) @ r.T.ravel())  # tr(R d_r G)
-        # tr(R d_r G R d_s G), and tr(R d_rs G) = 2 Re tr(R (d_r B d_s B^H - d_r Z d_s Z^H))
-        second = r_dg.reshape(m, -1) @ r_dg.swapaxes(1, 2).reshape(m, -1).T
-        curv = (r @ self._d_b).reshape(m, -1) @ self._d_b.reshape(m, -1).conj().T
-        curv -= (r @ self._d_z).reshape(m, -1) @ self._d_z.reshape(m, -1).conj().T
-        hess = np.real(2.0 * curv - second) - a0 * self._hess_q
+        grad_h, hess_h = self.factors.logdet_derivatives(u, r)
+        hess = hess_h - a0 * self._hess_q
         if self.p / q >= EPS0:
             hess += a0**2 / self.p * np.outer(grad_q, grad_q)
         return grad_h - a0 * grad_q, hess

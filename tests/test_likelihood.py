@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from toepcov.baselines import sample_cov
-from toepcov.constraints import EPS0
+from toepcov.constraints import EPS0, EPS_EIG, frob_constraint
 from toepcov.likelihood import (
     DegenerateDataError,
     GsObjective,
     LikelihoodContext,
     ProfiledObjective,
     SampleSet,
+    _GsFactors,
     grad,
     loglik,
 )
@@ -215,6 +216,64 @@ class TestProfiledObjective:
                 assert abs(gain - (value - white)) <= 1e-12 * (1 + abs(value))
                 gains.append(gain)
             assert np.abs(np.array(gains) - gains[0]).max() <= 1e-12 * abs(gains[0])
+
+
+class TestGsFactors:
+    """The GS-factor kernel against central differences, in the real vector
+    x of the ratios u (real, then imaginary parts)."""
+
+    @staticmethod
+    def point(factors):
+        return rng.normal(size=factors.jac.shape[1]) * 0.3 / factors.jac.shape[0]
+
+    @staticmethod
+    def assert_matches(got, fn, x, h=1e-5):
+        want = TestProfiledObjective.central_differences(fn, x, h)
+        assert np.abs(got - want).max() <= 1e-7 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("complex_case", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("order", [1, 3, 6])
+    def test_eigenvalue_barrier(self, order, complex_case):
+        """At n = P, gradient and Hessian of log det(G - EPS_EIG I) for the
+        P-square assembly G of (1, u, 0, ..., 0)."""
+        p = 16
+        factors = _GsFactors(p, order, complex_case)
+        jac = factors.jac
+
+        def slack_matrix(x):
+            padded = np.concatenate((jac @ x, np.zeros(p - 1 - order)))
+            return gs_assemble(GsParams(1.0, padded)) - EPS_EIG * np.eye(p)
+
+        def logdet(x):
+            sign, value = np.linalg.slogdet(slack_matrix(x))
+            assert sign > 0
+            return value
+
+        def derivatives(x):
+            return factors.logdet_derivatives(jac @ x, np.linalg.inv(slack_matrix(x)))
+
+        x = self.point(factors)
+        g, hess = derivatives(x)
+        self.assert_matches(g, logdet, x)
+        self.assert_matches(hess, lambda y: derivatives(y)[0], x)
+        assert np.allclose(hess, hess.T, rtol=0, atol=1e-12 * np.abs(hess).max())
+
+    @pytest.mark.parametrize("complex_case", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("order", [1, 3, 6])
+    def test_frobenius_gain_hessian(self, order, complex_case):
+        """At n = w + 1, the Hessian of the squared Frobenius gain of (1, u)
+        against differences of ``frob_constraint``'s exact gradient."""
+        factors = _GsFactors(order + 1, order, complex_case)
+        jac = factors.jac
+
+        def gain_grad(x):
+            g = frob_constraint(GsParams(1.0, jac @ x))[1][1:]
+            return np.concatenate((g.real, g.imag)) if complex_case else g
+
+        x = self.point(factors)
+        hess = factors.gain_hessian(jac @ x)
+        self.assert_matches(hess, gain_grad, x)
+        assert np.allclose(hess, hess.T, rtol=0, atol=1e-12 * np.abs(hess).max())
 
 
 class TestGradScaling:
