@@ -18,7 +18,6 @@ from .baselines import (
 )
 from .constraints import (
     DEFAULT_FAMILIES,
-    EPS0,
     EPS_EIG,
     EPS_F,
     BoxSpec,

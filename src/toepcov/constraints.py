@@ -16,7 +16,6 @@ import numpy as np
 from .toeplitz import GsParams, fib_seq, toeplitz_from_lags
 
 __all__ = [
-    "EPS0",
     "EPS_F",
     "EPS_EIG",
     "BoxSpec",
@@ -34,7 +33,7 @@ __all__ = [
 ]
 
 # Positive-definiteness margins of the constraint sets, fixed as in the paper.
-EPS0 = 1e-6  # scale floor: alpha_0 >= EPS0
+# Both bound the ratios alpha_rest / alpha_0; the scale alpha_0 needs none.
 EPS_F = 1e-4  # Frobenius margin: gain^2 <= 1 - EPS_F
 EPS_EIG = 1e-6  # floor on the eigenvalues of Gamma / alpha_0, the precision over its scale
 
@@ -234,13 +233,13 @@ def box_spec_for(family: FunctionFamily, p: int) -> BoxSpec:
 def project_box(alpha: GsParams, spec: BoxSpec) -> GsParams:
     """Project GS parameters onto the box (O(P), idempotent).
 
-    The scale is clamped to its floor first; each trailing coefficient is
-    then clamped to ``[-K_i a_0, K_i a_0]``.  Complex coefficients have real
-    and imaginary parts clamped separately to half the bound each.
+    The scale stays as it is; each trailing coefficient is clamped to
+    ``[-K_i a_0, K_i a_0]``.  Complex coefficients have real and imaginary
+    parts clamped separately to half the bound each.
     """
     if spec.dim != alpha.dim:
         raise ValueError("box dimension does not match parameters")
-    a0 = max(alpha.alpha0, EPS0)
+    a0 = alpha.alpha0
     rest = alpha.alpha_rest
     lim = spec.k * a0
     if np.iscomplexobj(rest):

@@ -29,7 +29,6 @@ import numpy as np
 from .constraints import (
     DEFAULT_FAMILIES,
     EIG_DIM_LIMIT,
-    EPS0,
     EPS_EIG,
     EPS_F,
     BoxSpec,
@@ -122,19 +121,14 @@ class BarrierOptions:
 def white_noise_report(ctx: LikelihoodContext) -> EstimationReport:
     """Closed-form order-zero fit: inverse of the average diagonal power."""
     trace = ctx.trace_scale * ctx.p
-    a0 = max(ctx.p / max(trace, 1e-300), EPS0)
-    alpha = GsParams(a0, np.zeros(ctx.p - 1))
-    value = ctx.p * np.log(a0) - a0 * trace
-    g0 = ctx.p / a0 - trace
-    if a0 <= EPS0 * (1.0 + 1e-9) and g0 < 0:
-        g0 = 0.0
+    a0 = ctx.p / trace
     return EstimationReport(
-        alpha=alpha,
+        alpha=GsParams(a0, np.zeros(ctx.p - 1)),
         order=0,
-        loglik=float(value),
+        loglik=float(ctx.p * np.log(a0) - a0 * trace),
         iterations=0,
         converged=True,
-        grad_norm=abs(g0),
+        grad_norm=abs(ctx.p / a0 - trace),
     )
 
 
@@ -266,18 +260,17 @@ def _ratio_fit(ctx, order, max_iter, hi=None, slack=None, rounds=1,
         total_iters += iters
     alpha = prof.params(x)
     obj = GsObjective(ctx)
-    # the likelihood's mapping norm in (alpha_0, u); the scale entry differentiates along (1, u)
+    # the likelihood's mapping norm in (alpha_0, u): the scale entry differentiates
+    # along (1, u) and has no bound
     g = _stacked(obj.gradient(alpha, range(order + 1)))
-    head = np.append(alpha.alpha0, x)
-    step = np.append(g[0] + g[1:] @ x, g[1:])
-    moved = np.clip(head + step, np.append(EPS0, lo), np.append(np.inf, hi))
+    step_u = np.clip(x + g[1:], lo, hi) - x
     report = EstimationReport(
         alpha=alpha,
         order=order,
         loglik=obj.value(alpha),
         iterations=total_iters,
         converged=converged,
-        grad_norm=float(np.linalg.norm(moved - head)),
+        grad_norm=float(np.hypot(g[0] + g[1:] @ x, np.linalg.norm(step_u))),
     )
     if trail is not None:
         report.extras["iterates"] = [prof.params(y) for y, _ in trail]
@@ -293,12 +286,12 @@ def estimate_pgd(
 ) -> EstimationReport:
     """Active-set projected Newton ascent on the likelihood inside the box.
 
-    The box ``alpha_0 >= EPS0``, ``|alpha_i| <= K_i alpha_0`` is the scale
-    floor times a fixed box on the ratios ``u_i = alpha_i / alpha_0`` (within
-    ``+-K_i``, or ``+-K_i / 2`` per part for complex data).  So
-    :func:`_ratio_fit` runs one round without a barrier, its Newton loop
-    projected onto that box.  Every iterate lies in the box, so the
-    positive-definiteness certificate holds throughout.
+    The box ``|alpha_i| <= K_i alpha_0`` is a fixed box on the ratios ``u_i
+    = alpha_i / alpha_0`` (within ``+-K_i``, or ``+-K_i / 2`` per part for
+    complex data) and leaves the scale free.  So :func:`_ratio_fit` runs one
+    round without a barrier, its Newton loop projected onto that box.  Every
+    iterate lies in the box, so the positive-definiteness certificate holds
+    throughout.
     """
     opts = opts or PgdOptions()
     if spec.dim != ctx.p:
@@ -448,7 +441,7 @@ def estimate_pls(
         a_hat = np.zeros(0, dtype=ctx.scm.dtype)
         resid = np.real(st[0, 0])
     sigma2 = resid / (p - order)
-    floor = 1e-12 * max(ctx.trace_scale, 1e-300)
+    floor = 1e-12 * ctx.trace_scale
     if sigma2 < floor:
         sigma2 = floor
         extras["variance_floored"] = True

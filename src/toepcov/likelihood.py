@@ -20,9 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from .baselines import sample_cov
-from .constraints import EPS0
 from .toeplitz import (
     GsParams,
+    NotPositiveDefiniteError,
     PartialDiagSums,
     _autocov_lags,
     _step_down,
@@ -206,31 +206,24 @@ def _grad_dense(ctx, alpha, support):
 
 
 class GsObjective:
-    """Log-likelihood objective with a tiny per-parameter evaluation cache.
+    """Log-likelihood objective that keeps its last evaluation.
 
     No optimizer iterates on it (they run on :class:`ProfiledObjective`);
     fit reports evaluate the value at their final parameters and then the
-    gradient there.  The cache keeps the last few ``(value, tr(Gamma S),
-    step-down output)``, so the gradient reuses the trace, the stability
-    check and the step-down recursion of its point.
+    gradient there, which reuses that point's ``(value, tr(Gamma S),
+    step-down output)``: the trace, the stability check and the step-down
+    recursion.
     """
-
-    _CACHE_SIZE = 4
 
     def __init__(self, ctx: LikelihoodContext):
         self.ctx = ctx
-        self._cache: list = []
+        self._last = (None, None)
 
     def _lookup(self, alpha: GsParams):
         key = (alpha.alpha0, alpha.alpha_rest.tobytes())
-        for k, found in self._cache:
-            if k == key:
-                return found
-        found = _evaluate(self.ctx, alpha)
-        self._cache.append((key, found))
-        if len(self._cache) > self._CACHE_SIZE:
-            self._cache.pop(0)
-        return found
+        if self._last[0] != key:
+            self._last = (key, _evaluate(self.ctx, alpha))
+        return self._last[1]
 
     def value(self, alpha: GsParams) -> float:
         return self._lookup(alpha)[0]
@@ -303,15 +296,17 @@ class ProfiledObjective:
     ``tr(Gamma S) = alpha_0 q`` for a quadratic form ``q = v^H K v`` on the
     SCM table's corners, and ``log det Gamma = P log alpha_0 + h`` with
     ``h = log det G`` for the (w+1)-square GS assembly ``G`` of ``v``
-    (``factors``).  The best scale ``a* = max(P / q, EPS0)`` leaves the exact
+    (``factors``).  The best scale ``a* = P / q`` leaves the exact
     concentrated AR(w) likelihood (Box, Jenkins & Reinsel) ``L_c = P log a* +
     h - a* q``, with ``grad L_c = grad h - a* grad q`` and ``hess L_c = hess h
-    - a* hess q + (a*^2 / P) grad q grad q^T`` (the last term dropped on the
-    floor); ``R = G^-1`` is the Toeplitz matrix of lags 0..w of the
-    unit-innovation AR autocovariance.  :meth:`gain` is ``L_c(x) - L_c(0)``,
-    the increase over white noise: it drops the ``-2 P log c`` that ``L_c``
-    carries at data scale ``c``, so its rounding, and a fit that compares its
-    values, do not depend on the scale.
+    - a* hess q + (a*^2 / P) grad q grad q^T``; ``R = G^-1`` is the Toeplitz
+    matrix of lags 0..w of the unit-innovation AR autocovariance.  ``q > 0``
+    wherever ``G`` is positive definite and the SCM positive semidefinite;
+    ``q <= 0`` (an SCM that is not, where ``L_c`` is unbounded in the scale)
+    counts as infeasible.  :meth:`gain` is ``L_c(x) - L_c(0)``, the increase
+    over white noise: it drops the ``-2 P log c`` that ``L_c`` carries at
+    data scale ``c``, so its rounding, and a fit that compares its values,
+    do not depend on the scale.
     """
 
     def __init__(self, ctx: LikelihoodContext, order: int):
@@ -327,7 +322,7 @@ class ProfiledObjective:
         self._hess_q = 2.0 * np.real(self.factors.jac.conj().T @ self._form[1:, 1:] @ self.factors.jac)
         self._last = (None, None)
         self._q0 = float(np.real(self._form[0, 0]))  # q and a* at white noise, x = 0
-        self._a0 = max(self.p / self._q0, EPS0)
+        self._a0 = self.p / self._q0
 
     def _terms(self, x):
         """``(u, v, q, a*, h, step-down output)``; the last point is kept for
@@ -336,9 +331,11 @@ class ProfiledObjective:
             u = self.ratios(x)
             v = np.append(1.0, u)
             q = float(np.real(np.vdot(v, self._form @ v)))
+            if not q > 0:
+                raise NotPositiveDefiniteError(f"tr(Gamma S) / alpha_0 = {q:.6g} is not positive")
             steps = _step_down(-u, 1.0)
             h = -float(np.sum(np.log(steps[2][:-1])))
-            self._last = (x.tobytes(), (u, v, q, max(self.p / q, EPS0), h, steps))
+            self._last = (x.tobytes(), (u, v, q, self.p / q, h, steps))
         return self._last[1]
 
     def ratios(self, x) -> np.ndarray:
@@ -351,7 +348,7 @@ class ProfiledObjective:
         return GsParams(a0, np.concatenate((a0 * u, np.zeros(self.p - 1 - self.order))))
 
     def value(self, x) -> float:
-        """``L_c`` at ``x``; raises where ``G`` is not positive definite."""
+        """``L_c`` at ``x``; raises where ``G`` is not positive definite or ``q <= 0``."""
         _, _, q, a0, h, _ = self._terms(x)
         return self.p * np.log(a0) + h - a0 * q
 
@@ -362,12 +359,10 @@ class ProfiledObjective:
 
     def derivatives(self, x):
         """Gradient and Hessian of ``L_c`` in ``x``."""
-        u, v, q, a0, _, steps = self._terms(x)
+        u, v, _, a0, _, steps = self._terms(x)
         grad_q = 2.0 * np.real(self.factors.jac.conj().T @ (self._form[1:] @ v))
         lags = _autocov_lags(steps, self.order + 1)
         r = toeplitz_from_lags(np.concatenate((np.conj(lags[:0:-1]), lags)))
         grad_h, hess_h = self.factors.logdet_derivatives(u, r)
-        hess = hess_h - a0 * self._hess_q
-        if self.p / q >= EPS0:
-            hess += a0**2 / self.p * np.outer(grad_q, grad_q)
+        hess = hess_h - a0 * self._hess_q + a0**2 / self.p * np.outer(grad_q, grad_q)
         return grad_h - a0 * grad_q, hess

@@ -219,6 +219,19 @@ class TestCli:
         report = json.loads(out.read_text())
         assert report["order"] == 2
 
+    def test_estimate_is_scale_free(self, tmp_path):
+        """Samples x1e4 get the unit-scale order and family and c^2 times its
+        precision scale (the absolute floor alpha_0 >= 1e-6 gave order 10)."""
+        data = sample(ProcessSpec("ar", 16, a=(0.5,), sigma2=0.64), 32, 1)
+        _, _, unit, fit = ESTIMATORS["pgd"].tuned(data)
+        samples = tmp_path / "x.csv"
+        np.savetxt(samples, 1e4 * data.samples, delimiter=",")
+        out = tmp_path / "report.json"
+        assert main(["estimate", "--input", str(samples), "--estimator", "pgd", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert (report["order"], report["family_id"]) == (unit["order"], unit["family"]) == (1, "exp-0.6")
+        assert report["alpha0"] * 1e8 == pytest.approx(fit.alpha.alpha0, rel=1e-8)
+
     def test_estimate_baseline(self, tmp_path):
         samples = tmp_path / "x.csv"
         write_samples(samples)

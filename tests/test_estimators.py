@@ -1,11 +1,11 @@
+import functools
 import itertools
-import warnings
 
 import numpy as np
 import pytest
 
 from toepcov.baselines import sample_cov
-from toepcov.constraints import EPS0, DEFAULT_FAMILIES, box_spec_for, spectral_pd_check
+from toepcov.constraints import DEFAULT_FAMILIES, box_spec_for, spectral_pd_check
 from toepcov import bench, constraints, estimators, likelihood, toeplitz
 from toepcov.estimators import (
     BarrierOptions,
@@ -95,14 +95,15 @@ class TestPgd:
 
     @pytest.mark.parametrize("order", [1, 3])
     def test_scale_profiled_exactly(self, order, spec16):
-        """Off the floor alpha_0 is the exact best scale for the fitted
-        ratios: the gradient along the scale direction (alpha_0..alpha_w)
-        vanishes to rounding, and so does its alpha_0 entry when no ratio
-        sits on a bound."""
-        for complex_case, seed in itertools.product((False, True), range(6)):
-            ctx = (complex_ar1_data(seed=seed) if complex_case else ar1_data(seed=seed)).context()
+        """alpha_0 is the exact best scale for the fitted ratios, at unit
+        scale and at x1e4 (whose best scale lay below the old absolute floor
+        1e-6): the gradient along the scale direction (alpha_0..alpha_w)
+        vanishes to rounding, and so does the derivative in log alpha_0 when
+        no ratio sits on a bound."""
+        for complex_case, seed, factor in itertools.product((False, True), range(6), (1.0, 1e4)):
+            data = complex_ar1_data(seed=seed) if complex_case else ar1_data(seed=seed)
+            ctx = SampleSet(factor * data.samples).context()
             rep = estimate_pgd(ctx, spec16, order)
-            assert rep.alpha.alpha0 > EPS0
             head = rep.alpha.full[: order + 1]
             g = grad(ctx, rep.alpha, range(order + 1))
             tol = 1 + abs(rep.loglik)
@@ -110,7 +111,7 @@ class TestPgd:
             lim = spec16.k[:order] / (2 if complex_case else 1) * (1 - 1e-12)
             ratios = head[1:] / head[0]
             if np.all(np.abs(ratios.real) < lim) and np.all(np.abs(ratios.imag) < lim):
-                assert abs(g[0]) < 1e-7 * tol
+                assert abs(g[0]) * head[0].real < 1e-7 * tol
 
     def test_iteration_cap_reported(self, spec16):
         """A fit stopped by max_iter before it converged says so."""
@@ -232,40 +233,68 @@ class TestEig:
             estimate_eig(ctx, order=1)
 
 
-@pytest.mark.parametrize("factor", [1e-4, 1e-2, 1e2, 1e3])
-@pytest.mark.parametrize("fit", [estimate_frob, estimate_eig], ids=["frob", "eig"])
-def test_scale_equivariant(fit, factor):
-    """Both constraints are conditions on the ratios u, so data scaled by c
-    give c^2 times the covariance, for real and complex data.  An eigenvalue
-    floor proportional to the data's power exceeded the start's eigenvalues
-    at x1e2; absolute difference steps in alpha_0 and stop rules on the
+SCALE_DATA = ar1_data(p=16, n=32, seed=1)  # AR(1) a=0.5, sigma2=0.64
+
+
+def _scale_fits(spec16):
+    return {
+        "pgd": lambda ctx: estimate_pgd(ctx, spec16, 2),
+        "pls": lambda ctx: estimate_pls(ctx, spec16, order=2),
+        "frob": lambda ctx: estimate_frob(ctx, order=2),
+        "eig": lambda ctx: estimate_eig(ctx, order=2),
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_scale_cm(name, complex_case):
+    samples = SCALE_DATA.samples
+    if complex_case:
+        samples = samples + 0.5j * np.random.default_rng(5).standard_normal(samples.shape)
+    fit = _scale_fits(box_spec_for(DEFAULT_FAMILIES[1], 16))[name]
+    return samples, fit(SampleSet(samples).context()).cm().dense()
+
+
+@pytest.mark.parametrize("factor", [1e-6, 1e-4, 1e-2, 1e2, 1e3, 1e4, 1e6])
+@pytest.mark.parametrize("name", ["pgd", "pls", "frob", "eig"])
+def test_scale_equivariant(name, factor, spec16):
+    """Every constraint (the box, the Frobenius and eigenvalue barriers) is a
+    condition on the ratios u and the scale is maximized in closed form with
+    no floor, so data scaled by c give c^2 times the covariance, for real
+    and complex data.  An absolute floor alpha_0 >= 1e-6 held every fit at
+    1e-6 from x1e4 up (98% covariance error); an eigenvalue floor
+    proportional to the data's power exceeded the start's eigenvalues at
+    x1e2; absolute difference steps in alpha_0 and stop rules on the
     scale-dependent likelihood left frob and eig 1e-5 off at x1e-4, and
     finite-difference barrier derivatives left complex eig 1.1e-8 off."""
-    real = ar1_data(p=16, n=32, seed=1).samples
-    for samples in (real, real + 0.5j * np.random.default_rng(5).standard_normal(real.shape)):
-        base = fit(SampleSet(samples).context(), order=2).cm().dense()
-        rep = fit(SampleSet(factor * samples).context(), order=2)
+    for complex_case in (False, True):
+        samples, base = _unit_scale_cm(name, complex_case)
+        rep = _scale_fits(spec16)[name](SampleSet(factor * samples).context())
         assert spectral_pd_check(rep.alpha)
         assert np.abs(rep.cm().dense() / factor**2 - base).max() <= 1e-8 * np.abs(base).max()
 
 
-@pytest.mark.parametrize("name", ["pgd", "frob", "eig"])
-def test_on_absolute_scale_floor(name, spec16):
-    """Open: at x1e4 the best scale lies below the absolute floor EPS0, so
-    every Newton fit returns alpha_0 == EPS0, far from the best scale; but
-    its output is positive definite and no RuntimeWarning leaks.  (A barrier
-    on the scale itself divided by zero here.)"""
-    ctx = SampleSet(1e4 * ar1_data(p=16, n=32, seed=1).samples).context()
-    fits = {
-        "pgd": lambda: estimate_pgd(ctx, spec16, 2),
-        "frob": lambda: estimate_frob(ctx, order=2),
-        "eig": lambda: estimate_eig(ctx, order=2),
-    }
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        rep = fits[name]()
-    assert rep.alpha.alpha0 == EPS0
-    assert spectral_pd_check(rep.alpha)
+@pytest.mark.parametrize("name", ["pgd", "pls", "frob"])
+def test_tuned_choice_does_not_depend_on_scale(name):
+    """BIC tuning at x1e4 picks the unit-scale order and family (order 1,
+    exp-0.6 for the box fits).  With the absolute floor alpha_0 >= 1e-6 it
+    picked order 10, 7 (exp-1.4) and 14 for pgd, pls and frob."""
+    tuned = bench.ESTIMATORS[name].tuned
+    _, _, unit, _ = tuned(SCALE_DATA)
+    _, _, large, _ = tuned(SampleSet(1e4 * SCALE_DATA.samples))
+    assert (large["order"], large["family"]) == (unit["order"], unit["family"])
+    assert unit["order"] == 1
+
+
+def test_not_psd_input_stays_feasible():
+    """An SCM that is not positive semidefinite leaves the likelihood
+    unbounded in the scale: tr(Gamma S) / alpha_0 reaches zero inside the
+    box.  The fits treat that as infeasible and return a positive definite
+    estimate without a RuntimeWarning (the floored scale max(P / q, 1e-6)
+    raised ZeroDivisionError here)."""
+    ctx = LikelihoodContext(np.array([[1.0, 2.0], [2.0, 1.0]]), 5)
+    for rep in (estimate_pgd(ctx, box_spec_for(DEFAULT_FAMILIES[1], 2), 1), estimate_frob(ctx, order=1)):
+        assert spectral_pd_check(rep.alpha)
+        assert np.isfinite(rep.loglik)
 
 
 class TestPls:
