@@ -69,7 +69,6 @@ from .toeplitz import (
     toeplitz_logdet,
     trace_general_tri_shift,
     trace_toep_tri_shift,
-    tri_toeplitz_inverse,
 )
 
 __version__ = "0.1.0"

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -299,8 +302,10 @@ def derive_seed(base: int, point, p: int, n: int, run: int) -> int:
     return (base ^ int.from_bytes(digest[:8], "big")) & 0x7FFFFFFFFFFFFFFF
 
 
-def _run_cell(config: ExperimentConfig, point, p: int, n: int, run: int):
-    """All estimators on one shared dataset; returns per-estimator records."""
+def _run_cell(config: ExperimentConfig, task):
+    """All estimators on one shared dataset, ``task = ((point, p, n), run)``;
+    returns per-estimator records."""
+    (point, p, n), run = task
     spec = config.process_spec(point, p)
     seed = derive_seed(config.seed, point, p, n, run)
     data = sample(spec, n, seed)
@@ -363,32 +368,16 @@ def run_benchmark(config: ExperimentConfig, out_dir: str, svg: bool = False, wor
     identical configs produce identical bytes.
     """
     os.makedirs(out_dir, exist_ok=True)
-    cells = [
-        (pi, point, di, p, ni, n)
-        for pi, point in enumerate(config.points)
-        for di, p in enumerate(config.dims)
-        for ni, n in enumerate(config.sample_counts)
-    ]
+    cells = list(itertools.product(config.points, config.dims, config.sample_counts))
     tasks = [(cell, run) for cell in cells for run in range(config.runs)]
     workers = worker_count() if workers is None else max(1, workers)
-    results: dict = {}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = {}
-            for cell, run in tasks:
-                pi, point, di, p, ni, n = cell
-                futs[(cell, run)] = pool.submit(_run_cell, config, point, p, n, run)
-            for key, fut in futs.items():
-                results[key] = fut.result()
-    else:
-        for cell, run in tasks:
-            pi, point, di, p, ni, n = cell
-            results[(cell, run)] = _run_cell(config, point, p, n, run)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = dict(zip(tasks, (pool.map if pool else map)(partial(_run_cell, config), tasks)))
 
     rows = []
     detail = []
     for cell in cells:
-        pi, point, di, p, ni, n = cell
+        point, p, n = cell
         per_run = [results[(cell, run)] for run in range(config.runs)]
         for name in config.estimators:
             recs = [
@@ -506,7 +495,8 @@ def _axis_index(config, row, axis):
 # -- timing ------------------------------------------------------------------
 
 
-def timing_benchmark(dims, estimator_names, n: int = 64, reps: int = 5, seed: int = 2024):
+def timing_benchmark(dims=(64, 128, 256), estimator_names=("pgd", "pls", "banding", "em"),
+                     n: int = 64, reps: int = 5, seed: int = 2024):
     """Median wall time of one estimate per estimator and dimension.
 
     Hyperparameter tuning and the sample covariance computation are outside

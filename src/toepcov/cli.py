@@ -50,8 +50,8 @@ def _build_parser() -> _Parser:
 
     tim = sub.add_parser("timing", help="measure per-estimate wall time across dimensions")
     tim.add_argument("--config", default=None, help="optional config with a [timing] section")
-    tim.add_argument("--runs", type=int, default=5, help="repetitions per measurement")
-    tim.add_argument("--seed", type=int, default=2024)
+    tim.add_argument("--runs", type=int, default=None, help="override the repetitions per measurement")
+    tim.add_argument("--seed", type=int, default=None, help="override the base seed")
     tim.add_argument("--out", default="timing.csv")
 
     sub.add_parser("list-estimators", help="print the estimator registry")
@@ -164,23 +164,26 @@ def _cmd_benchmark(args) -> int:
     return 0
 
 
+# [timing] keys: the bench.timing_benchmark argument each sets, and its type.
+_TIMING_KEYS = (
+    ("dims", "dims", lambda dims: tuple(int(d) for d in dims)),
+    ("estimators", "estimator_names", tuple),
+    ("reps", "reps", int),
+    ("sample_count", "n", int),
+    ("seed", "seed", int),
+)
+
+
 def _cmd_timing(args) -> int:
-    dims = (64, 128, 256)
-    names = ("pgd", "pls", "banding", "em")
-    reps = args.runs
-    n = 64
-    seed = args.seed
-    if args.config:
-        timing = _load_sections(args.config).get("timing", {})
-        dims = tuple(int(d) for d in timing.get("dims", dims))
-        names = tuple(timing.get("estimators", names))
-        reps = int(timing.get("reps", reps))
-        n = int(timing.get("sample_count", n))
-        seed = int(timing.get("seed", seed))
-    for name in names:
+    """Flags override the config's [timing] section, which overrides the
+    defaults of :func:`bench.timing_benchmark`, as for ``benchmark``."""
+    timing = _load_sections(args.config).get("timing", {}) if args.config else {}
+    kwargs = {arg: cast(timing[key]) for key, arg, cast in _TIMING_KEYS if key in timing}
+    kwargs.update((arg, flag) for arg, flag in (("reps", args.runs), ("seed", args.seed)) if flag is not None)
+    for name in kwargs.get("estimator_names", ()):
         if name not in bench.ESTIMATORS:
             raise _UsageError(f"unknown estimator {name!r}")
-    rows = bench.timing_benchmark(dims, names, n=n, reps=reps, seed=seed)
+    rows = bench.timing_benchmark(**kwargs)
     bench.write_timing_csv(rows, args.out)
     for row in rows:
         sys.stdout.write(

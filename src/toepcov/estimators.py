@@ -37,7 +37,7 @@ from .constraints import (
     frobenius_gain_sq,
     project_box,
 )
-from .likelihood import GsObjective, LikelihoodContext, ProfiledObjective, _GsFactors
+from .likelihood import GsObjective, LikelihoodContext, _GsFactors, loglik
 from .toeplitz import (
     GsParams,
     HermitianToeplitz,
@@ -85,7 +85,13 @@ _PATIENCE = 5
 
 @dataclass
 class EstimationReport:
-    """Result of one estimator run; the GS parameters are canonical."""
+    """Result of one estimator run; the GS parameters are canonical.
+
+    ``grad_norm`` is the stationarity measure of the fitted likelihood: for
+    the Newton fits, its projected gradient mapping norm in the coefficient
+    ratios (the scale is maximized out); for the white-noise fit, the
+    derivative in the scale; NaN for the closed-form ``pls`` fit.
+    """
 
     alpha: GsParams
     order: int
@@ -130,14 +136,6 @@ def white_noise_report(ctx: LikelihoodContext) -> EstimationReport:
         converged=True,
         grad_norm=abs(ctx.p / a0 - trace),
     )
-
-
-def _stacked(g):
-    """Packed gradient ``(d/d alpha_0, d/dRe + i d/dIm, ...)`` as a real
-    vector: the scale entry, then the real parts, then the imaginary parts."""
-    if np.iscomplexobj(g):
-        return np.concatenate(([g[0].real], g[1:].real, g[1:].imag))
-    return g
 
 
 def _newton_step(hess, g):
@@ -217,18 +215,21 @@ def _ratio_fit(ctx, order, max_iter, hi=None, slack=None, rounds=1,
 
     Maximizes ``L_c(u) + mu psi(u)`` over the real vector ``x`` of the ratios
     ``u = alpha_rest / alpha_0`` (real, then imaginary parts), the scale
-    maximized in closed form (:class:`ProfiledObjective`, compared through
-    its scale-free :meth:`~ProfiledObjective.gain`).  Each round is
+    maximized in closed form (:class:`GsObjective`, compared through its
+    scale-free :meth:`~GsObjective.value`).  Each round is
     :func:`_newton_ascent` inside ``[-hi, hi]`` (unbounded by default) from
     where the last stopped, the first from white noise.  Without a ``slack``
     there is one round at ``mu = 0``.  With one, ``slack(prof)`` returns
     ``(log_slack, slack_derivatives)`` for the objective ``prof``: ``psi =
     log_slack(u)`` is a constraint's log-slack (-inf when infeasible) and
     ``slack_derivatives(u)`` its exact gradient and Hessian in ``x``; ``mu``
-    starts at ``_MU0`` and shrinks by ``_MU_SHRINK`` per round.  Loglik and gradient norm come from
-    :class:`GsObjective` at the end.
+    starts at ``_MU0`` and shrinks by ``_MU_SHRINK`` per round.  The report
+    reads the objective it maximized: ``loglik`` is ``L_c`` and ``grad_norm``
+    the likelihood's mapping norm ``|clip(x + g) - x|`` in ``x``, barrier
+    left out.  The scale is maximized out, so the likelihood's derivative
+    along ``(1, u)`` is zero and needs no entry.
     """
-    prof = ProfiledObjective(ctx, order)  # checks the order
+    prof = GsObjective(ctx, order)  # checks the order
     if hi is None:
         hi = np.full(2 * order if prof.is_complex else order, np.inf)
     lo = -hi
@@ -237,13 +238,13 @@ def _ratio_fit(ctx, order, max_iter, hi=None, slack=None, rounds=1,
 
     def value_at(x, mu):
         try:
-            value = prof.gain(x)
+            value = prof.value(x)
         except _INFEASIBLE:
             return -np.inf
         return value + mu * log_slack(prof.ratios(x)) if mu else value
 
     def derivatives(x, mu):
-        g, hess = prof.derivatives(x)
+        g, hess = prof.gradient(x)
         if not mu:
             return g, hess
         s_grad, s_hess = slack_derivatives(prof.ratios(x))
@@ -258,19 +259,14 @@ def _ratio_fit(ctx, order, max_iter, hi=None, slack=None, rounds=1,
             x, lo, hi, max_iter, trail,
         )
         total_iters += iters
-    alpha = prof.params(x)
-    obj = GsObjective(ctx)
-    # the likelihood's mapping norm in (alpha_0, u): the scale entry differentiates
-    # along (1, u) and has no bound
-    g = _stacked(obj.gradient(alpha, range(order + 1)))
-    step_u = np.clip(x + g[1:], lo, hi) - x
+    g, _ = prof.gradient(x)
     report = EstimationReport(
-        alpha=alpha,
+        alpha=prof.params(x),
         order=order,
-        loglik=obj.value(alpha),
+        loglik=prof.loglik(x),
         iterations=total_iters,
         converged=converged,
-        grad_norm=float(np.hypot(g[0] + g[1:] @ x, np.linalg.norm(step_u))),
+        grad_norm=float(np.linalg.norm(np.clip(x + g, lo, hi) - x)),
     )
     if trail is not None:
         report.extras["iterates"] = [prof.params(y) for y, _ in trail]
@@ -333,7 +329,7 @@ def estimate_frob(
     def slack(prof):
         def slack_derivatives(u):
             c, dc = frob_constraint(GsParams(1.0, u))
-            dc = _stacked(dc)[1:]
+            dc = np.concatenate((dc[1:].real, dc[1:].imag)) if prof.is_complex else dc[1:]
             return dc / c, prof.factors.gain_hessian(u) / c - np.outer(dc, dc) / c**2
 
         return log_slack, slack_derivatives
@@ -365,9 +361,13 @@ def estimate_eig(
         raise ValueError(f"eigenvalue-constrained estimation limited to dimension {EIG_DIM_LIMIT}")
     opts = opts or BarrierOptions()
 
+    last = [None, None]  # the last factor, for the derivatives at the trial a line search accepted
+
     def cholesky(u):  # of G - EPS_EIG I; raises LinAlgError where it is not positive definite
-        gram = gs_assemble(GsParams(1.0, np.concatenate((u, np.zeros(ctx.p - 1 - order)))))
-        return np.linalg.cholesky(gram - EPS_EIG * np.eye(ctx.p))
+        if last[0] != u.tobytes():
+            gram = gs_assemble(GsParams(1.0, np.concatenate((u, np.zeros(ctx.p - 1 - order)))))
+            last[:] = u.tobytes(), np.linalg.cholesky(gram - EPS_EIG * np.eye(ctx.p))
+        return last[1]
 
     def log_slack(u):
         try:
@@ -450,14 +450,10 @@ def estimate_pls(
     alpha = project_box(GsParams(1.0 / sigma2, rest), spec)
     extras["a_hat"] = a_hat
     extras["sigma2_hat"] = float(sigma2)
-    value = np.nan
-    if with_loglik:
-        obj = GsObjective(ctx)
-        value = obj.value(alpha)
     return EstimationReport(
         alpha=alpha,
         order=order,
-        loglik=value,
+        loglik=loglik(ctx, alpha) if with_loglik else np.nan,
         iterations=0,
         converged=True,
         family_id=spec.family_id,

@@ -8,9 +8,11 @@ After that a value costs O(w^2) beyond O(P) bookkeeping: the
 log-determinant comes from the step-down prediction errors, the trace term
 from the two corners.  A gradient entry costs O(w) more: the same corners
 of the implied covariance's table, built from its first max(support, w) + 1
-lags, taken from the value's step-down recursion.  :class:`ProfiledObjective`
-maximizes the scale out, with exact derivatives in the coefficient ratios;
-every iterative fit runs on it.
+lags, taken from the value's step-down recursion.  :func:`loglik` and
+:func:`grad` are the public references at P-length parameters.
+:class:`GsObjective` is the one objective the iterative fits climb: it
+maximizes the scale out, with exact derivatives in the coefficient ratios,
+and gives each fit's reported log-likelihood and gradient at its end.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from .toeplitz import (
     toeplitz_partial_sums,
 )
 
-__all__ = ["DegenerateDataError", "SampleSet", "LikelihoodContext", "loglik", "grad", "GsObjective",
-           "ProfiledObjective"]
+__all__ = ["DegenerateDataError", "SampleSet", "LikelihoodContext", "loglik", "grad", "GsObjective"]
 
 
 class DegenerateDataError(ValueError):
@@ -205,33 +206,6 @@ def _grad_dense(ctx, alpha, support):
     return out
 
 
-class GsObjective:
-    """Log-likelihood objective that keeps its last evaluation.
-
-    No optimizer iterates on it (they run on :class:`ProfiledObjective`);
-    fit reports evaluate the value at their final parameters and then the
-    gradient there, which reuses that point's ``(value, tr(Gamma S),
-    step-down output)``: the trace, the stability check and the step-down
-    recursion.
-    """
-
-    def __init__(self, ctx: LikelihoodContext):
-        self.ctx = ctx
-        self._last = (None, None)
-
-    def _lookup(self, alpha: GsParams):
-        key = (alpha.alpha0, alpha.alpha_rest.tobytes())
-        if self._last[0] != key:
-            self._last = (key, _evaluate(self.ctx, alpha))
-        return self._last[1]
-
-    def value(self, alpha: GsParams) -> float:
-        return self._lookup(alpha)[0]
-
-    def gradient(self, alpha: GsParams, support=None):
-        return _grad(self.ctx, alpha, self._lookup(alpha), support)
-
-
 class _GsFactors:
     """Derivatives through the n-square GS assembly ``G = B B^H - Z Z^H`` of
     ``(1, u)``, in the real vector ``x`` of the order-w ratios ``u = J x``
@@ -288,7 +262,7 @@ class _GsFactors:
         return 2.0 * np.real(nn.reshape(m, -1) @ nn.reshape(m, -1).conj().T - cross - cross.T)
 
 
-class ProfiledObjective:
+class GsObjective:
     """Order-w log-likelihood with the scale maximized out in closed form.
 
     Works on the real vector ``x`` of the ratios ``u = alpha_rest / alpha_0``
@@ -303,10 +277,11 @@ class ProfiledObjective:
     matrix of lags 0..w of the unit-innovation AR autocovariance.  ``q > 0``
     wherever ``G`` is positive definite and the SCM positive semidefinite;
     ``q <= 0`` (an SCM that is not, where ``L_c`` is unbounded in the scale)
-    counts as infeasible.  :meth:`gain` is ``L_c(x) - L_c(0)``, the increase
+    counts as infeasible.  :meth:`loglik` is ``L_c``, equal to :func:`loglik`
+    at :meth:`params`.  :meth:`value` is ``L_c(x) - L_c(0)``, the increase
     over white noise: it drops the ``-2 P log c`` that ``L_c`` carries at
     data scale ``c``, so its rounding, and a fit that compares its values,
-    do not depend on the scale.
+    do not depend on the scale.  :meth:`gradient` differentiates both.
     """
 
     def __init__(self, ctx: LikelihoodContext, order: int):
@@ -347,18 +322,18 @@ class ProfiledObjective:
         u, _, _, a0, _, _ = self._terms(x)
         return GsParams(a0, np.concatenate((a0 * u, np.zeros(self.p - 1 - self.order))))
 
-    def value(self, x) -> float:
+    def loglik(self, x) -> float:
         """``L_c`` at ``x``; raises where ``G`` is not positive definite or ``q <= 0``."""
         _, _, q, a0, h, _ = self._terms(x)
-        return self.p * np.log(a0) + h - a0 * q
+        return float(self.p * np.log(a0) + h - a0 * q)
 
-    def gain(self, x) -> float:
+    def value(self, x) -> float:
         """``L_c(x) - L_c(0)``, as ``P log(a* / a*_0) + h - a* q + a*_0 q_0``."""
         _, _, q, a0, h, _ = self._terms(x)
         return self.p * np.log(a0 / self._a0) + h - a0 * q + self._a0 * self._q0
 
-    def derivatives(self, x):
-        """Gradient and Hessian of ``L_c`` in ``x``."""
+    def gradient(self, x):
+        """Gradient and Hessian of :meth:`value`, and of ``L_c``, in ``x``."""
         u, v, _, a0, _, steps = self._terms(x)
         grad_q = 2.0 * np.real(self.factors.jac.conj().T @ (self._form[1:] @ v))
         lags = _autocov_lags(steps, self.order + 1)

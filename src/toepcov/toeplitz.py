@@ -26,7 +26,6 @@ __all__ = [
     "gs_factor_b",
     "gs_factor_z",
     "gs_assemble",
-    "tri_toeplitz_inverse",
     "gs_to_ar",
     "ar_to_gs",
     "ar_to_autocov",
@@ -286,20 +285,6 @@ def gs_assemble(alpha: GsParams) -> np.ndarray:
         if k:
             gam[cols, rows] = np.conj(d)
     return gam
-
-
-def tri_toeplitz_inverse(d: LowerTriToeplitz) -> LowerTriToeplitz:
-    """Invert a lower triangular Toeplitz matrix in closed form.
-
-    The inverse of the unit-diagonal normalization has first column
-    ``(1, F_1(r), ..., F_{P-1}(r))`` with weights ``r_i = -d_i / d_0``.
-    """
-    col = d.first_col
-    if col[0] == 0:
-        raise np.linalg.LinAlgError("triangular Toeplitz matrix is singular (zero diagonal)")
-    r = -col[1:] / col[0]
-    f = fib_seq(r, col.size - 1)
-    return LowerTriToeplitz(f / col[0])
 
 
 def gs_to_ar(alpha: GsParams):

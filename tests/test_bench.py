@@ -1,9 +1,11 @@
+import inspect
 import json
 import os
 
 import numpy as np
 import pytest
 
+from toepcov import bench
 from toepcov.bench import (
     ESTIMATORS,
     ExperimentConfig,
@@ -275,6 +277,27 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "results.csv").exists()
+
+    def test_timing_flags_override_config(self, tmp_path, monkeypatch, capsys):
+        """``--runs`` and ``--seed`` win over the [timing] section, which wins
+        over the defaults, as for ``benchmark``."""
+        cfg = tmp_path / "timing.cfg"
+        cfg.write_text('[timing]\ndims = [8]\nestimators = ["pls"]\nreps = 3\nsample_count = 8\nseed = 5\n')
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append(inspect.signature(timing_benchmark).bind(*args, **kwargs).arguments)
+            return timing_benchmark(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "timing_benchmark", recorded)
+        out = tmp_path / "timing.csv"
+        assert main(["timing", "--config", str(cfg), "--runs", "1", "--out", str(out)]) == 0
+        assert len(out.read_text().strip().splitlines()) == 2
+        assert main(["timing", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+        assert [(c["reps"], c["seed"]) for c in calls] == [(1, 5), (3, 7)]
+        assert all(tuple(c["dims"]) == (8,) and tuple(c["estimator_names"]) == ("pls",)
+                   and c["n"] == 8 for c in calls)
+        assert "pls" in capsys.readouterr().out
 
     def test_benchmark_bad_config(self, tmp_path):
         cfg = tmp_path / "cfg.toml"

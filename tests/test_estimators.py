@@ -113,6 +113,26 @@ class TestPgd:
             if np.all(np.abs(ratios.real) < lim) and np.all(np.abs(ratios.imag) < lim):
                 assert abs(g[0]) * head[0].real < 1e-7 * tol
 
+    def test_fit_runs_on_the_traced_objective(self, spec16, monkeypatch):
+        """Every likelihood value and gradient of the Newton loop goes through
+        ``GsObjective.value`` and ``.gradient``, the calls a benchmark trace
+        counts: at least one of each per iteration."""
+        calls = {"value": 0, "gradient": 0}
+
+        def counted(name):
+            fn = getattr(likelihood.GsObjective, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(likelihood.GsObjective, name, counted(name))
+        rep = estimate_pgd(ar1_data(seed=3).context(), spec16, 3)
+        assert rep.iterations > 1
+        assert min(calls.values()) >= rep.iterations
+
     def test_iteration_cap_reported(self, spec16):
         """A fit stopped by max_iter before it converged says so."""
         ctx = ar1_data(seed=0).context()
@@ -172,10 +192,10 @@ class TestFrob:
 
     def test_work_is_order_sized(self, monkeypatch):
         """At P=512 the constraint runs on the order + 1 leading parameters
-        (``fib_seq`` only up to order - 1), and the Newton iterations make no
-        P-length likelihood gradient pass: only the report makes one."""
+        (``fib_seq`` only up to order - 1), and neither the Newton iterations
+        nor the report make a P-length likelihood value or gradient pass."""
         order = 6
-        fib_calls, grad_calls = [], []
+        fib_calls, p_length_calls = [], []
 
         def counted(fn, calls):
             def wrapper(*args, **kwargs):
@@ -185,10 +205,11 @@ class TestFrob:
 
         for module in (constraints, toeplitz):
             monkeypatch.setattr(module, "fib_seq", counted(toeplitz.fib_seq, fib_calls))
-        monkeypatch.setattr(likelihood, "_grad", counted(likelihood._grad, grad_calls))
+        for name in ("_evaluate", "_grad"):
+            monkeypatch.setattr(likelihood, name, counted(getattr(likelihood, name), p_length_calls))
         rep = estimate_frob(ar1_data(p=512, n=32, seed=4).context(), order=order)
         assert fib_calls and max(up_to for _, up_to in fib_calls) < order
-        assert len(grad_calls) == 1
+        assert p_length_calls == []
         assert spectral_pd_check(rep.alpha)
 
 
@@ -196,8 +217,9 @@ class TestEig:
     def test_work_is_one_factorization_per_step(self, monkeypatch):
         """The barrier's derivatives are exact, from one Cholesky factorization
         of the P-square slack matrix: a Newton iteration assembles it for its
-        derivatives and for each line-search trial, not once per finite-difference
-        probe (170 assemblies per iteration in a complex order-6 fit)."""
+        line-search trials and reuses the accepted trial's factor for its
+        derivatives, not once per finite-difference probe (170 assemblies per
+        iteration in a complex order-6 fit)."""
         calls = []
 
         def counted(alpha):
@@ -207,7 +229,7 @@ class TestEig:
         monkeypatch.setattr(estimators, "gs_assemble", counted)
         rep = estimate_eig(complex_ar1_data(p=16, n=8, seed=2).context(), order=6)
         assert rep.converged and spectral_pd_check(rep.alpha)
-        assert len(calls) <= 5 * rep.iterations
+        assert len(calls) <= 2 * rep.iterations
 
     def test_white_noise_optimum(self):
         ctx = LikelihoodContext(np.eye(8), 16)

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from toepcov.baselines import sample_cov
-from toepcov.constraints import EPS_EIG, frob_constraint
+from toepcov.constraints import DEFAULT_FAMILIES, EPS_EIG, box_spec_for, frob_constraint
+from toepcov.estimators import BarrierOptions, PgdOptions, estimate_eig, estimate_frob, estimate_pgd
 from toepcov.likelihood import (
     DegenerateDataError,
     GsObjective,
     LikelihoodContext,
-    ProfiledObjective,
     SampleSet,
     _GsFactors,
     grad,
@@ -150,17 +150,44 @@ class TestGrad:
             grad(ctx, feasible_alpha(6), [0, 6])
 
 
-class TestObjectiveCache:
-    def test_value_and_gradient_consistent(self):
-        ctx = random_context(12)
-        obj = GsObjective(ctx)
-        alpha = feasible_alpha(12)
-        assert obj.value(alpha) == pytest.approx(loglik(ctx, alpha))
-        assert np.allclose(obj.gradient(alpha, [0, 1, 2]), grad(ctx, alpha, [0, 1, 2]))
+class TestFitReports:
+    """A Newton fit reports the log-likelihood and gradient of the objective it
+    maximized; they match the public P-length references ``loglik`` and
+    ``grad``, also for fits stopped after one iteration, far from
+    stationarity."""
+
+    @pytest.mark.parametrize("capped", [False, True], ids=["converged", "capped"])
+    @pytest.mark.parametrize("complex_case", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("name", ["pgd", "frob", "eig"])
+    def test_loglik_and_grad_norm_match_public_references(self, name, complex_case, capped):
+        p, order = 16, 3
+        ctx = random_context(p, n=8, complex_case=complex_case)
+        if name == "pgd":
+            spec = box_spec_for(DEFAULT_FAMILIES[1], p)
+            rep = estimate_pgd(ctx, spec, order, PgdOptions(max_iter=1) if capped else None)
+            hi = spec.k[:order]
+        else:
+            barrier = BarrierOptions(outer_iters=1, inner_max_iter=1) if capped else None
+            rep = (estimate_frob if name == "frob" else estimate_eig)(ctx, order, barrier)
+            hi = np.full(order, np.inf)
+        alpha = rep.alpha
+        want = loglik(ctx, alpha)
+        assert abs(rep.loglik - want) <= 1e-13 * abs(want)
+        # the gradient in u = alpha_rest / alpha_0 with the scale maximized out
+        # is alpha_0 times the gradient in alpha_rest; the box halves per part
+        g = alpha.alpha0 * grad(ctx, alpha, range(1, order + 1))
+        u = alpha.alpha_rest[:order] / alpha.alpha0
+        if complex_case:
+            g, u, hi = np.concatenate((g.real, g.imag)), np.concatenate((u.real, u.imag)), np.tile(hi / 2, 2)
+        norm = np.linalg.norm(np.clip(u + g, -hi, hi) - u)
+        assert abs(rep.grad_norm - norm) <= 1e-8 * norm + 1e-12 * abs(want)
+        if capped:
+            assert norm > 1e-6
 
 
 class TestProfiledObjective:
-    """The likelihood with the scale maximized out, over the ratios u."""
+    """:class:`GsObjective`, the likelihood with the scale maximized out, over
+    the ratios u."""
 
     CASES = [(2, 1), (3, 1), (3, 2), (16, 1), (16, 3), (16, 15), (128, 1), (128, 3)]
 
@@ -181,28 +208,28 @@ class TestProfiledObjective:
             if complex_case:
                 x = (x + 1j * rng.normal(size=(6, p))) / np.sqrt(2)
             ctx = LikelihoodContext(sample_cov(factor * x), 6)
-            prof = ProfiledObjective(ctx, order)
+            prof = GsObjective(ctx, order)
             point = rng.normal(size=order * (2 if complex_case else 1)) * 0.3 / order
             alpha = prof.params(point)
             assert alpha.order == order and np.iscomplexobj(alpha.alpha_rest) == complex_case
             q = np.real(np.trace(gs_assemble(alpha) @ ctx.scm)) / alpha.alpha0
             assert alpha.alpha0 == pytest.approx(p / q, rel=1e-12)
             want = loglik(ctx, alpha)
-            assert abs(prof.value(point) - want) <= 1e-13 * abs(want)
+            assert abs(prof.loglik(point) - want) <= 1e-13 * abs(want)
             along_scale = np.real(np.vdot(grad(ctx, alpha, range(order + 1)), alpha.full[: order + 1]))
             assert abs(along_scale) < 1e-12 * max(1.0, abs(want))
-            g, hess = prof.derivatives(point)
+            g, hess = prof.gradient(point)
             fd_g = self.central_differences(prof.value, point)
-            fd_hess = self.central_differences(lambda y: prof.derivatives(y)[0], point)
+            fd_hess = self.central_differences(lambda y: prof.gradient(y)[0], point)
             assert np.abs(g - fd_g).max() <= 1e-7 * max(1.0, np.abs(fd_g).max())
             assert np.abs(hess - fd_hess).max() <= 1e-7 * max(1.0, np.abs(fd_hess).max())
             assert np.allclose(hess, hess.T, rtol=0, atol=1e-12 * max(1.0, np.abs(hess).max()))
 
     @pytest.mark.parametrize("complex_case", [False, True], ids=["real", "complex"])
     def test_gain_is_the_increase_over_white_noise(self, complex_case):
-        """``gain(x) = value(x) - value(0)``, and unlike the value (which moves
-        by ``-2 P log c``) it does not change when the data are scaled by c,
-        up to x1e6 (the data have power 0.5 per entry)."""
+        """``value(x) = loglik(x) - loglik(0)``, and unlike the loglik (which
+        moves by ``-2 P log c``) it does not change when the data are scaled by
+        c, up to x1e6 (the data have power 0.5 per entry)."""
         for p, order in self.CASES:
             x = rng.normal(size=(6, p))
             if complex_case:
@@ -211,9 +238,9 @@ class TestProfiledObjective:
             point = rng.normal(size=order * (2 if complex_case else 1)) * 0.3 / order
             gains = []
             for factor in (1.0, 1e-4, 1e-2, 1e2, 1e3, 1e4, 1e6):
-                prof = ProfiledObjective(LikelihoodContext(sample_cov(factor * x), 6), order)
-                value, gain = prof.value(point), prof.gain(point)
-                white = prof.value(np.zeros_like(point))
+                prof = GsObjective(LikelihoodContext(sample_cov(factor * x), 6), order)
+                value, gain = prof.loglik(point), prof.value(point)
+                white = prof.loglik(np.zeros_like(point))
                 assert abs(gain - (value - white)) <= 1e-12 * (1 + abs(value))
                 gains.append(gain)
             assert np.abs(np.array(gains) - gains[0]).max() <= 1e-12 * abs(gains[0])
@@ -288,13 +315,13 @@ class TestGradScaling:
             ctx.scm_sums
             alpha = feasible_alpha(p)
             support = list(range(7))
-            GsObjective(ctx).gradient(alpha, support)
+            grad(ctx, alpha, support)
             reps = 30
             best = np.inf
             for _ in range(3):
                 start = time.perf_counter()
                 for _ in range(reps):
-                    GsObjective(ctx).gradient(alpha, support)  # a fresh objective evaluates anew
+                    grad(ctx, alpha, support)
                 best = min(best, (time.perf_counter() - start) / reps)
             times[p] = best
         assert times[128] <= 5.0 * times[64] + 1e-4

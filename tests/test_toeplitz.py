@@ -20,7 +20,6 @@ from toepcov.toeplitz import (
     toeplitz_logdet,
     trace_general_tri_shift,
     trace_toep_tri_shift,
-    tri_toeplitz_inverse,
 )
 
 rng = np.random.default_rng(20240817)
@@ -111,29 +110,6 @@ class TestGsAssemble:
         rest[:3] = rng.normal(size=3) * 0.3
         gam = gs_assemble(GsParams(1.5, rest))
         assert np.all(gam[np.abs(np.subtract.outer(range(12), range(12))) > 3] == 0.0)
-
-
-class TestTriToeplitzInverse:
-    def test_identity(self):
-        inv = tri_toeplitz_inverse(LowerTriToeplitz(np.array([1.0, 0.0, 0.0])))
-        assert np.array_equal(inv.first_col, [1.0, 0.0, 0.0])
-
-    def test_two_by_two(self):
-        inv = tri_toeplitz_inverse(LowerTriToeplitz(np.array([1.0, -0.7])))
-        assert np.allclose(inv.first_col, [1.0, 0.7])
-
-    def test_random_against_dense_solve(self):
-        for _ in range(1000):
-            p = int(rng.integers(2, 65))
-            col = np.concatenate(([rng.uniform(0.5, 2.0)], rng.normal(size=p - 1) * 0.5))
-            d = LowerTriToeplitz(col)
-            inv = tri_toeplitz_inverse(d)
-            err = np.abs(d.dense() @ inv.dense() - np.eye(p)).max()
-            assert err <= 1e-10 * max(1.0, np.abs(inv.first_col).max())
-
-    def test_singular_rejected(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            tri_toeplitz_inverse(LowerTriToeplitz(np.array([0.0, 1.0])))
 
 
 class TestArMaps:
