@@ -259,11 +259,11 @@ def shrink_coefficient(scm, target, samples) -> float:
         return 1.0
     scm = np.asarray(scm)
     t = _shrink_target(scm, target)
-    num = 0.0
-    for row in x:
-        w = np.outer(row, np.conj(row))
-        num += np.linalg.norm(w - scm) ** 2
-    num /= n * (n - 1)
+    # sum over samples of ||x x^H - S||_F^2, expanded so that no P x P outer
+    # product is formed: ||x||^4 - 2 Re x^H S x + ||S||_F^2
+    sq = np.sum(np.abs(x) ** 2, axis=1)
+    quad = np.sum((np.conj(x) @ scm) * x, axis=1).real
+    num = (np.sum(sq**2) - 2.0 * np.sum(quad) + n * np.linalg.norm(scm) ** 2) / (n * (n - 1))
     den = np.linalg.norm(scm - t) ** 2
     if den <= 0:
         return 1.0

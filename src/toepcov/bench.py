@@ -14,6 +14,7 @@ import itertools
 import json
 import os
 import time
+from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -198,10 +199,10 @@ ESTIMATORS = {
 class ExperimentConfig:
     kind: str
     points: tuple
-    sigma2: float
     dims: tuple
     sample_counts: tuple
     estimators: tuple
+    sigma2: float = 1.0
     runs: int = 500
     seed: int = 0
     cm_nmse: bool = True
@@ -226,12 +227,27 @@ class ExperimentConfig:
         return ProcessSpec("fbm", p, h=float(np.atleast_1d(point)[0]))
 
 
-_CONFIG_SCHEMA = {
-    "grid": {"dims", "sample_counts", "runs", "seed"},
-    "process": {"kind", "sigma2", "points"},
-    "estimators": {"names"},
-    "outputs": {"cm_nmse", "icm_nmse"},
-    "timing": {"dims", "estimators", "reps", "sample_count", "seed"},
+def _ints(values):
+    return tuple(int(v) for v in values)
+
+
+def _points(points):
+    return tuple(tuple(np.atleast_1d(pt).tolist()) for pt in points)
+
+
+# Every config key: the ExperimentConfig field it sets ([timing]: the
+# timing_benchmark argument), its cast, and whether it is required.  An
+# omitted optional key leaves that field's or argument's default.
+_CONFIG_KEYS = {
+    "grid": {"dims": ("dims", _ints, True), "sample_counts": ("sample_counts", _ints, True),
+             "runs": ("runs", int, False), "seed": ("seed", int, False)},
+    "process": {"kind": ("kind", str, True), "sigma2": ("sigma2", float, False),
+                "points": ("points", _points, True)},
+    "estimators": {"names": ("estimators", tuple, True)},
+    "outputs": {"cm_nmse": ("cm_nmse", bool, False), "icm_nmse": ("icm_nmse", bool, False)},
+    "timing": {"dims": ("dims", _ints, False), "estimators": ("estimator_names", tuple, False),
+               "reps": ("reps", int, False), "sample_count": ("n", int, False),
+               "seed": ("seed", int, False)},
 }
 
 
@@ -249,7 +265,7 @@ def parse_config(text: str) -> dict:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current not in _CONFIG_SCHEMA:
+            if current not in _CONFIG_KEYS:
                 raise ValueError(f"line {lineno}: unknown section [{current}]")
             sections.setdefault(current, {})
             continue
@@ -259,7 +275,7 @@ def parse_config(text: str) -> dict:
             raise ValueError(f"line {lineno}: expected key = value")
         key, _, rhs = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_SCHEMA[current]:
+        if key not in _CONFIG_KEYS[current]:
             raise ValueError(f"line {lineno}: unknown key {key!r} in section [{current}]")
         try:
             value = json.loads(rhs.strip())
@@ -269,31 +285,21 @@ def parse_config(text: str) -> dict:
     return sections
 
 
+def section_args(sections: dict, *names) -> dict:
+    """Keyword arguments set by the keys of config sections ``names``."""
+    kwargs = {}
+    for section in names:
+        given = sections.get(section, {})
+        for key, (arg, cast, required) in _CONFIG_KEYS[section].items():
+            if key in given:
+                kwargs[arg] = cast(given[key])
+            elif required:
+                raise ValueError(f"missing required key {key!r} in section [{section}]")
+    return kwargs
+
+
 def config_from_sections(sections: dict) -> ExperimentConfig:
-    grid = sections.get("grid", {})
-    process = sections.get("process", {})
-    estimators = sections.get("estimators", {})
-    outputs = sections.get("outputs", {})
-    for required, where in (("dims", "grid"), ("sample_counts", "grid"),
-                            ("kind", "process"), ("points", "process"),
-                            ("names", "estimators")):
-        if required not in sections.get(where, {}):
-            raise ValueError(f"missing required key {required!r} in section [{where}]")
-    points = tuple(
-        tuple(np.atleast_1d(pt).tolist()) for pt in process["points"]
-    )
-    return ExperimentConfig(
-        kind=process["kind"],
-        points=points,
-        sigma2=float(process.get("sigma2", 1.0)),
-        dims=tuple(int(d) for d in grid["dims"]),
-        sample_counts=tuple(int(n) for n in grid["sample_counts"]),
-        estimators=tuple(estimators["names"]),
-        runs=int(grid.get("runs", 500)),
-        seed=int(grid.get("seed", 0)),
-        cm_nmse=bool(outputs.get("cm_nmse", True)),
-        icm_nmse=bool(outputs.get("icm_nmse", True)),
-    )
+    return ExperimentConfig(**section_args(sections, "grid", "process", "estimators", "outputs"))
 
 
 def derive_seed(base: int, point, p: int, n: int, run: int) -> int:
@@ -348,17 +354,31 @@ def _mean_se(values):
 
 
 def _hist(values):
-    out: dict = {}
-    for v in values:
-        key = str(v)
-        out[key] = out.get(key, 0) + 1
-    return dict(sorted(out.items()))
+    return dict(sorted(Counter(str(v) for v in values).items()))
 
 
-def _fmt(x):
-    if x is None:
+def _csv_cell(value):
+    if isinstance(value, (dict, list)):
+        return json.dumps(value)
+    if value is None:
         return ""
-    return f"{x:.10g}"
+    return f"{value:.10g}" if isinstance(value, float) else value
+
+
+def _write_csv(path, fields, rows):
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(fields)
+        writer.writerows([_csv_cell(row[f]) for f in fields] for row in rows)
+
+
+# Wall times live in results.json only: the CSV is byte-deterministic.
+_CSV_FIELDS = (
+    "process", "point", "dim", "samples", "estimator", "runs", "failures",
+    "nmse_c_count", "nmse_c_mean", "nmse_c_se",
+    "nmse_icm_count", "nmse_icm_mean", "nmse_icm_se",
+    "order_hist", "family_hist", "mask_hist",
+)
 
 
 def run_benchmark(config: ExperimentConfig, out_dir: str, svg: bool = False, workers: int | None = None):
@@ -378,68 +398,25 @@ def run_benchmark(config: ExperimentConfig, out_dir: str, svg: bool = False, wor
     detail = []
     for cell in cells:
         point, p, n = cell
-        per_run = [results[(cell, run)] for run in range(config.runs)]
-        for name in config.estimators:
-            recs = [
-                rec for run_recs in per_run for rec in run_recs if rec["estimator"] == name
-            ]
+        for i, name in enumerate(config.estimators):
+            # _run_cell returns one record per estimator, in config order
+            recs = [results[(cell, run)][i] for run in range(config.runs)]
             ok = [r for r in recs if "error" not in r]
-            nc = [r["nmse_c"] for r in ok if "nmse_c" in r]
-            ni_vals = [r["nmse_icm"] for r in ok if "nmse_icm" in r]
-            nc_mean, nc_se = _mean_se(nc)
-            icm_mean, icm_se = _mean_se(ni_vals)
-            row = {
-                "process": config.kind,
-                "point": json.dumps(list(point)),
-                "dim": p,
-                "samples": n,
-                "estimator": name,
-                "runs": config.runs,
-                "failures": len(recs) - len(ok),
-                "nmse_c_count": len(nc),
-                "nmse_c_mean": nc_mean,
-                "nmse_c_se": nc_se,
-                "nmse_icm_count": len(ni_vals),
-                "nmse_icm_mean": icm_mean,
-                "nmse_icm_se": icm_se,
-                "order_hist": _hist(r["order"] for r in ok if "order" in r),
-                "family_hist": _hist(r["family"] for r in ok if "family" in r),
-                "mask_hist": _hist(r["mask_k"] for r in ok if "mask_k" in r),
-            }
+            coords = {"process": config.kind, "point": list(point), "dim": p, "samples": n,
+                      "estimator": name}
+            detail.append({**coords, "records": recs})
+            row = {**coords, "runs": config.runs, "failures": len(recs) - len(ok)}
+            for metric in ("nmse_c", "nmse_icm"):
+                values = [r[metric] for r in ok if metric in r]
+                row[f"{metric}_count"] = len(values)
+                row[f"{metric}_mean"], row[f"{metric}_se"] = _mean_se(values)
+            for key, column in (("order", "order_hist"), ("family", "family_hist"),
+                                ("mask_k", "mask_hist")):
+                row[column] = _hist(r[key] for r in ok if key in r)
             rows.append(row)
-            detail.append(
-                {
-                    "process": config.kind,
-                    "point": list(point),
-                    "dim": p,
-                    "samples": n,
-                    "estimator": name,
-                    "records": recs,
-                }
-            )
 
-    # Wall times live in results.json only: the CSV is byte-deterministic.
-    csv_path = os.path.join(out_dir, "results.csv")
-    fields = [
-        "process", "point", "dim", "samples", "estimator", "runs", "failures",
-        "nmse_c_count", "nmse_c_mean", "nmse_c_se",
-        "nmse_icm_count", "nmse_icm_mean", "nmse_icm_se",
-        "order_hist", "family_hist", "mask_hist",
-    ]
-    with open(csv_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow(
-                [
-                    row[f] if f in ("process", "point", "dim", "samples", "estimator", "runs",
-                                    "failures", "nmse_c_count", "nmse_icm_count")
-                    else (json.dumps(row[f]) if f.endswith("_hist") else _fmt(row[f]))
-                    for f in fields
-                ]
-            )
-    json_path = os.path.join(out_dir, "results.json")
-    with open(json_path, "w") as handle:
+    _write_csv(os.path.join(out_dir, "results.csv"), _CSV_FIELDS, rows)
+    with open(os.path.join(out_dir, "results.json"), "w") as handle:
         json.dump({"config": asdict(config), "cells": detail}, handle, indent=1, sort_keys=True)
         handle.write("\n")
     if svg:
@@ -458,38 +435,34 @@ def _sweep_axis(config: ExperimentConfig):
 
 
 def _write_svg(config: ExperimentConfig, rows, out_dir):
+    """One chart per metric and combination of the varying axes other than
+    the sweep axis; the file name carries that combination."""
     from .svg import line_chart
 
     axis, xs = _sweep_axis(config)
-    for metric in ("nmse_c_mean", "nmse_icm_mean"):
-        series = []
-        for name in config.estimators:
-            ys = []
-            for x_idx in range(len(xs)):
-                sub = [
-                    r for r in rows
-                    if r["estimator"] == name and _axis_index(config, r, axis) == x_idx
-                ]
-                ys.append(sub[0][metric] if sub and sub[0][metric] is not None else None)
-            if any(y is not None for y in ys):
-                series.append((name, xs, ys))
-        if series:
-            label = "covariance NMSE" if metric == "nmse_c_mean" else "precision NMSE"
-            line_chart(
-                series,
-                os.path.join(out_dir, f"{metric}.svg"),
-                title=f"{config.kind} sweep",
-                xlabel=axis,
-                ylabel=label,
-            )
-
-
-def _axis_index(config, row, axis):
-    if axis == "point":
-        return [json.dumps(list(pt)) for pt in config.points].index(row["point"])
-    if axis == "samples":
-        return list(config.sample_counts).index(row["samples"])
-    return list(config.dims).index(row["dim"])
+    others = [a for a, values in (("dim", config.dims), ("samples", config.sample_counts))
+              if a != axis and len(values) > 1]
+    charts: dict = {}  # other-axis values -> estimator -> rows in sweep order
+    for row in rows:
+        key = tuple(row[a] for a in others)
+        charts.setdefault(key, {}).setdefault(row["estimator"], []).append(row)
+    for key, by_name in charts.items():
+        tags = [f"{a}{v}" for a, v in zip(others, key)]
+        for metric in ("nmse_c_mean", "nmse_icm_mean"):
+            series = []
+            for name in config.estimators:
+                ys = [r[metric] for r in by_name[name]]
+                if any(y is not None for y in ys):
+                    series.append((name, xs, ys))
+            if series:
+                label = "covariance NMSE" if metric == "nmse_c_mean" else "precision NMSE"
+                line_chart(
+                    series,
+                    os.path.join(out_dir, "-".join([metric, *tags]) + ".svg"),
+                    title=" ".join([f"{config.kind} sweep", *tags]),
+                    xlabel=axis,
+                    ylabel=label,
+                )
 
 
 # -- timing ------------------------------------------------------------------
@@ -527,10 +500,4 @@ def timing_benchmark(dims=(64, 128, 256), estimator_names=("pgd", "pls", "bandin
 
 
 def write_timing_csv(rows, path):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["estimator", "dim", "median_ms", "complexity"])
-        for row in rows:
-            writer.writerow(
-                [row["estimator"], row["dim"], _fmt(row["median_ms"]), row["complexity"]]
-            )
+    _write_csv(path, ("estimator", "dim", "median_ms", "complexity"), rows)

@@ -90,6 +90,11 @@ def _read_samples(path: str) -> np.ndarray:
     return np.asarray(rows)
 
 
+# The report key of each field of a registry fit record that it carries.
+_REPORT_FIELDS = {"order": "order", "mask_k": "order", "family": "family_id", "loglik": "loglik",
+                  "iterations": "iterations", "converged": "converged"}
+
+
 def _cmd_estimate(args) -> int:
     name = args.estimator
     if name not in bench.ESTIMATORS:
@@ -114,20 +119,11 @@ def _cmd_estimate(args) -> int:
             raise _UsageError(f"estimator {name!r} has no AR order; --order must be 'auto'")
     start = time.perf_counter()
     cm, icm, meta, fit = info.tuned(data) if order is None else info.pinned(data, order)
-    report = dict.fromkeys(("alpha0", "alpha", "family_id", "loglik", "nmse_c", "nmse_icm",
-                            "iterations", "converged"))
-    report.update(estimator=name, order=meta.get("mask_k"), iterations=meta.get("iterations"),
-                  converged=meta.get("converged"), cm_first_col=cm[:, 0].tolist())
+    report = dict.fromkeys(("alpha0", "alpha", "nmse_c", "nmse_icm", *_REPORT_FIELDS.values()))
+    report.update((_REPORT_FIELDS[k], v) for k, v in meta.items() if k in _REPORT_FIELDS)
+    report.update(estimator=name, cm_first_col=cm[:, 0].tolist())
     if fit is not None:
-        report.update(
-            alpha0=fit.alpha.alpha0,
-            alpha=fit.alpha.alpha_rest.tolist(),
-            order=fit.order,
-            family_id=fit.family_id,
-            loglik=fit.loglik,
-            iterations=fit.iterations,
-            converged=fit.converged,
-        )
+        report.update(alpha0=fit.alpha.alpha0, alpha=fit.alpha.alpha_rest.tolist())
     if args.icm:
         report["icm_dense"] = icm.tolist()
     report["wall_ms"] = (time.perf_counter() - start) * 1e3
@@ -140,46 +136,34 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _load_sections(path) -> dict:
-    """Parse a config file; parse errors surface as ValueError (exit 1)."""
+def _load_sections(path, section, **flags) -> dict:
+    """The sections of the config file at ``path`` (none without a path),
+    with each flag that is not None overriding its key in ``section``.
+    Parse errors surface as ValueError (exit 1)."""
     try:
-        with open(path) as handle:
-            return bench.parse_config(handle.read())
+        if path is None:
+            sections = {}
+        else:
+            with open(path) as handle:
+                sections = bench.parse_config(handle.read())
     except OSError as exc:
         raise _UsageError(str(exc))
+    sections.setdefault(section, {}).update((k, v) for k, v in flags.items() if v is not None)
+    return sections
 
 
 def _cmd_benchmark(args) -> int:
-    config = bench.config_from_sections(_load_sections(args.config))
-    if args.runs is not None or args.seed is not None:
-        from dataclasses import replace
-
-        config = replace(
-            config,
-            runs=args.runs if args.runs is not None else config.runs,
-            seed=args.seed if args.seed is not None else config.seed,
-        )
-    rows = bench.run_benchmark(config, args.out, svg=args.svg)
+    sections = _load_sections(args.config, "grid", runs=args.runs, seed=args.seed)
+    rows = bench.run_benchmark(bench.config_from_sections(sections), args.out, svg=args.svg)
     sys.stdout.write(f"wrote {len(rows)} aggregate rows to {args.out}/results.csv\n")
     return 0
-
-
-# [timing] keys: the bench.timing_benchmark argument each sets, and its type.
-_TIMING_KEYS = (
-    ("dims", "dims", lambda dims: tuple(int(d) for d in dims)),
-    ("estimators", "estimator_names", tuple),
-    ("reps", "reps", int),
-    ("sample_count", "n", int),
-    ("seed", "seed", int),
-)
 
 
 def _cmd_timing(args) -> int:
     """Flags override the config's [timing] section, which overrides the
     defaults of :func:`bench.timing_benchmark`, as for ``benchmark``."""
-    timing = _load_sections(args.config).get("timing", {}) if args.config else {}
-    kwargs = {arg: cast(timing[key]) for key, arg, cast in _TIMING_KEYS if key in timing}
-    kwargs.update((arg, flag) for arg, flag in (("reps", args.runs), ("seed", args.seed)) if flag is not None)
+    sections = _load_sections(args.config, "timing", reps=args.runs, seed=args.seed)
+    kwargs = bench.section_args(sections, "timing")
     for name in kwargs.get("estimator_names", ()):
         if name not in bench.ESTIMATORS:
             raise _UsageError(f"unknown estimator {name!r}")

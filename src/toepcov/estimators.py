@@ -480,16 +480,12 @@ def tune_order(fit, ctx: LikelihoodContext) -> EstimationReport:
     best = None
     best_score = np.inf
     strikes = 0
-    for i in range(1, cap + 1):
-        order = i - 1
+    for order in range(cap):
         try:
             rep = white_noise_report(ctx) if order == 0 else fit(ctx, order)
+            score = (order + 1) * log_n - 0.5 * ctx.n * rep.loglik
         except _INFEASIBLE:
-            strikes += 1
-            if strikes >= _PATIENCE:
-                break
-            continue
-        score = i * log_n - 0.5 * ctx.n * rep.loglik
+            score = np.inf  # an infeasible candidate strikes like a worse one
         if score < best_score:
             best, best_score, strikes = rep, score, 0
         else:

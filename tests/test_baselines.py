@@ -17,7 +17,7 @@ from toepcov.baselines import (
     shrink_coefficient,
     toeplitz_avg,
 )
-from toepcov.processes import ProcessSpec, sample
+from toepcov.processes import ProcessSpec, sample, true_cm
 from toepcov.toeplitz import HermitianToeplitz
 
 rng = np.random.default_rng(777)
@@ -361,6 +361,22 @@ class TestShrink:
         x = rng.normal(size=(10, 6))
         rho = shrink_coefficient(sample_cov(x), "const", x)
         assert 0.0 <= rho <= 1.0
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_plugin_weight_matches_per_sample_definition(self, complex_data):
+        """The weight is the sum over samples of ||x x^H - S||_F^2 over
+        n (n - 1), over the squared distance to the target."""
+        chol = np.linalg.cholesky(true_cm(ProcessSpec("ar", 8, a=(0.8,), sigma2=1.0)).dense())
+        local = np.random.default_rng(2)
+        z = local.normal(size=(12, 8))
+        if complex_data:
+            z = (z + 1j * local.normal(size=(12, 8))) / np.sqrt(2)
+        x = z @ chol.T
+        s = sample_cov(x)
+        var = sum(np.linalg.norm(np.outer(row, np.conj(row)) - s) ** 2 for row in x) / (12 * 11)
+        weight = var / np.linalg.norm(s - shrink(s, "const", rho=1.0)) ** 2
+        assert 0.0 < weight < 1.0
+        assert shrink_coefficient(s, "const", x) == pytest.approx(weight, rel=1e-13)
 
     def test_plugin_shrinks_more_with_fewer_samples(self):
         spec = ProcessSpec("ar", 12, a=(0.5,), sigma2=1.0)

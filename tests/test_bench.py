@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import os
@@ -70,6 +71,34 @@ class TestConfigParsing:
         bad = SMOKE_CFG.replace('"scm"', '"nope"')
         with pytest.raises(ValueError, match="unknown estimator"):
             config_from_sections(parse_config(bad))
+
+    def test_every_key_parses(self):
+        sections = parse_config(
+            '[grid]\ndims = [6, 10]\nsample_counts = [4, 8]\nruns = 3\nseed = 11\n'
+            '[process]\nkind = "arma"\nsigma2 = 2\npoints = [[0.7, 0.3], 0.5]\n'
+            '[estimators]\nnames = ["pls", "em"]\n'
+            '[outputs]\ncm_nmse = false\nicm_nmse = false\n'
+            '[timing]\ndims = [8, 16]\nestimators = ["pls"]\nreps = 3\nsample_count = 12\nseed = 9\n'
+        )
+        assert config_from_sections(sections) == ExperimentConfig(
+            kind="arma", points=((0.7, 0.3), (0.5,)), dims=(6, 10), sample_counts=(4, 8),
+            estimators=("pls", "em"), sigma2=2.0, runs=3, seed=11, cm_nmse=False, icm_nmse=False,
+        )
+        timing = bench.section_args(sections, "timing")
+        assert timing == {"dims": (8, 16), "estimator_names": ("pls",), "reps": 3, "n": 12, "seed": 9}
+        inspect.signature(timing_benchmark).bind(**timing)
+
+    def test_omitted_optional_keys_take_defaults(self):
+        sections = parse_config(
+            '[grid]\ndims = [4]\nsample_counts = [8]\n[process]\nkind = "ar"\npoints = [[0.5]]\n'
+            '[estimators]\nnames = ["scm"]\n[timing]\n'
+        )
+        cfg = config_from_sections(sections)
+        defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)
+                    if f.default is not dataclasses.MISSING}
+        assert set(defaults) == {"sigma2", "runs", "seed", "cm_nmse", "icm_nmse"}
+        assert {name: getattr(cfg, name) for name in defaults} == defaults
+        assert bench.section_args(sections, "timing") == {}
 
     def test_missing_required_key(self):
         with pytest.raises(ValueError, match="missing required"):
@@ -164,6 +193,24 @@ class TestRunBenchmark:
         assert (tmp_path / "nmse_c_mean.svg").exists()
         text = (tmp_path / "nmse_c_mean.svg").read_text()
         assert "<svg" in text and "polyline" in text
+
+
+    def test_multi_axis_svg_plots_every_cell(self, tmp_path):
+        """With N and P both varying there is one chart per dimension, and
+        every row with a finite mean is a point of its dimension's chart."""
+        cfg = ExperimentConfig(
+            kind="ar", points=((0.5,),), sigma2=0.64, dims=(8, 12),
+            sample_counts=(4, 8, 16), estimators=("scm", "pls"), runs=1, seed=1,
+        )
+        rows = run_benchmark(cfg, str(tmp_path), svg=True)
+        for metric in ("nmse_c_mean", "nmse_icm_mean"):
+            names = {f"{metric}-dim{p}.svg": p for p in cfg.dims}
+            assert {f.name for f in tmp_path.glob(f"{metric}*.svg")} == set(names)
+            for name, p in names.items():
+                finite = [r for r in rows if r["dim"] == p and r[metric] is not None
+                          and np.isfinite(r[metric])]
+                assert finite
+                assert (tmp_path / name).read_text().count("<circle") == len(finite)
 
 
 class TestTiming:
@@ -391,6 +438,30 @@ def test_registry_entry_drives_estimate_benchmark_and_timing(name, tmp_path):
     assert row["nmse_icm_count"] == int(info.supports_icm)
     (timed,) = timing_benchmark((8,), (name,), n=8, reps=1)
     assert timed["median_ms"] >= 0.0 and timed["complexity"] == info.complexity
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_estimate_reports_the_registry_record(name, tmp_path):
+    """``estimate`` carries the fit record of the registry's tuned (and, for GS
+    estimators, order-2) fit of the same samples."""
+    data = sample(ProcessSpec("arma", 10, a=(0.7,), b=(0.3,), sigma2=0.64), 16, 4)
+    samples = tmp_path / "x.csv"
+    np.savetxt(samples, data.samples, delimiter=",")
+    info = ESTIMATORS[name]
+    fits = [([], info.tuned(data))]
+    if info.pinned is not None:
+        fits.append((["--order", "2"], info.pinned(data, 2)))
+    out = tmp_path / "report.json"
+    for extra, (_, _, meta, _) in fits:
+        argv = ["estimate", "--input", str(samples), "--estimator", name, "--out", str(out), *extra]
+        assert main(argv) == 0
+        report = json.loads(out.read_text())
+        expected = {
+            "order": meta.get("order", meta.get("mask_k")), "family_id": meta.get("family"),
+            "loglik": meta.get("loglik"), "iterations": meta.get("iterations"),
+            "converged": meta.get("converged"),
+        }
+        assert {key: report[key] for key in expected} == expected
 
 
 def test_em_reports_its_iterations(tmp_path):

@@ -420,6 +420,21 @@ class TestTuneOrder:
         rep = tune_order(lambda c, w: estimate_pls(c, spec16, order=w), ctx)
         assert rep.loglik == pytest.approx(loglik(ctx, rep.alpha), abs=1e-12)
 
+    def test_infeasible_candidates_strike(self, spec16):
+        """An infeasible candidate counts as a worse one: after order 1, five
+        infeasible orders end the scan."""
+        calls = []
+
+        def fit(ctx, order):
+            calls.append(order)
+            if order >= 2:
+                raise toeplitz.NotPositiveDefiniteError("infeasible")
+            return estimate_pls(ctx, spec16, order=order)
+
+        rep = tune_order(fit, ar1_data(n=32, seed=7).context())
+        assert calls == [1, 2, 3, 4, 5, 6]
+        assert rep.order == 1
+
     def test_single_sample_rejected(self, spec16):
         data = ar1_data(n=1)
         with pytest.raises(ValueError):

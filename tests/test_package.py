@@ -1,6 +1,9 @@
+import contextlib
 import importlib
 import importlib.util
+import io
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -35,3 +38,15 @@ def test_perfbench_targets_resolve():
         if obj is None:
             missing.append(f"toepcov.{module}.{attr}")
     assert not missing
+
+
+def test_readme_quickstart_runs():
+    """README's library quickstart runs as printed."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    order, family, err = out.getvalue().split()
+    assert (order, family) == ("1", "exp-1")
+    assert float(err) == pytest.approx(0.0281, abs=5e-5)
