@@ -30,6 +30,7 @@ from .constraints import (
     frobenius_gain_sq,
     project_box,
     spectral_pd_check,
+    strictly_inside_box,
 )
 from .estimators import (
     BarrierOptions,

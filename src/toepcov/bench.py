@@ -26,7 +26,6 @@ import numpy as np
 from . import baselines
 from .constraints import DEFAULT_FAMILIES, box_spec_for
 from .estimators import (
-    best_family_fit,
     estimate_eig,
     estimate_frob,
     estimate_pgd,
@@ -107,16 +106,20 @@ def _gs(name, complexity, fit, boxed=False, **timing):
     """GS estimator from ``fit(ctx, order, spec, **kw)``, one fixed-order fit.
 
     ``spec`` is the box of box estimators (None for the others).  Tuning
-    scans orders by BIC and, for box estimators, the default bound families;
-    a pinned order takes the best family.  Timing fits at ``TIMING_PIN`` in
-    the exp-1 box with the ``timing`` keywords.
+    scans orders by BIC and, for box estimators, the default bound families
+    (:func:`tune_box_family`, which also picks the family at a pinned
+    order).  Timing fits at ``TIMING_PIN`` in the exp-1 box with the
+    ``timing`` keywords.
     """
+
+    def factory(spec):
+        return lambda c, w: fit(c, w, spec)
 
     def tuned(data):
         ctx = data.context()
         if boxed:
-            return _gs_result(tune_box_family(lambda spec: (lambda c, w: fit(c, w, spec)), ctx))
-        return _gs_result(tune_order(lambda c, w: fit(c, w, None), ctx))
+            return _gs_result(tune_box_family(factory, ctx))
+        return _gs_result(tune_order(factory(None), ctx))
 
     def pinned(data, order):
         ctx = data.context()
@@ -124,8 +127,7 @@ def _gs(name, complexity, fit, boxed=False, **timing):
             return _gs_result(white_noise_report(ctx))
         if not boxed:
             return _gs_result(fit(ctx, order, None))
-        fits = (fit(ctx, order, box_spec_for(family, ctx.p)) for family in DEFAULT_FAMILIES)
-        return _gs_result(best_family_fit(fits))
+        return _gs_result(tune_box_family(factory, ctx, order=order))
 
     def timed(data):
         spec = box_spec_for(DEFAULT_FAMILIES[1], data.p) if boxed else None
@@ -195,6 +197,10 @@ ESTIMATORS = {
 }
 
 
+#: The process kinds a config may name.
+_PROCESS_KINDS = ("ar", "ma", "arma", "fbm")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -211,6 +217,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        if self.kind not in _PROCESS_KINDS:
+            raise ValueError(f"unknown process kind {self.kind!r}; known: {', '.join(_PROCESS_KINDS)}")
         for name in self.estimators:
             if name not in ESTIMATORS:
                 raise ValueError(

@@ -119,7 +119,7 @@ def _cmd_estimate(args) -> int:
             raise _UsageError(f"estimator {name!r} has no AR order; --order must be 'auto'")
     start = time.perf_counter()
     cm, icm, meta, fit = info.tuned(data) if order is None else info.pinned(data, order)
-    report = dict.fromkeys(("alpha0", "alpha", "nmse_c", "nmse_icm", *_REPORT_FIELDS.values()))
+    report = dict.fromkeys(("alpha0", "alpha", *_REPORT_FIELDS.values()))
     report.update((_REPORT_FIELDS[k], v) for k, v in meta.items() if k in _REPORT_FIELDS)
     report.update(estimator=name, cm_first_col=cm[:, 0].tolist())
     if fit is not None:

@@ -28,6 +28,7 @@ __all__ = [
     "bisect_box_scale",
     "box_spec_for",
     "project_box",
+    "strictly_inside_box",
     "frob_constraint",
     "EIG_DIM_LIMIT",
 ]
@@ -248,6 +249,21 @@ def project_box(alpha: GsParams, spec: BoxSpec) -> GsParams:
     else:
         rest = np.clip(rest, -lim, lim)
     return GsParams(a0, rest)
+
+
+def strictly_inside_box(alpha: GsParams, spec: BoxSpec, order: int) -> bool:
+    """Whether coefficients 1..order lie strictly inside the box, in the
+    geometry of :func:`project_box`: ``|a_i| < K_i a_0``, or each part below
+    ``K_i a_0 / 2`` for complex coefficients.  A clamped coefficient sits on
+    the bound, so it never counts as inside."""
+    if spec.dim != alpha.dim:
+        raise ValueError("box dimension does not match parameters")
+    lim = spec.k[:order] * alpha.alpha0
+    rest = alpha.alpha_rest[:order]
+    if np.iscomplexobj(rest):
+        half = lim / 2.0
+        return bool(np.all(np.abs(rest.real) < half) and np.all(np.abs(rest.imag) < half))
+    return bool(np.all(np.abs(rest) < lim))
 
 
 def frob_constraint(alpha: GsParams, support=None):

@@ -22,7 +22,7 @@ Order selection (BIC) and bound-family selection wrappers sit on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,8 +36,9 @@ from .constraints import (
     frob_constraint,
     frobenius_gain_sq,
     project_box,
+    strictly_inside_box,
 )
-from .likelihood import GsObjective, LikelihoodContext, _GsFactors, loglik
+from .likelihood import LikelihoodContext, _GsFactors, loglik
 from .toeplitz import (
     GsParams,
     HermitianToeplitz,
@@ -73,9 +74,12 @@ _ARMIJO_MAX_BACKTRACKS = 40
 _CURVATURE_FLOOR = 1e-8
 # Stop rule of every Newton round: a step gains less than _REL_TOL max(1, |f|)
 # at a point whose projected gradient is below _STAT_TOL (1 + |f|), where f is
-# the objective: the likelihood's gain over white noise, plus any barrier.
+# the objective: the likelihood's gain over white noise, plus any barrier; or
+# the step's predicted gain g.d is below the objective's rounding,
+# _ROUNDING (1 + |f|), so a line search could only follow rounding noise.
 _REL_TOL = 1e-8
 _STAT_TOL = 1e-5
+_ROUNDING = 1e-14
 # Barrier weight of the first outer round and its factor per round.
 _MU0 = 1.0
 _MU_SHRINK = 0.1
@@ -180,7 +184,9 @@ def _newton_ascent(evaluate, derivatives, x, lo, hi, max_iter, trail=None):
     step on the others, clips it to the box and halves it until the Armijo
     rule holds.  ``evaluate(x)`` is the objective (-inf where infeasible),
     ``derivatives(x)`` its gradient and Hessian; stationarity is measured by
-    the gradient's projected mapping norm ``|clip(x + g) - x|``.
+    the gradient's projected mapping norm ``|clip(x + g) - x|``.  A step
+    whose predicted gain is at rounding level ends the ascent, converged,
+    before any line search.
     Returns ``(x, iterations, converged)``; ``trail`` gets each ``(x, value)``.
     """
     value = evaluate(x)
@@ -191,11 +197,14 @@ def _newton_ascent(evaluate, derivatives, x, lo, hi, max_iter, trail=None):
         g, hess = derivatives(x)
         stationary = np.linalg.norm(np.clip(x + g, lo, hi) - x) < _STAT_TOL * (1.0 + abs(value))
         free = ~(((x <= lo) & (g <= 0)) | ((x >= hi) & (g >= 0)))
-        if np.linalg.norm(g[free]) < 1e-14 * (1.0 + abs(value)):
+        rounding = _ROUNDING * (1.0 + abs(value))
+        if np.linalg.norm(g[free]) < rounding:
             return x, iters, True
         idx = np.flatnonzero(free)
         d = np.zeros_like(x)
         d[idx] = _newton_step(hess[np.ix_(idx, idx)], g[idx])
+        if g @ d < rounding:
+            return x, iters, True
         accepted = _line_search(evaluate, x, d, value, g, lo, hi)
         if accepted is None:
             return x, iters, True
@@ -215,8 +224,8 @@ def _ratio_fit(ctx, order, max_iter, hi=None, slack=None, rounds=1,
 
     Maximizes ``L_c(u) + mu psi(u)`` over the real vector ``x`` of the ratios
     ``u = alpha_rest / alpha_0`` (real, then imaginary parts), the scale
-    maximized in closed form (:class:`GsObjective`, compared through its
-    scale-free :meth:`~GsObjective.value`).  Each round is
+    maximized in closed form (the context's shared ``GsObjective`` at this
+    order, compared through its scale-free ``value``).  Each round is
     :func:`_newton_ascent` inside ``[-hi, hi]`` (unbounded by default) from
     where the last stopped, the first from white noise.  Without a ``slack``
     there is one round at ``mu = 0``.  With one, ``slack(prof)`` returns
@@ -226,10 +235,11 @@ def _ratio_fit(ctx, order, max_iter, hi=None, slack=None, rounds=1,
     starts at ``_MU0`` and shrinks by ``_MU_SHRINK`` per round.  The report
     reads the objective it maximized: ``loglik`` is ``L_c`` and ``grad_norm``
     the likelihood's mapping norm ``|clip(x + g) - x|`` in ``x``, barrier
-    left out.  The scale is maximized out, so the likelihood's derivative
+    left out, from the derivatives the objective kept where the last round
+    stopped.  The scale is maximized out, so the likelihood's derivative
     along ``(1, u)`` is zero and needs no entry.
     """
-    prof = GsObjective(ctx, order)  # checks the order
+    prof = ctx.objective(order)  # checks the order
     if hi is None:
         hi = np.full(2 * order if prof.is_complex else order, np.inf)
     lo = -hi
@@ -502,19 +512,43 @@ def tune_box_family(
     fit_factory,
     ctx: LikelihoodContext,
     families=DEFAULT_FAMILIES,
+    order: int | None = None,
 ) -> EstimationReport:
     """Run the estimator under each bound family and keep the best fit.
 
     ``fit_factory(spec)`` returns a ``fit(ctx, order)`` callable bound to
-    the family's box.  The winner is chosen by :func:`best_family_fit`.
+    the family's box.  Each family's order is tuned by :func:`tune_order`,
+    or pinned to ``order``; the winner is chosen by :func:`best_family_fit`.
+
+    A converged fit whose coefficients lie strictly inside its own box is a
+    stationary point of the unconstrained likelihood, so it is a KKT point
+    of every box that strictly contains it (and for ``pls``, whose
+    projection is then the identity, the same fit).  A later family at the
+    same order whose box strictly contains it takes it as is, with zero
+    iterations, instead of fitting again.  These fits are kept for this call
+    only.
     """
     if not families:
         raise ValueError("at least one bound family is required")
+    interior: dict = {}  # order -> converged fits strictly inside their own box
+
+    def reusing(fit, spec):
+        def fit_or_reuse(c, w):
+            for rep in interior.get(w, ()):
+                if strictly_inside_box(rep.alpha, spec, w):
+                    return replace(rep, iterations=0, family_id=spec.family_id, extras=dict(rep.extras))
+            rep = fit(c, w)
+            if rep.converged and strictly_inside_box(rep.alpha, spec, w):
+                interior.setdefault(w, []).append(rep)
+            return rep
+
+        return fit_or_reuse
 
     def fits():
         for family in families:
             spec = box_spec_for(family, ctx.p)
-            rep = tune_order(fit_factory(spec), ctx)
+            fit = reusing(fit_factory(spec), spec)
+            rep = tune_order(fit, ctx) if order is None else fit(ctx, order)
             rep.family_id = rep.family_id or spec.family_id
             yield rep
 

@@ -68,7 +68,8 @@ class SampleSet:
 
 class LikelihoodContext:
     """Sample covariance plus its partial diagonal sum table ``scm_sums``,
-    the statistic every likelihood value and gradient reads."""
+    the statistic every likelihood value and gradient reads, and the
+    order-w :class:`GsObjective` on it (:meth:`objective`)."""
 
     def __init__(self, scm, n: int):
         scm = np.asarray(scm)
@@ -85,10 +86,19 @@ class LikelihoodContext:
         self.n = int(n)
         self.p = scm.shape[0]
         self.trace_scale = trace / self.p
+        self._objectives: dict = {}
 
     @cached_property
     def scm_sums(self) -> PartialDiagSums:
         return PartialDiagSums.from_matrix(self.scm)
+
+    def objective(self, order: int) -> "GsObjective":
+        """The order-w :class:`GsObjective`, built on first use.  It is a pure
+        function of the context and the order, so every fit at that order
+        shares it (and its derivatives at white noise)."""
+        if order not in self._objectives:
+            self._objectives[order] = GsObjective(self, order)
+        return self._objectives[order]
 
 
 def _evaluate(ctx: LikelihoodContext, alpha: GsParams) -> tuple:
@@ -281,7 +291,9 @@ class GsObjective:
     at :meth:`params`.  :meth:`value` is ``L_c(x) - L_c(0)``, the increase
     over white noise: it drops the ``-2 P log c`` that ``L_c`` carries at
     data scale ``c``, so its rounding, and a fit that compares its values,
-    do not depend on the scale.  :meth:`gradient` differentiates both.
+    do not depend on the scale.  :meth:`gradient` differentiates both; it
+    keeps its result at white noise, where every fit starts, and at the
+    last other point, where a fit that stopped reads its report.
     """
 
     def __init__(self, ctx: LikelihoodContext, order: int):
@@ -298,6 +310,9 @@ class GsObjective:
         self._last = (None, None)
         self._q0 = float(np.real(self._form[0, 0]))  # q and a* at white noise, x = 0
         self._a0 = self.p / self._q0
+        self._zero = np.zeros(self._hess_q.shape[0]).tobytes()
+        self._at_zero = None  # derivatives at white noise
+        self._at_last = (None, None)  # and at the last other point, with its bytes
 
     def _terms(self, x):
         """``(u, v, q, a*, h, step-down output)``; the last point is kept for
@@ -333,7 +348,18 @@ class GsObjective:
         return self.p * np.log(a0 / self._a0) + h - a0 * q + self._a0 * self._q0
 
     def gradient(self, x):
-        """Gradient and Hessian of :meth:`value`, and of ``L_c``, in ``x``."""
+        """Gradient and Hessian of :meth:`value`, and of ``L_c``, in ``x``
+        (shared arrays: callers do not write to them)."""
+        key = x.tobytes()
+        if key == self._zero:
+            if self._at_zero is None:
+                self._at_zero = self._derivatives_at(x)
+            return self._at_zero
+        if self._at_last[0] != key:
+            self._at_last = (key, self._derivatives_at(x))
+        return self._at_last[1]
+
+    def _derivatives_at(self, x):
         u, v, _, a0, _, steps = self._terms(x)
         grad_q = 2.0 * np.real(self.factors.jac.conj().T @ (self._form[1:] @ v))
         lags = _autocov_lags(steps, self.order + 1)

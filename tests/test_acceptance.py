@@ -295,6 +295,12 @@ def test_criterion_10_icm_error_ordering(tmp_path):
             lo = by[baseline]["nmse_icm_mean"] - 2 * by[baseline]["nmse_icm_se"]
             assert by[proposed]["nmse_icm_mean"] < by[baseline]["nmse_icm_mean"]
             assert hi < lo, f"{proposed} vs {baseline}"
+    # the tuned choices on these 200 datasets: a change to the fits or the
+    # tuning loop that moves them shows here
+    assert (by["pgd"]["order_hist"], by["pgd"]["family_hist"]) == (
+        {"1": 187, "2": 13}, {"exp-0.6": 73, "exp-1": 120, "exp-1.4": 7})
+    assert (by["pls"]["order_hist"], by["pls"]["family_hist"]) == (
+        {"1": 188, "2": 12}, {"exp-0.6": 83, "exp-1": 112, "exp-1.4": 5})
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
     means = {k: by[k]["nmse_icm_mean"] for k in cfg.estimators}

@@ -104,6 +104,17 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="missing required"):
             config_from_sections(parse_config("[grid]\ndims = [4]\n"))
 
+    @pytest.mark.parametrize("kind", ["AR", "fgn", ""])
+    def test_unknown_process_kind_rejected(self, kind):
+        """Any kind but ar, ma, arma and fbm is refused (``"AR"`` with point
+        (0.7,) used to run fBm increments with H = 0.7)."""
+        bad = SMOKE_CFG.replace('kind = "ar"', f'kind = "{kind}"')
+        with pytest.raises(ValueError, match="unknown process kind.*known: ar, ma, arma, fbm"):
+            config_from_sections(parse_config(bad))
+        with pytest.raises(ValueError, match="unknown process kind"):
+            ExperimentConfig(kind=kind, points=((0.7,),), dims=(8,), sample_counts=(8,),
+                             estimators=("scm",))
+
 
 class TestSeedDerivation:
     def test_distinct_cells_get_distinct_seeds(self):
@@ -462,6 +473,18 @@ def test_estimate_reports_the_registry_record(name, tmp_path):
             "converged": meta.get("converged"),
         }
         assert {key: report[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize("order", [[], ["--order", "2"]], ids=["tuned", "pinned"])
+def test_estimate_report_has_no_truth_metrics(order, tmp_path):
+    """``estimate`` has no true covariance to compare with, so its report
+    carries no NMSE keys (they were always null)."""
+    samples = tmp_path / "x.csv"
+    write_samples(samples, p=8, n=8)
+    out = tmp_path / "report.json"
+    assert main(["estimate", "--input", str(samples), "--estimator", "pls", "--out", str(out), *order]) == 0
+    report = json.loads(out.read_text())
+    assert "order" in report and not {"nmse_c", "nmse_icm"} & set(report)
 
 
 def test_em_reports_its_iterations(tmp_path):

@@ -17,6 +17,7 @@ from toepcov.constraints import (
     frobenius_gain_sq,
     project_box,
     spectral_pd_check,
+    strictly_inside_box,
 )
 from toepcov.toeplitz import GsParams, gs_assemble, gs_factor_b, gs_factor_z
 
@@ -184,6 +185,46 @@ class TestProjectBox:
         assert np.all(np.abs(out.alpha_rest.real) <= spec.k * out.alpha0 / 2 + 1e-15)
         assert np.all(np.abs(out.alpha_rest.imag) <= spec.k * out.alpha0 / 2 + 1e-15)
         assert spectral_pd_check(out)
+
+
+class TestStrictlyInsideBox:
+    def test_real_geometry(self):
+        spec = box_spec_for(DEFAULT_FAMILIES[1], 8)
+        a0 = 2.5
+        inside = GsParams(a0, spec.k * a0 * 0.99)
+        assert strictly_inside_box(inside, spec, 7)
+        on_bound = GsParams(a0, np.concatenate(([-spec.k[0] * a0], np.zeros(6))))
+        assert not strictly_inside_box(on_bound, spec, 1)
+        # coefficients beyond the order are not checked
+        beyond = GsParams(a0, np.concatenate((np.zeros(2), [5.0], np.zeros(4))))
+        assert strictly_inside_box(beyond, spec, 2) and not strictly_inside_box(beyond, spec, 3)
+
+    def test_complex_parts_within_half_the_bound(self):
+        spec = box_spec_for(DEFAULT_FAMILIES[1], 6)
+        half = spec.k[0] / 2
+        for part in (1.0, 1j):
+            near = GsParams(1.0, np.concatenate(([0.99 * half * part], np.zeros(4, complex))))
+            assert strictly_inside_box(near, spec, 1)
+            # |a_1| = 0.6 K_1 < K_1, but one part exceeds half the bound
+            over = GsParams(1.0, np.concatenate(([1.2 * half * part], np.zeros(4, complex))))
+            assert not strictly_inside_box(over, spec, 1)
+
+    @pytest.mark.parametrize("complex_case", [False, True])
+    def test_clamped_coordinate_is_never_inside(self, complex_case):
+        """A coordinate that ``project_box`` clamped sits on the bound."""
+        spec = box_spec_for(DEFAULT_FAMILIES[0], 10)
+        seen = set()
+        for _ in range(200):
+            a0 = float(rng.uniform(1e-4, 4.0))
+            bound = spec.k * a0 / (2 if complex_case else 1)  # of a coefficient, or of each part
+            rest = rng.uniform(-1.1, 1.1, size=9) * bound
+            if complex_case:
+                rest = rest + 1j * rng.uniform(-1.1, 1.1, size=9) * bound
+            out = project_box(GsParams(a0, rest), spec)
+            clamped = not np.array_equal(out.alpha_rest, rest)
+            assert strictly_inside_box(out, spec, 9) is not clamped
+            seen.add(clamped)
+        assert seen == {False, True}
 
 
 class TestFrobConstraint:

@@ -11,6 +11,7 @@ from toepcov.estimators import (
     BarrierOptions,
     EstimationReport,
     PgdOptions,
+    best_family_fit,
     estimate_eig,
     estimate_frob,
     estimate_pgd,
@@ -132,6 +133,22 @@ class TestPgd:
         rep = estimate_pgd(ar1_data(seed=3).context(), spec16, 3)
         assert rep.iterations > 1
         assert min(calls.values()) >= rep.iterations
+
+    def test_objective_shared_per_order(self, spec16):
+        """One ``GsObjective`` per context and order; a fit on it gives the
+        same report bit for bit whatever ran on it before, here the same fit
+        and fits in two other boxes."""
+        data = ar1_data(n=32, seed=5)
+        ctx = data.context()
+        assert ctx.objective(3) is ctx.objective(3)
+        assert ctx.objective(2) is not ctx.objective(3)
+        first = estimate_pgd(ctx, spec16, 3)
+        for family in (DEFAULT_FAMILIES[0], DEFAULT_FAMILIES[4]):
+            estimate_pgd(ctx, box_spec_for(family, 16), 3)
+        for rep in (estimate_pgd(ctx, spec16, 3), estimate_pgd(data.context(), spec16, 3)):
+            assert np.array_equal(rep.alpha.full, first.alpha.full)
+            assert (rep.loglik, rep.grad_norm, rep.iterations, rep.converged) == (
+                first.loglik, first.grad_norm, first.iterations, first.converged)
 
     def test_iteration_cap_reported(self, spec16):
         """A fit stopped by max_iter before it converged says so."""
@@ -394,6 +411,26 @@ class TestPls:
         assert np.all(gam[np.abs(i - j) > 2] == 0.0)
 
 
+class TestNewtonAscent:
+    def test_rounding_level_step_skips_the_line_search(self, monkeypatch):
+        """A Newton step whose predicted gain g.d = 1e-20 lies below the
+        objective's rounding ends the ascent, converged, without evaluating
+        a trial point (the search used to take up to 40 evaluations)."""
+        values, searches = [], []
+
+        def evaluate(x):
+            values.append(x.copy())
+            return -0.5 * float(x @ x)
+
+        monkeypatch.setattr(estimators, "_line_search", lambda *args: searches.append(args))
+        x0 = np.array([-1e-10])
+        x, iters, converged = estimators._newton_ascent(
+            evaluate, lambda x: (-x, -np.eye(1)), x0, np.array([-np.inf]), np.array([np.inf]), 50,
+        )
+        assert (iters, converged) == (1, True) and x is x0
+        assert len(values) == 1 and searches == []
+
+
 class TestTuneOrder:
     def test_recovers_ar1_order(self, spec16):
         hits = 0
@@ -475,14 +512,17 @@ class TestTuneBoxFamily:
     def test_rounding_noise_keeps_earlier_family(self, monkeypatch, path):
         """A family ahead by 1e-12 relative loglik loses to the earlier one;
         one ahead by 1e-6 wins.  Both the BIC-tuned and the pinned-order
-        registry fit apply the rule."""
+        registry fit apply the rule.  Each fake fit sits on its family's
+        first bound (alpha_1 = K_1 alpha_0), so no family reuses another's."""
         data = ar1_data()
         ids = [f.family_id for f in DEFAULT_FAMILIES]
 
         def selected(gain):
             def fake_pgd(ctx, spec, order):
                 value = 100.0 * (1.0 + (gain if spec.family_id == ids[1] else 0.0))
-                return EstimationReport(GsParams(1.0, np.zeros(15)), order, value, 1, True,
+                rest = np.zeros(15)
+                rest[0] = spec.k[0]
+                return EstimationReport(GsParams(1.0, rest), order, value, 1, True,
                                         family_id=spec.family_id)
 
             monkeypatch.setattr(bench, "estimate_pgd", fake_pgd)
@@ -492,6 +532,99 @@ class TestTuneBoxFamily:
 
         assert selected(1e-12) == ids[0]
         assert selected(1e-6) == ids[1]
+
+    @pytest.mark.parametrize(
+        "p, n, complex_case",
+        [(16, 4, False), (16, 8, False), (16, 32, False), (64, 64, False), (16, 8, True)],
+    )
+    def test_matches_independent_family_fits(self, p, n, complex_case):
+        """The shared objective, interior reuse and one family loop choose
+        what independent per-family fits on fresh contexts choose: the same
+        order and family, and the same loglik to 1e-12 relative, tuned and at
+        a pinned order."""
+        for seed in range(3):
+            data = complex_ar1_data(p, n, seed) if complex_case else ar1_data(p, n, seed=seed)
+            specs = [box_spec_for(f, p) for f in DEFAULT_FAMILIES]
+            tuned = best_family_fit(
+                tune_order(lambda c, w, s=s: estimate_pgd(c, s, w), data.context()) for s in specs
+            )
+            pinned = best_family_fit(estimate_pgd(data.context(), s, 3) for s in specs)
+            info = bench.ESTIMATORS["pgd"]
+            for expected, (_, _, meta, rep) in ((tuned, info.tuned(data)), (pinned, info.pinned(data, 3))):
+                assert (meta["order"], meta["family"]) == (expected.order, expected.family_id)
+                assert rep.loglik == pytest.approx(expected.loglik, rel=1e-12, abs=0)
+
+    def test_pls_reuse_is_exact(self):
+        """For ``pls`` an interior fit is the unprojected closed form, the same
+        in every box that contains it: reuse changes no bit."""
+        for seed in range(4):
+            data = ar1_data(n=32, seed=seed)
+            alone = best_family_fit(
+                tune_order(lambda c, w, s=box_spec_for(f, 16): estimate_pls(c, s, order=w), data.context())
+                for f in DEFAULT_FAMILIES
+            )
+            shared = tune_box_family(lambda s: (lambda c, w: estimate_pls(c, s, order=w)), data.context())
+            assert (shared.order, shared.family_id, shared.loglik) == (alone.order, alone.family_id, alone.loglik)
+            assert np.array_equal(shared.alpha.full, alone.alpha.full)
+
+    @staticmethod
+    def _fake_family_loop(monkeypatch, point, order=None):
+        """``tune_box_family`` over fake fits at ``point(spec)``: returns the
+        (family, order) of each fit it ran and the reports it compared.  BIC
+        picks order 2 of the fake likelihood."""
+        calls, compared = [], []
+
+        def factory(spec):
+            def fit(ctx, w):
+                calls.append((spec.family_id, w))
+                return EstimationReport(GsParams(1.0, point(spec)), w, 100.0 - (w - 2) ** 2, 3, True,
+                                        family_id=spec.family_id)
+            return fit
+
+        def best(reports):
+            compared.extend(reports)
+            return best_family_fit(compared)
+
+        monkeypatch.setattr(estimators, "best_family_fit", best)
+        tune_box_family(factory, ar1_data(n=32, seed=7).context(), order=order)
+        return calls, compared
+
+    @pytest.mark.parametrize("order", [None, 2], ids=["tuned", "pinned"])
+    def test_no_reuse_on_a_bound(self, monkeypatch, order):
+        """A fit with a coefficient on its family's bound is no stationary
+        point of the likelihood: every family fits again."""
+
+        def on_bound(spec):
+            rest = np.zeros(15)
+            rest[0] = -spec.k[0]
+            return rest
+
+        calls, compared = self._fake_family_loop(monkeypatch, on_bound, order)
+        ids = [f.family_id for f in DEFAULT_FAMILIES]
+        orders = [2] if order else list(range(1, 8))
+        assert calls == [(i, w) for i in ids for w in orders]
+        assert [r.iterations for r in compared] == [3] * 5
+
+    @pytest.mark.parametrize("order", [None, 2], ids=["tuned", "pinned"])
+    def test_interior_fit_reused(self, monkeypatch, order):
+        """A fit strictly inside its box is fitted by the first family whose
+        box strictly contains it (the first two clamp it to their bound) and
+        reused, with zero iterations, by every later family."""
+        k1 = [box_spec_for(f, 16).k[0] for f in DEFAULT_FAMILIES]
+        target = 0.5 * (k1[1] + k1[2])  # beyond the first two bounds, inside the rest
+
+        def clamped(spec):
+            rest = np.zeros(15)
+            rest[0] = min(target, spec.k[0])
+            return rest
+
+        calls, compared = self._fake_family_loop(monkeypatch, clamped, order)
+        ids = [f.family_id for f in DEFAULT_FAMILIES]
+        orders = [2] if order else list(range(1, 8))
+        assert calls == [(i, w) for i in ids[:3] for w in orders]
+        assert [r.family_id for r in compared] == ids
+        assert [r.iterations for r in compared] == [3, 3, 3, 0, 0]
+        assert compared[3].alpha is compared[2].alpha
 
     def test_decay_tracks_coefficient_size(self):
         """The selected bound family must accommodate the lag-one ratio.
