@@ -59,35 +59,61 @@ def _build_parser() -> _Parser:
 
 
 def _read_samples(path: str) -> np.ndarray:
-    rows = []
-    width = None
+    """The samples of the CSV at ``path``, one per row.
+
+    Blank lines and ``#`` comments are skipped; a first row that is not all
+    numbers is a header, which sets the width.  The cells are converted in
+    one pass, so a bad line is looked for only once that conversion or the
+    finiteness check has failed.
+    """
     try:
         handle = open(path)
     except OSError as exc:
         raise _UsageError(f"cannot open {path}: {exc}")
+    rows = []  # (line number, cells) of each data line
     with handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError:
-                if not rows and width is None:
-                    width = len(parts)  # header row
-                    continue
-                raise _UsageError(f"{path}:{lineno}: non-numeric value")
-            if not all(math.isfinite(v) for v in vals):
-                raise _UsageError(f"{path}:{lineno}: non-finite value")
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise _UsageError(f"{path}:{lineno}: expected {width} columns, got {len(vals)}")
-            rows.append(vals)
+            if line and not line.startswith("#"):
+                rows.append((lineno, line.split(",")))
+    width = len(rows[0][1]) if rows else 0
+    if rows and not _all_numbers(rows[0][1]):
+        del rows[0]  # header row
     if not rows:
         raise _UsageError(f"{path}: no samples found")
-    return np.asarray(rows)
+    if all(len(cells) == width for _, cells in rows):
+        try:
+            samples = np.array([c for _, cells in rows for c in cells], dtype=float).reshape(-1, width)
+        except ValueError:  # a cell float() rejects
+            pass
+        else:
+            if np.isfinite(samples).all():
+                return samples
+    raise _UsageError(_bad_line(path, rows, width))
+
+
+def _all_numbers(cells) -> bool:
+    try:
+        list(map(float, cells))
+    except ValueError:
+        return False
+    return True
+
+
+def _bad_line(path: str, rows, width: int) -> str:
+    """``path:line:`` message of the first of ``rows`` with a cell that is
+    not a number, a non-finite value, or other than ``width`` cells, checked
+    in that order on each line.  Called once the bulk conversion failed:
+    numpy converts each cell with ``float``, so some row is bad."""
+    for lineno, cells in rows:
+        try:
+            vals = [float(c) for c in cells]
+        except ValueError:
+            return f"{path}:{lineno}: non-numeric value"
+        if not all(map(math.isfinite, vals)):
+            return f"{path}:{lineno}: non-finite value"
+        if len(vals) != width:
+            return f"{path}:{lineno}: expected {width} columns, got {len(vals)}"
 
 
 # The report key of each field of a registry fit record that it carries.
@@ -127,7 +153,7 @@ def _cmd_estimate(args) -> int:
     if args.icm:
         report["icm_dense"] = icm.tolist()
     report["wall_ms"] = (time.perf_counter() - start) * 1e3
-    text = json.dumps(report, indent=1, sort_keys=True) + "\n"
+    text = json.dumps(report, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text)

@@ -95,6 +95,12 @@ class EstimationReport:
     the Newton fits, its projected gradient mapping norm in the coefficient
     ratios (the scale is maximized out); for the white-noise fit, the
     derivative in the scale; NaN for the closed-form ``pls`` fit.
+    ``stationary`` says whether the coefficients are a stationary point of
+    the unconstrained likelihood, which :func:`tune_box_family` needs to
+    reuse a fit: for the Newton fits, whether the likelihood's gradient in
+    the ratios, unprojected and barrier left out, is below ``_STAT_TOL (1 +
+    |f|)``; for the closed-form fits, whether no bound clamped them (``pls``
+    solves the conditional likelihood).
     """
 
     alpha: GsParams
@@ -104,6 +110,7 @@ class EstimationReport:
     converged: bool
     family_id: str | None = None
     grad_norm: float = np.nan
+    stationary: bool = False
     extras: dict = field(default_factory=dict)
 
     def icm_dense(self) -> np.ndarray:
@@ -139,6 +146,7 @@ def white_noise_report(ctx: LikelihoodContext) -> EstimationReport:
         iterations=0,
         converged=True,
         grad_norm=abs(ctx.p / a0 - trace),
+        stationary=True,
     )
 
 
@@ -236,8 +244,9 @@ def _ratio_fit(ctx, order, max_iter, hi=None, slack=None, rounds=1,
     reads the objective it maximized: ``loglik`` is ``L_c`` and ``grad_norm``
     the likelihood's mapping norm ``|clip(x + g) - x|`` in ``x``, barrier
     left out, from the derivatives the objective kept where the last round
-    stopped.  The scale is maximized out, so the likelihood's derivative
-    along ``(1, u)`` is zero and needs no entry.
+    stopped; ``stationary`` reads the same gradient unprojected.  The scale
+    is maximized out, so the likelihood's derivative along ``(1, u)`` is
+    zero and needs no entry.
     """
     prof = ctx.objective(order)  # checks the order
     if hi is None:
@@ -277,6 +286,7 @@ def _ratio_fit(ctx, order, max_iter, hi=None, slack=None, rounds=1,
         iterations=total_iters,
         converged=converged,
         grad_norm=float(np.linalg.norm(np.clip(x + g, lo, hi) - x)),
+        stationary=bool(np.linalg.norm(g) < _STAT_TOL * (1.0 + abs(prof.value(x)))),
     )
     if trail is not None:
         report.extras["iterates"] = [prof.params(y) for y, _ in trail]
@@ -467,6 +477,7 @@ def estimate_pls(
         iterations=0,
         converged=True,
         family_id=spec.family_id,
+        stationary=np.array_equal(alpha.alpha_rest, rest),
         extras=extras,
     )
 
@@ -520,17 +531,19 @@ def tune_box_family(
     the family's box.  Each family's order is tuned by :func:`tune_order`,
     or pinned to ``order``; the winner is chosen by :func:`best_family_fit`.
 
-    A converged fit whose coefficients lie strictly inside its own box is a
-    stationary point of the unconstrained likelihood, so it is a KKT point
-    of every box that strictly contains it (and for ``pls``, whose
-    projection is then the identity, the same fit).  A later family at the
-    same order whose box strictly contains it takes it as is, with zero
-    iterations, instead of fitting again.  These fits are kept for this call
-    only.
+    A fit that reports itself ``stationary`` for the unconstrained
+    likelihood, with coefficients strictly inside its own box, is a KKT
+    point of every box that strictly contains it (and for ``pls``, whose
+    projection is then the identity, the same fit).  ``converged`` does not
+    suffice: a Newton fit whose line search stalled one ulp inside a bound
+    converged, with its gradient pointing out of the box.  A later family
+    at the same order whose box strictly contains it takes it as is, with
+    zero iterations, instead of fitting again.  These fits are kept for
+    this call only.
     """
     if not families:
         raise ValueError("at least one bound family is required")
-    interior: dict = {}  # order -> converged fits strictly inside their own box
+    interior: dict = {}  # order -> stationary fits strictly inside their own box
 
     def reusing(fit, spec):
         def fit_or_reuse(c, w):
@@ -538,7 +551,7 @@ def tune_box_family(
                 if strictly_inside_box(rep.alpha, spec, w):
                     return replace(rep, iterations=0, family_id=spec.family_id, extras=dict(rep.extras))
             rep = fit(c, w)
-            if rep.converged and strictly_inside_box(rep.alpha, spec, w):
+            if rep.stationary and strictly_inside_box(rep.alpha, spec, w):
                 interior.setdefault(w, []).append(rep)
             return rep
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 
@@ -578,7 +579,7 @@ class TestTuneBoxFamily:
             def fit(ctx, w):
                 calls.append((spec.family_id, w))
                 return EstimationReport(GsParams(1.0, point(spec)), w, 100.0 - (w - 2) ** 2, 3, True,
-                                        family_id=spec.family_id)
+                                        family_id=spec.family_id, stationary=True)
             return fit
 
         def best(reports):
@@ -625,6 +626,34 @@ class TestTuneBoxFamily:
         assert [r.family_id for r in compared] == ids
         assert [r.iterations for r in compared] == [3, 3, 3, 0, 0]
         assert compared[3].alpha is compared[2].alpha
+
+    def test_no_reuse_of_a_converged_fit_that_is_not_stationary(self):
+        """A real ``pgd`` fit stopped one ulp inside the narrowest family's
+        first bound reads ``converged`` and strictly inside that box, but its
+        gradient points out of it: the wider family fits again and wins
+        instead of reusing it."""
+        data = ar1_data(n=32, a=0.9, seed=0)  # lag-one ratio -0.88, beyond both first bounds
+        narrow, wide = DEFAULT_FAMILIES[:2]
+        calls = []
+
+        def factory(spec):
+            def fit(ctx, w):
+                calls.append(spec.family_id)
+                fitted = spec
+                if spec.family_id == narrow.family_id:
+                    fitted = dataclasses.replace(spec, k=np.nextafter(spec.k, 0.0))
+                return estimate_pgd(ctx, fitted, w)
+            return fit
+
+        ctx = data.context()
+        stalled = factory(box_spec_for(narrow, 16))(ctx, 1)
+        assert stalled.converged and not stalled.stationary
+        assert estimators.strictly_inside_box(stalled.alpha, box_spec_for(narrow, 16), 1)
+        calls.clear()
+        best = tune_box_family(factory, ctx, families=(narrow, wide), order=1)
+        assert calls == [narrow.family_id, wide.family_id]
+        assert best.family_id == wide.family_id and best.iterations > 0
+        assert best.loglik > stalled.loglik
 
     def test_decay_tracks_coefficient_size(self):
         """The selected bound family must accommodate the lag-one ratio.
