@@ -35,7 +35,7 @@ from .estimators import (
     white_noise_report,
 )
 from .likelihood import LikelihoodContext
-from .processes import ProcessSpec, nmse, sample, true_cm
+from .processes import _KINDS, ProcessSpec, nmse, sample, true_cm
 
 __all__ = [
     "EstimatorInfo",
@@ -197,10 +197,6 @@ ESTIMATORS = {
 }
 
 
-#: The process kinds a config may name.
-_PROCESS_KINDS = ("ar", "ma", "arma", "fbm")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -217,8 +213,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
-        if self.kind not in _PROCESS_KINDS:
-            raise ValueError(f"unknown process kind {self.kind!r}; known: {', '.join(_PROCESS_KINDS)}")
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown process kind {self.kind!r}; known: {', '.join(_KINDS)}")
         for name in self.estimators:
             if name not in ESTIMATORS:
                 raise ValueError(
@@ -483,6 +479,8 @@ def timing_benchmark(dims=(64, 128, 256), estimator_names=("pgd", "pls", "bandin
     Hyperparameter tuning and the sample covariance computation are outside
     the timed region; bandwidth and order are pinned.
     """
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
     spec_params = {"a": (0.7,), "b": (0.3,), "sigma2": 0.64}
     rows = []
     for p in dims:

@@ -234,7 +234,7 @@ def main(argv=None) -> int:
             RuntimeError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return NUMERIC_ERROR
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an output path that cannot be written
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 

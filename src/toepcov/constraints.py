@@ -199,7 +199,6 @@ class BoxSpec:
 
     k: np.ndarray
     family_id: str | None = None
-    scale: float | None = None
 
     def __post_init__(self):
         k = np.atleast_1d(np.asarray(self.k, dtype=float))
@@ -225,8 +224,7 @@ def box_spec_for(family: FunctionFamily, p: int) -> BoxSpec:
     key = (family.family_id, p)
     spec = _BOX_CACHE.get(key)
     if spec is None:
-        eta, k = bisect_box_scale(family, p)
-        spec = BoxSpec(k, family_id=family.family_id, scale=eta)
+        spec = BoxSpec(bisect_box_scale(family, p)[1], family_id=family.family_id)
         _BOX_CACHE[key] = spec
     return spec
 
@@ -266,7 +264,7 @@ def strictly_inside_box(alpha: GsParams, spec: BoxSpec, order: int) -> bool:
     return bool(np.all(np.abs(rest) < lim))
 
 
-def frob_constraint(alpha: GsParams, support=None):
+def frob_constraint(alpha: GsParams):
     """Frobenius surrogate constraint value and its exact gradient.
 
     Value is ``gain^2 - 1 + EPS_F`` (feasible when negative).  The gradient
@@ -274,15 +272,13 @@ def frob_constraint(alpha: GsParams, support=None):
     pulled back through ``g = u * f`` and through ``df = f * f * dr`` with
     two correlations.  Real parameters get real partial derivatives, complex
     ones the packed ``d/dRe + i d/dIm`` form; the gain is invariant to the
-    scale of ``alpha``, which gives the ``alpha_0`` entry.  Returns the
-    entries over ``support`` (default: all coordinates).
+    scale of ``alpha``, which gives the ``alpha_0`` entry.
     """
     p = alpha.dim
-    support = list(range(p) if support is None else support)
     rest = alpha.alpha_rest
     grad = np.zeros(p, dtype=np.result_type(rest.dtype, np.float64))
     if p == 1:
-        return EPS_F - 1.0, grad[support]
+        return EPS_F - 1.0, grad
     n = p - 1
     with np.errstate(over="ignore", invalid="ignore"):
         u, f, g = _cross_terms(alpha)
@@ -295,4 +291,4 @@ def frob_constraint(alpha: GsParams, support=None):
         dr[: n - 1] = np.conj(np.correlate(np.conj(df), np.convolve(f, f)[:n], "full")[n:])
         grad[1:] = (du[::-1] - dr) / alpha.alpha0
         grad[0] = -np.real(np.vdot(rest, grad[1:])) / alpha.alpha0
-    return _gain_sq(g) - 1.0 + EPS_F, grad[support]
+    return _gain_sq(g) - 1.0 + EPS_F, grad

@@ -498,12 +498,12 @@ def tune_order(fit, ctx: LikelihoodContext) -> EstimationReport:
     p = ctx.p
     cap = min(p - 1, int(round(2.0 * np.sqrt(p) + 8.0)))
     log_n = np.log(ctx.n)
-    best = None
-    best_score = np.inf
+    best = white_noise_report(ctx)
+    best_score = log_n - 0.5 * ctx.n * best.loglik
     strikes = 0
-    for order in range(cap):
+    for order in range(1, cap):
         try:
-            rep = white_noise_report(ctx) if order == 0 else fit(ctx, order)
+            rep = fit(ctx, order)
             score = (order + 1) * log_n - 0.5 * ctx.n * rep.loglik
         except _INFEASIBLE:
             score = np.inf  # an infeasible candidate strikes like a worse one
@@ -513,8 +513,6 @@ def tune_order(fit, ctx: LikelihoodContext) -> EstimationReport:
             strikes += 1
             if strikes >= _PATIENCE:
                 break
-    if best is None:
-        raise RuntimeError("order tuning produced no feasible candidate")
     best.extras["bic_score"] = float(best_score)
     return best
 

@@ -28,10 +28,6 @@ from .toeplitz import (
     PartialDiagSums,
     _autocov_lags,
     _step_down,
-    ar_to_autocov,
-    gs_assemble,
-    gs_factor_b,
-    gs_factor_z,
     gs_to_ar,
     toeplitz_from_lags,
     toeplitz_partial_sums,
@@ -140,26 +136,15 @@ def loglik(ctx: LikelihoodContext, alpha: GsParams) -> float:
     return _evaluate(ctx, alpha)[0]
 
 
-def grad(ctx: LikelihoodContext, alpha: GsParams, support=None, dense: bool = False):
+def grad(ctx: LikelihoodContext, alpha: GsParams, support=None):
     """Analytic gradient of the log-likelihood over the given support.
 
     ``support`` is an iterable of coordinate indices (0 selects the scale
     parameter); defaults to all coordinates.  Real parameters get real
     partial derivatives; complex trailing parameters get the packed
-    ``d/dRe + i d/dIm`` form.  ``dense=True`` switches to the O(P^3) dense
-    cross-check path.
+    ``d/dRe + i d/dIm`` form.
     """
-    evaluation = _evaluate(ctx, alpha)
-    if dense:
-        return _grad_dense(ctx, alpha, _support_indices(ctx.p, support))
-    return _grad(ctx, alpha, evaluation, support)
-
-
-def _support_indices(p, support):
-    idx = np.arange(p) if support is None else np.array([int(i) for i in support], dtype=int)
-    if np.any((idx < 0) | (idx >= p)):
-        raise ValueError("support indices out of range")
-    return idx
+    return _grad(ctx, alpha, _evaluate(ctx, alpha), support)
 
 
 def _grad(ctx, alpha, evaluation, support):
@@ -171,7 +156,9 @@ def _grad(ctx, alpha, evaluation, support):
     step-down output in ``evaluation``, :func:`_evaluate` at ``alpha``.
     """
     p = ctx.p
-    idx = _support_indices(p, support)
+    idx = np.arange(p) if support is None else np.array([int(i) for i in support], dtype=int)
+    if np.any((idx < 0) | (idx >= p)):
+        raise ValueError("support indices out of range")
     _, trace_sg, steps = evaluation
     w = alpha.order
     b, z = _factor_heads(alpha, w)
@@ -186,34 +173,6 @@ def _grad(ctx, alpha, evaluation, support):
     g = 2.0 / alpha.alpha0 * tb
     g[~shifted] = (2.0 * np.real(tb[~shifted]) - (p - trace_sg)) / alpha.alpha0
     return g if np.iscomplexobj(alpha.alpha_rest) else np.real(g)
-
-
-def _grad_dense(ctx, alpha, support):
-    """Dense-matrix gradient used to cross-check the fast kernels."""
-    p = ctx.p
-    a0 = alpha.alpha0
-    a, sigma2 = gs_to_ar(alpha)
-    cov = ar_to_autocov(a, sigma2, p).dense()
-    m = cov - ctx.scm
-    b = gs_factor_b(alpha).dense()
-    z = gs_factor_z(alpha).dense()
-    gamma = gs_assemble(alpha)
-    shift = np.eye(p, k=-1)
-    complex_out = np.iscomplexobj(alpha.full)
-    out = np.zeros(len(support), dtype=np.complex128 if complex_out else np.float64)
-    for pos, i in enumerate(support):
-        if i == 0:
-            out[pos] = np.real(np.trace(m @ (b + b.conj().T - gamma))) / a0
-        else:
-            ei = np.linalg.matrix_power(shift, i)
-            ep = np.linalg.matrix_power(shift, p - i)
-            tb = np.trace(m @ b @ ei.T)
-            tz = np.trace(m @ z @ ep.T)
-            if complex_out:
-                out[pos] = 2.0 / a0 * (tb - np.conj(tz))
-            else:
-                out[pos] = 2.0 / a0 * np.real(tb - tz)
-    return out
 
 
 class _GsFactors:

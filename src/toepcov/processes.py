@@ -44,15 +44,6 @@ class ProcessSpec:
         if self.kind == "fbm" and not 0.5 <= self.h <= 1.0:
             raise ValueError("Hurst parameter must lie in [0.5, 1]")
 
-    def label(self) -> str:
-        if self.kind == "ar":
-            return f"ar{list(self.a)}"
-        if self.kind == "ma":
-            return f"ma{list(self.b)}"
-        if self.kind == "arma":
-            return f"arma[{self.a[0]},{self.b[0]}]"
-        return f"fbm[{self.h}]"
-
 
 def _ma_autocov(b, sigma2, p):
     taps = np.concatenate(([1.0], np.asarray(b, dtype=float)))

@@ -23,13 +23,15 @@ def _ticks_log(lo, hi):
     return [10.0**e for e in range(lo_e, hi_e + 1)]
 
 
-def line_chart(series, path, title="", xlabel="", ylabel="", log_y=True):
-    """Write a line chart; ``series`` is a list of (label, xs, ys) triples.
+def line_chart(series, path, title="", xlabel="", ylabel=""):
+    """Write a line chart with a log y axis; ``series`` is a list of (label,
+    xs, ys) triples.
 
-    Non-finite y values break the polyline rather than being interpolated.
+    Non-finite and non-positive y values break the polyline rather than
+    being interpolated.
     """
     xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys if y is not None and math.isfinite(y) and (not log_y or y > 0)]
+    ys_all = [y for _, _, ys in series for y in ys if y is not None and math.isfinite(y) and y > 0]
     if not xs_all or not ys_all:
         raise ValueError("nothing to plot")
     x_lo, x_hi = min(xs_all), max(xs_all)
@@ -45,10 +47,7 @@ def line_chart(series, path, title="", xlabel="", ylabel="", log_y=True):
         return _ML + plot_w * (x - x_lo) / (x_hi - x_lo)
 
     def sy(y):
-        if log_y:
-            frac = (math.log10(y) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
-        else:
-            frac = (y - y_lo) / (y_hi - y_lo)
+        frac = (math.log10(y) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
         return _MT + plot_h * (1.0 - frac)
 
     parts = [
@@ -58,14 +57,12 @@ def line_chart(series, path, title="", xlabel="", ylabel="", log_y=True):
         f'<text x="{_ML}" y="18" font-size="14">{title}</text>',
         f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" fill="none" stroke="#444"/>',
     ]
-    y_ticks = _ticks_log(y_lo, y_hi) if log_y else [y_lo + i * (y_hi - y_lo) / 4 for i in range(5)]
-    for yt in y_ticks:
+    for yt in _ticks_log(y_lo, y_hi):
         if not (y_lo <= yt <= y_hi):
             continue
         yy = sy(yt)
         parts.append(f'<line x1="{_ML}" y1="{yy:.1f}" x2="{_ML + plot_w}" y2="{yy:.1f}" stroke="#ddd"/>')
-        label = f"1e{int(math.log10(yt))}" if log_y else f"{yt:.3g}"
-        parts.append(f'<text x="{_ML - 8}" y="{yy + 4:.1f}" text-anchor="end">{label}</text>')
+        parts.append(f'<text x="{_ML - 8}" y="{yy + 4:.1f}" text-anchor="end">1e{int(math.log10(yt))}</text>')
     seen = set()
     for xt in xs_all:
         if xt in seen:
@@ -87,7 +84,7 @@ def line_chart(series, path, title="", xlabel="", ylabel="", log_y=True):
         segment = []
         segments = []
         for x, y in zip(xs, ys):
-            if y is None or not math.isfinite(y) or (log_y and y <= 0):
+            if y is None or not math.isfinite(y) or y <= 0:
                 if segment:
                     segments.append(segment)
                 segment = []

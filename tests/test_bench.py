@@ -2,7 +2,9 @@ import dataclasses
 import inspect
 import json
 import os
+import re
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +104,21 @@ class TestConfigParsing:
         assert set(defaults) == {"sigma2", "runs", "seed", "cm_nmse", "icm_nmse"}
         assert {name: getattr(cfg, name) for name in defaults} == defaults
         assert bench.section_args(sections, "timing") == {}
+
+    def test_readme_shows_the_defaults(self):
+        """README's two config blocks promise that an omitted optional key
+        takes the default shown: every optional key they show holds the
+        ``ExperimentConfig`` field default or the ``timing_benchmark``
+        signature default."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        experiment, timing = (parse_config(b) for b in re.findall(r"```ini\n(.*?)```", readme, re.S))
+        shown = bench.section_args(experiment, "grid", "process", "estimators", "outputs")
+        defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)
+                    if f.default is not dataclasses.MISSING}
+        assert set(defaults) <= set(shown)
+        assert {name: shown[name] for name in defaults} == defaults
+        signature = inspect.signature(timing_benchmark).parameters
+        assert bench.section_args(timing, "timing") == {k: v.default for k, v in signature.items()}
 
     def test_missing_required_key(self):
         with pytest.raises(ValueError, match="missing required"):
@@ -238,6 +255,24 @@ class TestTiming:
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("estimator,")
         assert len(lines) == 5
+
+
+    def test_zero_reps_rejected_before_any_fit(self, tmp_path, monkeypatch, capsys):
+        """No repetition gives no median: ``--runs 0`` or ``reps = 0`` is a
+        usage error, raised before any sample is drawn."""
+        def no_sample(*args):
+            raise AssertionError("sampled with zero repetitions")
+
+        monkeypatch.setattr(bench, "sample", no_sample)
+        with pytest.raises(ValueError, match="reps must be at least 1"):
+            timing_benchmark((8,), ("pls",), n=8, reps=0)
+        cfg = tmp_path / "timing.cfg"
+        cfg.write_text("[timing]\nreps = 0\n")
+        out = tmp_path / "timing.csv"
+        for argv in (["--runs", "0"], ["--config", str(cfg)]):
+            assert main(["timing", *argv, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == "error: reps must be at least 1\n"
+        assert not out.exists()
 
 
 class TestCli:
@@ -381,6 +416,36 @@ class TestCli:
             ["estimate", "--input", str(path), "--estimator", "pls", "--out", str(out)]
         ) == 0
         assert json.loads(out.read_text())["order"] == 0
+
+    @pytest.mark.parametrize("name, code", [("frob", 0), ("eig", 0), ("pgd", 1), ("pls", 1)])
+    def test_one_column_samples(self, tmp_path, capsys, name, code):
+        """At P = 1 white noise is the only order: tuned ``frob`` and ``eig``
+        report order 0, and the boxed ``pgd`` and ``pls`` refuse the
+        dimension."""
+        path = tmp_path / "x.csv"
+        np.savetxt(path, np.random.default_rng(3).standard_normal((8, 1)), delimiter=",")
+        assert main(["estimate", "--input", str(path), "--estimator", name]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert json.loads(captured.out)["order"] == 0
+        else:
+            assert captured.err == "error: dimension must be at least 2\n"
+
+    @pytest.mark.parametrize("command", ["estimate", "timing"])
+    def test_unwritable_out_path(self, tmp_path, capsys, command):
+        """An ``--out`` in a missing directory is a usage error, not a traceback."""
+        out = tmp_path / "missing" / "r.json"
+        if command == "estimate":
+            samples = tmp_path / "x.csv"
+            write_samples(samples)
+            argv = ["estimate", "--input", str(samples), "--estimator", "pls"]
+        else:
+            cfg = tmp_path / "timing.cfg"
+            cfg.write_text('[timing]\ndims = [8]\nestimators = ["pls"]\nreps = 1\nsample_count = 8\n')
+            argv = ["timing", "--config", str(cfg)]
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
