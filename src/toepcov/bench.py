@@ -112,22 +112,21 @@ def _gs(name, complexity, fit, boxed=False, **timing):
     ``timing`` keywords.
     """
 
-    def factory(spec):
-        return lambda c, w: fit(c, w, spec)
-
     def tuned(data):
         ctx = data.context()
         if boxed:
-            return _gs_result(tune_box_family(factory, ctx))
-        return _gs_result(tune_order(factory(None), ctx))
+            return _gs_result(tune_box_family(fit, ctx))
+        return _gs_result(tune_order(lambda c, w: fit(c, w, None), ctx))
 
     def pinned(data, order):
+        if not 0 <= order <= data.p - 1:
+            raise ValueError(f"order must lie in [0, {data.p - 1}], got {order}")
         ctx = data.context()
         if order == 0:
             return _gs_result(white_noise_report(ctx))
         if not boxed:
             return _gs_result(fit(ctx, order, None))
-        return _gs_result(tune_box_family(factory, ctx, order=order))
+        return _gs_result(tune_box_family(fit, ctx, order=order))
 
     def timed(data):
         spec = box_spec_for(DEFAULT_FAMILIES[1], data.p) if boxed else None
@@ -197,6 +196,12 @@ ESTIMATORS = {
 }
 
 
+def _check_names(names):
+    for name in names:
+        if name not in ESTIMATORS:
+            raise ValueError(f"unknown estimator {name!r}; known: {', '.join(sorted(ESTIMATORS))}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -215,11 +220,7 @@ class ExperimentConfig:
             raise ValueError("runs must be at least 1")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown process kind {self.kind!r}; known: {', '.join(_KINDS)}")
-        for name in self.estimators:
-            if name not in ESTIMATORS:
-                raise ValueError(
-                    f"unknown estimator {name!r}; known: {', '.join(sorted(ESTIMATORS))}"
-                )
+        _check_names(self.estimators)
 
     def process_spec(self, point, p) -> ProcessSpec:
         if self.kind == "ar":
@@ -342,10 +343,9 @@ def _run_cell(config: ExperimentConfig, task):
 
 def worker_count() -> int:
     raw = os.environ.get("TOEPCOV_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    if not (raw.strip().isdigit() and int(raw) >= 1):
+        raise ValueError(f"TOEPCOV_WORKERS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _mean_se(values):
@@ -394,7 +394,8 @@ def run_benchmark(config: ExperimentConfig, out_dir: str, svg: bool = False, wor
     os.makedirs(out_dir, exist_ok=True)
     cells = list(itertools.product(config.points, config.dims, config.sample_counts))
     tasks = [(cell, run) for cell in cells for run in range(config.runs)]
-    workers = worker_count() if workers is None else max(1, workers)
+    # a fork pool starts all its workers on the first task: no more than there are tasks
+    workers = min(worker_count() if workers is None else max(1, workers), len(tasks))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         results = dict(zip(tasks, (pool.map if pool else map)(partial(_run_cell, config), tasks)))
 
@@ -481,6 +482,7 @@ def timing_benchmark(dims=(64, 128, 256), estimator_names=("pgd", "pls", "bandin
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
+    _check_names(estimator_names)
     spec_params = {"a": (0.7,), "b": (0.3,), "sigma2": 0.64}
     rows = []
     for p in dims:

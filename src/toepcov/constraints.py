@@ -119,40 +119,24 @@ def box_bound(k_vec) -> float:
 
 @dataclass(frozen=True)
 class FunctionFamily:
-    """A one-parameter bound-generating function ``f(scale, i)``.
+    """Exponentially decaying box bounds ``K_i = scale * exp(-decay * i)``.
 
-    Must vanish at scale zero and be continuous, nonnegative, and monotone
-    increasing in the scale; this is spot-checked at construction.
+    GS coefficients behave like AR coefficients, which decay geometrically,
+    so one family is its decay rate.
     """
 
-    family_id: str
-    fn: callable
+    decay: float
 
-    def __post_init__(self):
-        idx = np.arange(1, 9)
-        zero = np.asarray(self.fn(0.0, idx), dtype=float)
-        if np.any(np.abs(zero) > 0):
-            raise ValueError(f"family {self.family_id}: f(0, i) must vanish")
-        prev = zero
-        for eta in (1e-3, 0.1, 1.0, 4.0, 16.0):
-            cur = np.asarray(self.fn(eta, idx), dtype=float)
-            if np.any(cur < prev - 1e-15) or np.any(cur < 0):
-                raise ValueError(
-                    f"family {self.family_id}: f must be nonnegative and monotone in the scale"
-                )
-            prev = cur
+    @property
+    def family_id(self) -> str:
+        return f"exp-{self.decay:g}"
 
     def bounds(self, eta: float, p: int) -> np.ndarray:
-        i = np.arange(1, p)
-        return np.asarray(self.fn(eta, i), dtype=float)
+        return eta * np.exp(-self.decay * np.arange(1, p))
 
 
-def _exp_family(decay: float) -> FunctionFamily:
-    return FunctionFamily(f"exp-{decay:g}", lambda eta, i, d=decay: eta * np.exp(-d * i))
-
-
-#: Exponentially decaying bound families; decay rates span slow to fast.
-DEFAULT_FAMILIES = tuple(_exp_family(d) for d in (0.6, 1.0, 1.4, 1.8, 2.2))
+#: Bound families with decay rates from slow to fast.
+DEFAULT_FAMILIES = tuple(FunctionFamily(d) for d in (0.6, 1.0, 1.4, 1.8, 2.2))
 
 
 def bisect_box_scale(family: FunctionFamily, p: int, tol: float = 1e-3):

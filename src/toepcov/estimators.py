@@ -518,16 +518,16 @@ def tune_order(fit, ctx: LikelihoodContext) -> EstimationReport:
 
 
 def tune_box_family(
-    fit_factory,
+    fit,
     ctx: LikelihoodContext,
     families=DEFAULT_FAMILIES,
     order: int | None = None,
 ) -> EstimationReport:
     """Run the estimator under each bound family and keep the best fit.
 
-    ``fit_factory(spec)`` returns a ``fit(ctx, order)`` callable bound to
-    the family's box.  Each family's order is tuned by :func:`tune_order`,
-    or pinned to ``order``; the winner is chosen by :func:`best_family_fit`.
+    ``fit(ctx, order, spec)`` fits at one order in the box ``spec``.  Each
+    family's order is tuned by :func:`tune_order`, or pinned to ``order``;
+    the winner is chosen by :func:`best_family_fit`.
 
     A fit that reports itself ``stationary`` for the unconstrained
     likelihood, with coefficients strictly inside its own box, is a KKT
@@ -543,23 +543,20 @@ def tune_box_family(
         raise ValueError("at least one bound family is required")
     interior: dict = {}  # order -> stationary fits strictly inside their own box
 
-    def reusing(fit, spec):
-        def fit_or_reuse(c, w):
-            for rep in interior.get(w, ()):
-                if strictly_inside_box(rep.alpha, spec, w):
-                    return replace(rep, iterations=0, family_id=spec.family_id, extras=dict(rep.extras))
-            rep = fit(c, w)
-            if rep.stationary and strictly_inside_box(rep.alpha, spec, w):
-                interior.setdefault(w, []).append(rep)
-            return rep
-
-        return fit_or_reuse
-
     def fits():
         for family in families:
             spec = box_spec_for(family, ctx.p)
-            fit = reusing(fit_factory(spec), spec)
-            rep = tune_order(fit, ctx) if order is None else fit(ctx, order)
+
+            def fit_or_reuse(c, w, spec=spec):
+                for rep in interior.get(w, ()):
+                    if strictly_inside_box(rep.alpha, spec, w):
+                        return replace(rep, iterations=0, family_id=spec.family_id, extras=dict(rep.extras))
+                rep = fit(c, w, spec)
+                if rep.stationary and strictly_inside_box(rep.alpha, spec, w):
+                    interior.setdefault(w, []).append(rep)
+                return rep
+
+            rep = tune_order(fit_or_reuse, ctx) if order is None else fit_or_reuse(ctx, order)
             rep.family_id = rep.family_id or spec.family_id
             yield rep
 

@@ -324,5 +324,6 @@ class GsObjective:
         lags = _autocov_lags(steps, self.order + 1)
         r = toeplitz_from_lags(np.concatenate((np.conj(lags[:0:-1]), lags)))
         grad_h, hess_h = self.factors.logdet_derivatives(u, r)
-        hess = hess_h - a0 * self._hess_q + a0**2 / self.p * np.outer(grad_q, grad_q)
-        return grad_h - a0 * grad_q, hess
+        scaled = a0 * grad_q  # a* and grad q scale inversely: their product is scale-free
+        hess = hess_h - a0 * self._hess_q + np.outer(scaled, scaled) / self.p
+        return grad_h - scaled, hess

@@ -182,6 +182,47 @@ class TestRunBenchmark:
         ) as fb:
             assert fa.read() == fb.read()
 
+    @pytest.mark.parametrize("runs, pools", [(1, []), (3, [3])])
+    def test_pool_is_capped_at_the_task_count(self, tmp_path, monkeypatch, runs, pools):
+        """A fork pool starts every worker on its first task, so
+        ``TOEPCOV_WORKERS=64`` asks for no more workers than there are
+        tasks, and a single task runs without a pool.  The executor is a
+        fake that records its size and starts no process."""
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setenv("TOEPCOV_WORKERS", "64")
+        cfg = ExperimentConfig(kind="ar", points=((0.5,),), dims=(6,), sample_counts=(8,),
+                               estimators=("scm",), runs=runs, seed=1)
+        (row,) = run_benchmark(cfg, str(tmp_path))
+        assert sizes == pools and row["failures"] == 0
+
+    @pytest.mark.parametrize("raw", ["0", "-2", "two", "1.5", ""])
+    def test_bad_worker_count_rejected(self, tmp_path, monkeypatch, capsys, raw):
+        """A ``TOEPCOV_WORKERS`` that is not a positive integer is a usage
+        error (exit 1), not a silent serial run."""
+        monkeypatch.setenv("TOEPCOV_WORKERS", raw)
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text(SMOKE_CFG)
+        out = tmp_path / "out"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: TOEPCOV_WORKERS must be a positive integer, got {raw!r}\n")
+        assert not (out / "results.csv").exists()
+
     def test_icm_columns_only_for_capable_estimators(self, tmp_path):
         cfg = ExperimentConfig(
             kind="ar", points=((0.5,),), sigma2=0.64, dims=(10,),
@@ -272,6 +313,23 @@ class TestTiming:
         for argv in (["--runs", "0"], ["--config", str(cfg)]):
             assert main(["timing", *argv, "--out", str(out)]) == 1
             assert capsys.readouterr().err == "error: reps must be at least 1\n"
+        assert not out.exists()
+
+
+    def test_unknown_estimator_rejected_before_any_fit(self, tmp_path, monkeypatch, capsys):
+        """An unknown name is refused, with the known ones, before any
+        sample is drawn or any listed estimator is timed."""
+        def no_sample(*args):
+            raise AssertionError("sampled with an unknown estimator")
+
+        monkeypatch.setattr(bench, "sample", no_sample)
+        with pytest.raises(ValueError, match=r"unknown estimator 'nope'; known: .*pgd"):
+            timing_benchmark((8,), ("pls", "nope"), n=8, reps=1)
+        cfg = tmp_path / "timing.cfg"
+        cfg.write_text('[timing]\nestimators = ["pls", "nope"]\n')
+        out = tmp_path / "timing.csv"
+        assert main(["timing", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: unknown estimator 'nope'; known: ")
         assert not out.exists()
 
 
@@ -430,6 +488,22 @@ class TestCli:
             assert json.loads(captured.out)["order"] == 0
         else:
             assert captured.err == "error: dimension must be at least 2\n"
+
+    @pytest.mark.parametrize("name", ["eig", "frob", "pgd", "pls"])
+    def test_pinned_order_range(self, tmp_path, capsys, name):
+        """Every GS estimator pins the orders 0..P-1 and names that range
+        otherwise, also for one-column samples."""
+        six = tmp_path / "six.csv"
+        write_samples(six, p=6, n=8)
+        one = tmp_path / "one.csv"
+        np.savetxt(one, np.random.default_rng(3).standard_normal((8, 1)), delimiter=",")
+        for path, order, top in ((six, -1, 5), (six, 6, 5), (one, 1, 0)):
+            argv = ["estimate", "--input", str(path), "--estimator", name, "--order", str(order)]
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: order must lie in [0, {top}], got {order}\n"
+        for order in ("0", "5"):
+            assert main(["estimate", "--input", str(six), "--estimator", name, "--order", order]) == 0
+            assert json.loads(capsys.readouterr().out)["order"] == int(order)
 
     @pytest.mark.parametrize("command", ["estimate", "timing"])
     def test_unwritable_out_path(self, tmp_path, capsys, command):

@@ -124,17 +124,16 @@ class TestBisectBoxScale:
             e256, _ = bisect_box_scale(family, 256)
             assert abs(e32 - e256) < 0.01
 
-    def test_constant_family(self):
-        fam = FunctionFamily("flat", lambda eta, i: eta * np.ones_like(np.asarray(i, dtype=float)))
+    def test_family_is_its_decay(self):
+        """A family is its decay rate: the id names it, the bounds are
+        ``scale * exp(-decay * i)``, and a rate outside the defaults
+        calibrates like them."""
+        assert [f.family_id for f in DEFAULT_FAMILIES] == ["exp-0.6", "exp-1", "exp-1.4", "exp-1.8", "exp-2.2"]
+        fam = FunctionFamily(0.3)
         eta, k = bisect_box_scale(fam, 16)
-        assert np.allclose(k, eta)
+        assert fam.family_id == "exp-0.3"
+        assert np.array_equal(k, eta * np.exp(-0.3 * np.arange(1, 16)))
         assert 1.0 - 1e-3 <= box_bound(k) < 1.0
-
-    def test_bad_family_rejected(self):
-        with pytest.raises(ValueError):
-            FunctionFamily("offset", lambda eta, i: eta + 1.0)
-        with pytest.raises(ValueError):
-            FunctionFamily("decreasing", lambda eta, i: np.maximum(1.0 - eta, 0.0) * np.ones_like(np.asarray(i, dtype=float)))
 
 
 class TestBoxSpec:

@@ -294,7 +294,7 @@ def _unit_scale_cm(name, complex_case):
     return samples, fit(SampleSet(samples).context()).cm().dense()
 
 
-@pytest.mark.parametrize("factor", [1e-6, 1e-4, 1e-2, 1e2, 1e3, 1e4, 1e6])
+@pytest.mark.parametrize("factor", [1e-100, 1e-6, 1e-4, 1e-2, 1e2, 1e3, 1e4, 1e6, 1e100])
 @pytest.mark.parametrize("name", ["pgd", "pls", "frob", "eig"])
 def test_scale_equivariant(name, factor, spec16):
     """Every constraint (the box, the Frobenius and eigenvalue barriers) is a
@@ -399,7 +399,7 @@ class TestPls:
     def test_tuned_beyond_underflowing_bounds(self):
         """At P=512 two default families have bounds that underflow to zero."""
         ctx = ar1_data(p=512, n=8, seed=4).context()
-        rep = tune_box_family(lambda spec: (lambda c, w: estimate_pls(c, spec, order=w)), ctx)
+        rep = tune_box_family(lambda c, w, spec: estimate_pls(c, spec, order=w), ctx)
         assert rep.order >= 1
         assert spectral_pd_check(rep.alpha)
 
@@ -488,7 +488,7 @@ class TestTuneBoxFamily:
             lambda c, w: estimate_pls(c, box_spec_for(family, 16), order=w), ctx
         )
         wrapped = tune_box_family(
-            lambda spec: (lambda c, w: estimate_pls(c, spec, order=w)),
+            lambda c, w, spec: estimate_pls(c, spec, order=w),
             ctx,
             families=(family,),
         )
@@ -504,9 +504,7 @@ class TestTuneBoxFamily:
             ).loglik
             for f in DEFAULT_FAMILIES
         ]
-        best = tune_box_family(
-            lambda spec: (lambda c, w: estimate_pls(c, spec, order=w)), ctx
-        )
+        best = tune_box_family(lambda c, w, spec: estimate_pls(c, spec, order=w), ctx)
         assert best.loglik == pytest.approx(max(per_family))
 
     @pytest.mark.parametrize("path", ["tuned", "pinned"])
@@ -564,7 +562,7 @@ class TestTuneBoxFamily:
                 tune_order(lambda c, w, s=box_spec_for(f, 16): estimate_pls(c, s, order=w), data.context())
                 for f in DEFAULT_FAMILIES
             )
-            shared = tune_box_family(lambda s: (lambda c, w: estimate_pls(c, s, order=w)), data.context())
+            shared = tune_box_family(lambda c, w, s: estimate_pls(c, s, order=w), data.context())
             assert (shared.order, shared.family_id, shared.loglik) == (alone.order, alone.family_id, alone.loglik)
             assert np.array_equal(shared.alpha.full, alone.alpha.full)
 
@@ -575,19 +573,17 @@ class TestTuneBoxFamily:
         picks order 2 of the fake likelihood."""
         calls, compared = [], []
 
-        def factory(spec):
-            def fit(ctx, w):
-                calls.append((spec.family_id, w))
-                return EstimationReport(GsParams(1.0, point(spec)), w, 100.0 - (w - 2) ** 2, 3, True,
-                                        family_id=spec.family_id, stationary=True)
-            return fit
+        def fit(ctx, w, spec):
+            calls.append((spec.family_id, w))
+            return EstimationReport(GsParams(1.0, point(spec)), w, 100.0 - (w - 2) ** 2, 3, True,
+                                    family_id=spec.family_id, stationary=True)
 
         def best(reports):
             compared.extend(reports)
             return best_family_fit(compared)
 
         monkeypatch.setattr(estimators, "best_family_fit", best)
-        tune_box_family(factory, ar1_data(n=32, seed=7).context(), order=order)
+        tune_box_family(fit, ar1_data(n=32, seed=7).context(), order=order)
         return calls, compared
 
     @pytest.mark.parametrize("order", [None, 2], ids=["tuned", "pinned"])
@@ -636,21 +632,19 @@ class TestTuneBoxFamily:
         narrow, wide = DEFAULT_FAMILIES[:2]
         calls = []
 
-        def factory(spec):
-            def fit(ctx, w):
-                calls.append(spec.family_id)
-                fitted = spec
-                if spec.family_id == narrow.family_id:
-                    fitted = dataclasses.replace(spec, k=np.nextafter(spec.k, 0.0))
-                return estimate_pgd(ctx, fitted, w)
-            return fit
+        def fit(ctx, w, spec):
+            calls.append(spec.family_id)
+            fitted = spec
+            if spec.family_id == narrow.family_id:
+                fitted = dataclasses.replace(spec, k=np.nextafter(spec.k, 0.0))
+            return estimate_pgd(ctx, fitted, w)
 
         ctx = data.context()
-        stalled = factory(box_spec_for(narrow, 16))(ctx, 1)
+        stalled = fit(ctx, 1, box_spec_for(narrow, 16))
         assert stalled.converged and not stalled.stationary
         assert estimators.strictly_inside_box(stalled.alpha, box_spec_for(narrow, 16), 1)
         calls.clear()
-        best = tune_box_family(factory, ctx, families=(narrow, wide), order=1)
+        best = tune_box_family(fit, ctx, families=(narrow, wide), order=1)
         assert calls == [narrow.family_id, wide.family_id]
         assert best.family_id == wide.family_id and best.iterations > 0
         assert best.loglik > stalled.loglik
@@ -666,15 +660,14 @@ class TestTuneBoxFamily:
         k1 = [box_spec_for(f, 16).k[0] for f in DEFAULT_FAMILIES]
         assert np.all(np.diff(k1) > 0)
 
+        decay = {f.family_id: f.decay for f in DEFAULT_FAMILIES}
+
         def mean_selected_decay(a, trials=30):
             decays = []
             for seed in range(1000, 1000 + trials):
                 data = sample(ProcessSpec("ar", 16, a=(a,), sigma2=0.64), 32, seed)
-                rep = tune_box_family(
-                    lambda spec: (lambda c, w: estimate_pls(c, spec, order=w)),
-                    data.context(),
-                )
-                decays.append(float(rep.family_id.split("-")[1]))
+                rep = tune_box_family(lambda c, w, spec: estimate_pls(c, spec, order=w), data.context())
+                decays.append(decay[rep.family_id])
             return float(np.mean(decays))
 
         assert mean_selected_decay(0.9) > mean_selected_decay(0.1)
