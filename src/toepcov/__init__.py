@@ -33,7 +33,6 @@ from .constraints import (
     strictly_inside_box,
 )
 from .estimators import (
-    BarrierOptions,
     EstimationReport,
     PgdOptions,
     estimate_eig,

@@ -218,6 +218,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        if any(n < 1 for n in self.sample_counts):
+            raise ValueError("sample_counts must be at least 1")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown process kind {self.kind!r}; known: {', '.join(_KINDS)}")
         _check_names(self.estimators)
@@ -389,8 +391,14 @@ def run_benchmark(config: ExperimentConfig, out_dir: str, svg: bool = False, wor
     """Execute the full grid and write results.csv / results.json.
 
     Returns the aggregated rows.  Output files contain no timestamps, so
-    identical configs produce identical bytes.
+    identical configs produce identical bytes.  Every process of the grid is
+    built before any cell runs, so a bad point or dimension fails at once.
     """
+    for point, p in itertools.product(config.points, config.dims):
+        try:
+            true_cm(config.process_spec(point, p))
+        except ValueError as exc:
+            raise ValueError(f"{config.kind} point {list(point)} at dimension {p}: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
     cells = list(itertools.product(config.points, config.dims, config.sample_counts))
     tasks = [(cell, run) for cell in cells for run in range(config.runs)]
@@ -483,6 +491,10 @@ def timing_benchmark(dims=(64, 128, 256), estimator_names=("pgd", "pls", "bandin
     if reps < 1:
         raise ValueError("reps must be at least 1")
     _check_names(estimator_names)
+    small = [p for p in dims if p <= TIMING_PIN]
+    if small and any(ESTIMATORS[name].pinned is not None for name in estimator_names):
+        raise ValueError(f"GS timing fits at order {TIMING_PIN}, so it needs dimensions of at least "
+                         f"{TIMING_PIN + 1}; got {', '.join(map(str, small))}")
     spec_params = {"a": (0.7,), "b": (0.3,), "sigma2": 0.64}
     rows = []
     for p in dims:

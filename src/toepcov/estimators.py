@@ -52,7 +52,6 @@ from .toeplitz import (
 __all__ = [
     "EstimationReport",
     "PgdOptions",
-    "BarrierOptions",
     "estimate_pgd",
     "estimate_frob",
     "estimate_eig",
@@ -83,6 +82,11 @@ _ROUNDING = 1e-14
 # Barrier weight of the first outer round and its factor per round.
 _MU0 = 1.0
 _MU_SHRINK = 0.1
+# Newton iterations of a fit without a barrier, and of each barrier round;
+# barrier rounds per fit.
+_MAX_ITER = 500
+_BARRIER_MAX_ITER = 150
+_BARRIER_ROUNDS = 8
 # BIC order scan: candidates in a row without improvement before it stops.
 _PATIENCE = 5
 
@@ -125,14 +129,7 @@ class EstimationReport:
 
 @dataclass(frozen=True)
 class PgdOptions:
-    max_iter: int = 500
     track_iterates: bool = False
-
-
-@dataclass(frozen=True)
-class BarrierOptions:
-    outer_iters: int = 8
-    inner_max_iter: int = 150
 
 
 def white_noise_report(ctx: LikelihoodContext) -> EstimationReport:
@@ -226,21 +223,22 @@ def _newton_ascent(evaluate, derivatives, x, lo, hi, max_iter, trail=None):
     return x, iters, False
 
 
-def _ratio_fit(ctx, order, max_iter, hi=None, slack=None, rounds=1,
-               trail=None) -> EstimationReport:
+def _ratio_fit(prof, hi=None, barrier=None, trail=None) -> EstimationReport:
     """Newton fit of every iterative GS estimator, over the coefficient ratios.
 
     Maximizes ``L_c(u) + mu psi(u)`` over the real vector ``x`` of the ratios
     ``u = alpha_rest / alpha_0`` (real, then imaginary parts), the scale
-    maximized in closed form (the context's shared ``GsObjective`` at this
-    order, compared through its scale-free ``value``).  Each round is
-    :func:`_newton_ascent` inside ``[-hi, hi]`` (unbounded by default) from
-    where the last stopped, the first from white noise.  Without a ``slack``
-    there is one round at ``mu = 0``.  With one, ``slack(prof)`` returns
-    ``(log_slack, slack_derivatives)`` for the objective ``prof``: ``psi =
-    log_slack(u)`` is a constraint's log-slack (-inf when infeasible) and
-    ``slack_derivatives(u)`` its exact gradient and Hessian in ``x``; ``mu``
-    starts at ``_MU0`` and shrinks by ``_MU_SHRINK`` per round.  The report
+    maximized in closed form (``prof``, the context's shared ``GsObjective``
+    at the fit's order, compared through its scale-free ``value``).  Each
+    round is :func:`_newton_ascent` inside ``[-hi, hi]`` (unbounded by
+    default) from where the last stopped, the first from white noise.
+    Without a ``barrier`` there is one round at ``mu = 0`` of at most
+    ``_MAX_ITER`` iterations.  With one, ``barrier = (log_slack,
+    slack_derivatives)``: ``psi = log_slack(u)`` is a constraint's log-slack
+    (-inf when infeasible) and ``slack_derivatives(u)`` its exact gradient
+    and Hessian in ``x``; ``_BARRIER_ROUNDS`` rounds of at most
+    ``_BARRIER_MAX_ITER`` iterations each, ``mu`` starting at ``_MU0`` and
+    shrinking by ``_MU_SHRINK`` per round.  The report
     reads the objective it maximized: ``loglik`` is ``L_c`` and ``grad_norm``
     the likelihood's mapping norm ``|clip(x + g) - x|`` in ``x``, barrier
     left out, from the derivatives the objective kept where the last round
@@ -248,12 +246,12 @@ def _ratio_fit(ctx, order, max_iter, hi=None, slack=None, rounds=1,
     is maximized out, so the likelihood's derivative along ``(1, u)`` is
     zero and needs no entry.
     """
-    prof = ctx.objective(order)  # checks the order
     if hi is None:
-        hi = np.full(2 * order if prof.is_complex else order, np.inf)
+        hi = np.full(2 * prof.order if prof.is_complex else prof.order, np.inf)
     lo = -hi
-    log_slack, slack_derivatives = slack(prof) if slack else (None, None)
-    mus = [_MU0 * _MU_SHRINK**k for k in range(rounds)] if slack else [0.0]
+    log_slack, slack_derivatives = barrier or (None, None)
+    mus = [_MU0 * _MU_SHRINK**k for k in range(_BARRIER_ROUNDS)] if barrier else [0.0]
+    max_iter = _BARRIER_MAX_ITER if barrier else _MAX_ITER
 
     def value_at(x, mu):
         try:
@@ -281,7 +279,7 @@ def _ratio_fit(ctx, order, max_iter, hi=None, slack=None, rounds=1,
     g, _ = prof.gradient(x)
     report = EstimationReport(
         alpha=prof.params(x),
-        order=order,
+        order=prof.order,
         loglik=prof.loglik(x),
         iterations=total_iters,
         converged=converged,
@@ -309,22 +307,18 @@ def estimate_pgd(
     iterate lies in the box, so the positive-definiteness certificate holds
     throughout.
     """
-    opts = opts or PgdOptions()
     if spec.dim != ctx.p:
         raise ValueError("box dimension does not match the context")
+    prof = ctx.objective(order)  # checks the order
     k = spec.k[:order]
-    hi = np.tile(k / 2.0, 2) if np.iscomplexobj(ctx.scm) else k
-    trail = [] if opts.track_iterates else None
-    report = _ratio_fit(ctx, order, opts.max_iter, hi, trail=trail)
+    hi = np.tile(k / 2.0, 2) if prof.is_complex else k
+    trail = [] if opts and opts.track_iterates else None
+    report = _ratio_fit(prof, hi, trail=trail)
     report.family_id = spec.family_id
     return report
 
 
-def estimate_frob(
-    ctx: LikelihoodContext,
-    order: int = 1,
-    opts: BarrierOptions | None = None,
-) -> EstimationReport:
+def estimate_frob(ctx: LikelihoodContext, order: int = 1) -> EstimationReport:
     """Interior-point fit under the Frobenius surrogate constraint.
 
     The barrier ``log(-c)`` keeps ``c = gain^2 - 1 + EPS_F`` strictly
@@ -337,7 +331,7 @@ def estimate_frob(
     barrier weight (Boyd & Vandenberghe, Convex Optimization, 11.3), so
     every iterate is strictly feasible, hence positive definite.
     """
-    opts = opts or BarrierOptions()
+    prof = ctx.objective(order)  # checks the order
 
     def constraint(u):
         return frobenius_gain_sq(GsParams(1.0, u)) - 1.0 + EPS_F
@@ -346,25 +340,18 @@ def estimate_frob(
         c = constraint(u)
         return np.log(-c) if c < 0 else -np.inf
 
-    def slack(prof):
-        def slack_derivatives(u):
-            c, dc = frob_constraint(GsParams(1.0, u))
-            dc = np.concatenate((dc[1:].real, dc[1:].imag)) if prof.is_complex else dc[1:]
-            return dc / c, prof.factors.gain_hessian(u) / c - np.outer(dc, dc) / c**2
+    def slack_derivatives(u):
+        c, dc = frob_constraint(GsParams(1.0, u))
+        dc = np.concatenate((dc[1:].real, dc[1:].imag)) if prof.is_complex else dc[1:]
+        return dc / c, prof.factors.gain_hessian(u) / c - np.outer(dc, dc) / c**2
 
-        return log_slack, slack_derivatives
-
-    report = _ratio_fit(ctx, order, opts.inner_max_iter, slack=slack, rounds=opts.outer_iters)
+    report = _ratio_fit(prof, barrier=(log_slack, slack_derivatives))
     alpha = report.alpha
     report.extras["constraint_value"] = constraint(alpha.alpha_rest[:order] / alpha.alpha0)
     return report
 
 
-def estimate_eig(
-    ctx: LikelihoodContext,
-    order: int = 1,
-    opts: BarrierOptions | None = None,
-) -> EstimationReport:
+def estimate_eig(ctx: LikelihoodContext, order: int = 1) -> EstimationReport:
     """Interior-point fit under exact eigenvalue constraints.
 
     The barrier is ``log det(G - EPS_EIG I)`` for ``G = Gamma / alpha_0``,
@@ -379,8 +366,8 @@ def estimate_eig(
     """
     if ctx.p > EIG_DIM_LIMIT:
         raise ValueError(f"eigenvalue-constrained estimation limited to dimension {EIG_DIM_LIMIT}")
-    opts = opts or BarrierOptions()
-
+    prof = ctx.objective(order)  # checks the order
+    factors = _GsFactors(ctx.p, order, prof.is_complex)
     last = [None, None]  # the last factor, for the derivatives at the trial a line search accepted
 
     def cholesky(u):  # of G - EPS_EIG I; raises LinAlgError where it is not positive definite
@@ -395,16 +382,11 @@ def estimate_eig(
         except np.linalg.LinAlgError:
             return -np.inf
 
-    def slack(prof):
-        factors = _GsFactors(ctx.p, order, prof.is_complex)
+    def slack_derivatives(u):
+        inv = np.linalg.inv(cholesky(u))
+        return factors.logdet_derivatives(u, inv.conj().T @ inv)
 
-        def slack_derivatives(u):
-            inv = np.linalg.inv(cholesky(u))
-            return factors.logdet_derivatives(u, inv.conj().T @ inv)
-
-        return log_slack, slack_derivatives
-
-    return _ratio_fit(ctx, order, opts.inner_max_iter, slack=slack, rounds=opts.outer_iters)
+    return _ratio_fit(prof, barrier=(log_slack, slack_derivatives))
 
 
 def _conditional_moments(scm: np.ndarray, order: int) -> np.ndarray:

@@ -268,17 +268,21 @@ def gs_assemble(alpha: GsParams) -> np.ndarray:
 
     Uses the diagonal-recursion for triangular-Toeplitz Gram products, so
     the cost is O(P^2) at most; diagonals beyond the last nonzero trailing
-    parameter are identically zero and are skipped.  Positive definiteness
-    is not checked here.
+    parameter are identically zero and are skipped.  The products are formed
+    on the factors of ``(1, u)``, ``u = alpha_rest / alpha_0``, and each
+    diagonal is scaled by ``alpha_0`` after, so they neither overflow nor
+    underflow at extreme data scales.  Positive definiteness is not checked
+    here.
     """
-    a = alpha.full
-    z = gs_factor_z(alpha).first_col
+    a0 = alpha.alpha0
+    a = alpha.full / a0
+    z = gs_factor_z(alpha).first_col / a0
     p = a.size
     complex_out = np.iscomplexobj(a)
     gam = np.zeros((p, p), dtype=np.complex128 if complex_out else np.float64)
     idx = np.arange(p)
     for k in range(alpha.order + 1):
-        d = (_tri_gram_diagonals(a, k) - _tri_gram_diagonals(z, k)) / alpha.alpha0
+        d = (_tri_gram_diagonals(a, k) - _tri_gram_diagonals(z, k)) * a0
         rows = idx[: p - k] + k
         cols = idx[: p - k]
         gam[rows, cols] = d

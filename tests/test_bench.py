@@ -223,6 +223,30 @@ class TestRunBenchmark:
             f"error: TOEPCOV_WORKERS must be a positive integer, got {raw!r}\n")
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("kind, points, dims, counts, message", [
+        ("ar", "[[0.5], [1.5]]", "[8]", "[8]", r"ar point \[1\.5\] at dimension 8: reflection coefficient"),
+        ("ar", "[[0.5]]", "[8, 1]", "[8]", r"ar point \[0\.5\] at dimension 1: AR order 1 too large"),
+        ("fbm", "[[0.7], [0.2]]", "[8]", "[8]", r"fbm point \[0\.2\] at dimension 8: Hurst parameter"),
+        ("ar", "[[0.5]]", "[8]", "[8, 0]", r"sample_counts must be at least 1"),
+    ], ids=["unstable-ar", "ar-order-above-dim", "fbm-hurst", "zero-samples"])
+    def test_bad_grid_rejected_before_any_cell(self, tmp_path, monkeypatch, capsys,
+                                               kind, points, dims, counts, message):
+        """A grid point or dimension with no valid process, or a sample count
+        below one, is a usage error (exit 1) raised before any cell runs.  An
+        unstable AR point exited 2 as a numerical failure, and every bad grid
+        failed only after the cells before it had run."""
+        def no_cell(*args):
+            raise AssertionError("ran a cell of a bad grid")
+
+        monkeypatch.setattr(bench, "_run_cell", no_cell)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[grid]\ndims = {dims}\nsample_counts = {counts}\nruns = 2\n"
+                       f'[process]\nkind = "{kind}"\npoints = {points}\n[estimators]\nnames = ["scm"]\n')
+        out = tmp_path / "out"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
+        assert re.match(r"error: " + message, capsys.readouterr().err)
+        assert not (out / "results.csv").exists()
+
     def test_icm_columns_only_for_capable_estimators(self, tmp_path):
         cfg = ExperimentConfig(
             kind="ar", points=((0.5,),), sigma2=0.64, dims=(10,),
@@ -331,6 +355,32 @@ class TestTiming:
         assert main(["timing", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: unknown estimator 'nope'; known: ")
         assert not out.exists()
+
+
+    def test_gs_dimension_checked_against_the_pinned_order(self, tmp_path, monkeypatch, capsys):
+        """GS timing fits at order ``TIMING_PIN`` = 6, so it needs P >= 7: a
+        smaller dimension is refused before any sample is drawn, where P=64
+        was timed first and P=4 then failed with "order must lie in [0, 3],
+        got 6".  Baseline-only runs keep working at small P."""
+        real_sample = bench.sample
+        drawn = []
+
+        def counted(*args):
+            drawn.append(args)
+            return real_sample(*args)
+
+        monkeypatch.setattr(bench, "sample", counted)
+        message = "GS timing fits at order 6, so it needs dimensions of at least 7; got 4"
+        with pytest.raises(ValueError, match=message):
+            timing_benchmark((64, 4), ("scm", "pls"), n=8, reps=1)
+        cfg = tmp_path / "timing.cfg"
+        cfg.write_text('[timing]\ndims = [64, 4]\nestimators = ["pls"]\n')
+        out = tmp_path / "timing.csv"
+        assert main(["timing", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() and drawn == []
+        rows = timing_benchmark((4,), ("scm", "banding"), n=8, reps=1)
+        assert [row["dim"] for row in rows] == [4, 4] and len(drawn) == 1
 
 
 class TestCli:

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from toepcov.baselines import sample_cov
 from toepcov.constraints import DEFAULT_FAMILIES, box_spec_for, spectral_pd_check
 from toepcov import bench, constraints, estimators, likelihood, toeplitz
 from toepcov.estimators import (
-    BarrierOptions,
     EstimationReport,
     PgdOptions,
     best_family_fit,
@@ -92,7 +92,7 @@ class TestPgd:
         ctx = sample(ProcessSpec(kind, 16, sigma2=0.64, **coef), 8, seed).context()
         rep = estimate_pgd(ctx, box_spec_for(DEFAULT_FAMILIES[family], 16), order)
         assert rep.converged
-        assert rep.iterations < PgdOptions().max_iter
+        assert rep.iterations < estimators._MAX_ITER
         assert rep.grad_norm < 1e-5 * (1.0 + abs(rep.loglik))
 
     @pytest.mark.parametrize("order", [1, 3])
@@ -151,11 +151,12 @@ class TestPgd:
             assert (rep.loglik, rep.grad_norm, rep.iterations, rep.converged) == (
                 first.loglik, first.grad_norm, first.iterations, first.converged)
 
-    def test_iteration_cap_reported(self, spec16):
-        """A fit stopped by max_iter before it converged says so."""
+    def test_iteration_cap_reported(self, spec16, monkeypatch):
+        """A fit stopped by its iteration cap before it converged says so."""
         ctx = ar1_data(seed=0).context()
         assert estimate_pgd(ctx, spec16, 3).iterations > 1
-        rep = estimate_pgd(ctx, spec16, 3, opts=PgdOptions(max_iter=1))
+        monkeypatch.setattr(estimators, "_MAX_ITER", 1)
+        rep = estimate_pgd(ctx, spec16, 3)
         assert rep.iterations == 1
         assert not rep.converged
 
@@ -199,13 +200,14 @@ class TestFrob:
         assert rep.extras["constraint_value"] < 0
         assert spectral_pd_check(rep.alpha)
 
-    def test_converged_reports_the_last_round(self):
+    def test_converged_reports_the_last_round(self, monkeypatch):
         """An early round that converges does not mark a capped last round converged.
         Uncapped, the rounds take 6, 6, 5, 5, 6, 7, 6, 6 iterations: under a cap
         of 6 the third converges and the sixth, the last of six, is capped."""
-        opts = BarrierOptions(outer_iters=6, inner_max_iter=6)
-        rep = estimate_frob(ar1_data(n=2, seed=0).context(), order=6, opts=opts)
-        assert rep.iterations < opts.outer_iters * opts.inner_max_iter
+        monkeypatch.setattr(estimators, "_BARRIER_ROUNDS", 6)
+        monkeypatch.setattr(estimators, "_BARRIER_MAX_ITER", 6)
+        rep = estimate_frob(ar1_data(n=2, seed=0).context(), order=6)
+        assert rep.iterations < estimators._BARRIER_ROUNDS * estimators._BARRIER_MAX_ITER
         assert not rep.converged
 
     def test_work_is_order_sized(self, monkeypatch):
@@ -290,8 +292,8 @@ def _unit_scale_cm(name, complex_case):
     samples = SCALE_DATA.samples
     if complex_case:
         samples = samples + 0.5j * np.random.default_rng(5).standard_normal(samples.shape)
-    fit = _scale_fits(box_spec_for(DEFAULT_FAMILIES[1], 16))[name]
-    return samples, fit(SampleSet(samples).context()).cm().dense()
+    rep = _scale_fits(box_spec_for(DEFAULT_FAMILIES[1], 16))[name](SampleSet(samples).context())
+    return samples, rep.cm().dense(), rep.icm_dense()
 
 
 @pytest.mark.parametrize("factor", [1e-100, 1e-6, 1e-4, 1e-2, 1e2, 1e3, 1e4, 1e6, 1e100])
@@ -300,17 +302,20 @@ def test_scale_equivariant(name, factor, spec16):
     """Every constraint (the box, the Frobenius and eigenvalue barriers) is a
     condition on the ratios u and the scale is maximized in closed form with
     no floor, so data scaled by c give c^2 times the covariance, for real
-    and complex data.  An absolute floor alpha_0 >= 1e-6 held every fit at
+    and complex data, and c^-2 times the precision.  The precision assembled
+    alpha_i alpha_j before dividing by alpha_0: inf at x1e-100, all zeros at
+    x1e100.  An absolute floor alpha_0 >= 1e-6 held every fit at
     1e-6 from x1e4 up (98% covariance error); an eigenvalue floor
     proportional to the data's power exceeded the start's eigenvalues at
     x1e2; absolute difference steps in alpha_0 and stop rules on the
     scale-dependent likelihood left frob and eig 1e-5 off at x1e-4, and
     finite-difference barrier derivatives left complex eig 1.1e-8 off."""
     for complex_case in (False, True):
-        samples, base = _unit_scale_cm(name, complex_case)
+        samples, base, base_icm = _unit_scale_cm(name, complex_case)
         rep = _scale_fits(spec16)[name](SampleSet(factor * samples).context())
         assert spectral_pd_check(rep.alpha)
         assert np.abs(rep.cm().dense() / factor**2 - base).max() <= 1e-8 * np.abs(base).max()
+        assert np.abs(rep.icm_dense() * factor**2 - base_icm).max() <= 1e-8 * np.abs(base_icm).max()
 
 
 @pytest.mark.parametrize("name", ["pgd", "pls", "frob"])
@@ -402,6 +407,23 @@ class TestPls:
         rep = tune_box_family(lambda c, w, spec: estimate_pls(c, spec, order=w), ctx)
         assert rep.order >= 1
         assert spectral_pd_check(rep.alpha)
+
+    @pytest.mark.parametrize("row, order, flag", [
+        (np.random.default_rng(0).standard_normal(8), 7, "ridge_used"),
+        (np.cos(0.7 * np.arange(8)), 2, "variance_floored"),
+    ], ids=["singular-moments", "exact-ar2"])
+    def test_numerical_guards(self, row, order, flag):
+        """One sample row leaves the order-7 moment matrix of rank one, so the
+        solve falls back to a ridge; ``cos(0.7 t)`` is exactly AR(2), so the
+        conditional residual variance is floored.  Either way the estimate is
+        positive definite with a finite likelihood and no warning."""
+        ctx = SampleSet(row[None, :]).context()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = estimate_pls(ctx, box_spec_for(DEFAULT_FAMILIES[1], 8), order=order)
+        assert rep.extras[flag] is True
+        assert spectral_pd_check(rep.alpha)
+        assert np.isfinite(rep.loglik)
 
     def test_banded_output(self):
         data = ar1_data(p=10, n=6, seed=2)

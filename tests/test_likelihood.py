@@ -3,7 +3,8 @@ import pytest
 
 from toepcov.baselines import sample_cov
 from toepcov.constraints import DEFAULT_FAMILIES, EPS_EIG, box_spec_for, frob_constraint
-from toepcov.estimators import BarrierOptions, PgdOptions, estimate_eig, estimate_frob, estimate_pgd
+from toepcov import estimators
+from toepcov.estimators import estimate_eig, estimate_frob, estimate_pgd
 from toepcov.likelihood import (
     DegenerateDataError,
     GsObjective,
@@ -188,16 +189,18 @@ class TestFitReports:
     @pytest.mark.parametrize("capped", [False, True], ids=["converged", "capped"])
     @pytest.mark.parametrize("complex_case", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("name", ["pgd", "frob", "eig"])
-    def test_loglik_and_grad_norm_match_public_references(self, name, complex_case, capped):
+    def test_loglik_and_grad_norm_match_public_references(self, name, complex_case, capped, monkeypatch):
         p, order = 16, 3
         ctx = random_context(p, n=8, complex_case=complex_case)
+        if capped:
+            for cap in ("_MAX_ITER", "_BARRIER_MAX_ITER", "_BARRIER_ROUNDS"):
+                monkeypatch.setattr(estimators, cap, 1)
         if name == "pgd":
             spec = box_spec_for(DEFAULT_FAMILIES[1], p)
-            rep = estimate_pgd(ctx, spec, order, PgdOptions(max_iter=1) if capped else None)
+            rep = estimate_pgd(ctx, spec, order)
             hi = spec.k[:order]
         else:
-            barrier = BarrierOptions(outer_iters=1, inner_max_iter=1) if capped else None
-            rep = (estimate_frob if name == "frob" else estimate_eig)(ctx, order, barrier)
+            rep = (estimate_frob if name == "frob" else estimate_eig)(ctx, order)
             hi = np.full(order, np.inf)
         alpha = rep.alpha
         want = loglik(ctx, alpha)
