@@ -4,9 +4,10 @@ over a circulant embedding, and shrinkage toward structured targets.
 
 Everything Toeplitz or circulant here reads a matrix through its diagonal
 (lag) sums, one O(P^2) pass, and moves between lags and spectra with FFTs;
-only EM's P x P inverse and products are cubic.  Banded and tapered
-estimates expose a covariance-only surface; none of the estimators here
-guarantees an invertible result except where noted.
+only EM is cubic in P: per iteration one LU solve, one Gohberg-Semencul
+product and two products.  Banded and tapered estimates expose a
+covariance-only surface; none of the estimators here guarantees an
+invertible result except where noted.
 """
 
 from __future__ import annotations
@@ -180,16 +181,33 @@ def _em_iterates(scm, g: int, max_iter: int, tol: float, ridge: float):
     p = scm.shape[0]
     real = not np.iscomplexobj(scm)
     scale = float(np.real(np.trace(scm))) / p
+    e0 = np.eye(p, 1).ravel()
+    # cp^-1 by Gohberg-Semencul from its first column x: (L(x) L(x)^H -
+    # L(y) L(y)^H) / x_0 with y = (0, conj x_{P-1}, ..., conj x_1), the
+    # factors of gs_factor_b and gs_factor_z.  Both are strided views on one
+    # buffer [0 (P-1), x, 0 (P)]: `lower` reads it forward from x_0, `mirror`
+    # backward from past x_{P-1}, which is conj(L(y)).  Building them with
+    # LowerTriToeplitz(...).dense() instead cost 10 us per iteration at
+    # P = 16, a fifth of an `em` fit there.  gs_assemble is not used: at
+    # full order it loops over the P diagonals in Python, which took 1.4 ms
+    # against 0.2 ms for the two products at P = 128 on one BLAS thread; it
+    # stays the banded route for low-order GS estimates.
+    gs = np.zeros(3 * p - 1, np.result_type(scm.dtype, np.float64))
+    step = gs.itemsize
+    lower = np.ndarray((p, p), gs.dtype, gs, (p - 1) * step, (step, -step))
+    mirror = np.ndarray((p, p), gs.dtype, gs, (2 * p - 1) * step, (-step, step))
     # the embedded SCM pads the unobserved diagonal with the mean variance
     spec = np.maximum(_circular_spectrum(scm, g) + (g - p) * scale / g, 0.0)
     for _ in range(max_iter):
         cp = _circulant_block(spec, p, real)
         try:
-            cp_inv = np.linalg.inv(cp)
+            x = np.linalg.solve(cp, e0)
         except np.linalg.LinAlgError:
             cp = cp + ridge * scale * np.eye(p)
-            cp_inv = np.linalg.inv(cp)
+            x = np.linalg.solve(cp, e0)
         yield spec, cp
+        gs[p - 1 : 2 * p - 1] = x
+        cp_inv = (lower @ lower.conj().T - np.conj(mirror @ mirror.conj().T)) / x[0].real
         # E-step moments t_data - t_model, with t_data from cp^-1 S cp^-1 and
         # t_model from cp^-1 = cp^-1 cp cp^-1: one spectrum of their difference
         new_spec = spec + spec**2 * _circular_spectrum(cp_inv @ (scm - cp) @ cp_inv, g)
@@ -208,12 +226,14 @@ def em_toeplitz(scm, g: int | None = None, max_iter: int = 200, tol: float = 1e-
     The observed window is treated as a partial view of a ``g``-periodic
     process; the circulant spectrum is re-estimated until its relative
     change drops below ``tol``.  Returns the upper-left P x P covariance
-    block.  An iteration costs one P x P inverse, two P x P products and
-    FFTs of lag sums.  A ``work`` dict receives ``iterations`` (spectrum
-    updates made) and ``converged`` (whether the last one met ``tol``).
-    At the defaults the iteration almost never meets ``tol`` (all 200
-    fits of the criterion-10 benchmark ran the full 200 iterations), so
-    ``max_iter``, not convergence, sets the estimate.
+    block.  An iteration costs one LU solve for the first column of the
+    model block's inverse, one Gohberg-Semencul product that assembles the
+    inverse from it, two P x P products and FFTs of lag sums; the solve and
+    the products are cubic in P.  A ``work`` dict receives ``iterations``
+    (spectrum updates made) and ``converged`` (whether the last one met
+    ``tol``).  At the defaults the iteration almost never meets ``tol``
+    (all 200 fits of the criterion-10 benchmark ran the full 200
+    iterations), so ``max_iter``, not convergence, sets the estimate.
     """
     scm = np.asarray(scm)
     p = scm.shape[0]

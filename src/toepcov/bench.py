@@ -175,7 +175,7 @@ ESTIMATORS = {
         _baseline("tapering", False, "linear in dim times bandwidth", *_banded("tapering")),
         _baseline("circ", True, "quadratic (lag sums and FFT)",
                   lambda d: baselines.circulant_mle(d.scm)),
-        _baseline("em", True, "cubic per iteration (one inverse, two products)",
+        _baseline("em", True, "cubic per iteration (one LU solve, one GS product, two products)",
                   lambda d: baselines.em_toeplitz(d.scm), _em_fit),
         _baseline("shrink_avg", False, "cubic (target build dominates)", *_shrinkage("avg")),
         _baseline("shrink_const", True, "quadratic", *_shrinkage("const")),
@@ -194,6 +194,12 @@ ESTIMATORS = {
             with_loglik=False),
     )
 }
+
+
+def _check_nonempty(**axes):
+    for axis, values in axes.items():
+        if len(values) == 0:
+            raise ValueError(f"{axis} must not be empty")
 
 
 def _check_names(names):
@@ -218,6 +224,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        # named by their config keys
+        _check_nonempty(points=self.points, dims=self.dims, sample_counts=self.sample_counts,
+                        names=self.estimators)
         if any(n < 1 for n in self.sample_counts):
             raise ValueError("sample_counts must be at least 1")
         if self.kind not in _KINDS:
@@ -490,6 +499,7 @@ def timing_benchmark(dims=(64, 128, 256), estimator_names=("pgd", "pls", "bandin
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
+    _check_nonempty(dims=dims, estimators=estimator_names)
     _check_names(estimator_names)
     small = [p for p in dims if p <= TIMING_PIN]
     if small and any(ESTIMATORS[name].pinned is not None for name in estimator_names):

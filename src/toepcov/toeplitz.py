@@ -10,6 +10,7 @@ O(P^2) precompute.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -206,11 +207,19 @@ def lag_sums(q, max_lag: int | None = None) -> np.ndarray:
     p = q.shape[0]
     if max_lag is not None and max_lag < p - 1:
         return np.array([np.trace(q, offset=-lag) for lag in range(-max_lag, max_lag + 1)])
-    # Each row reversed and zero-padded to 2P entries, then read back as rows
-    # of 2P - 1: entry [i, j] lands in column P-1+i-j of row i.
-    z = np.zeros((p, 2 * p), dtype=np.result_type(q.dtype, np.float64))
-    z[:, :p] = q[:, ::-1]
-    return z.reshape(-1)[: p * (2 * p - 1)].reshape(p, 2 * p - 1).sum(axis=0)
+    # one bincount over the lag slot of each entry, adding row by row
+    index = _lag_slots(p)
+    sums = np.bincount(index, q.real.ravel(), 2 * p - 1)
+    if np.iscomplexobj(q):
+        sums = sums + 1j * np.bincount(index, q.imag.ravel(), 2 * p - 1)
+    return sums
+
+
+@lru_cache(maxsize=8)
+def _lag_slots(p: int) -> np.ndarray:
+    """Slot ``P-1+i-j`` of each entry ``[i, j]`` of a P x P matrix, row-major."""
+    i = np.arange(p)
+    return _readonly((i[:, None] - i + p - 1).ravel())
 
 
 def toeplitz_from_lags(lags) -> np.ndarray:

@@ -306,15 +306,102 @@ class TestEmToeplitz:
 
     @pytest.mark.parametrize("complex_data", [False, True])
     def test_iterates_match_dense_oracle(self, complex_data):
-        for p in (1, 2, 5, 16):
+        # small P at several embeddings, then the benchmark's sizes at G = 2P
+        cases = [(p, g) for p in (1, 2, 5, 16) for g in (p, 2 * p, 2 * p + 1, 3 * p)]
+        for p, g in cases + [(64, 128), (128, 256)]:
             s = random_scm(p, 3, complex_data, 70 + p)
-            for g in (p, 2 * p, 2 * p + 1, 3 * p):
-                got = list(_em_iterates(s, g, 25, 1e-9, 1e-10))
-                want = list(oracle_em_iterates(s, g, 25, 1e-9, 1e-10))
-                assert len(got) == len(want)
-                for (spec, cp), (spec_o, cp_o) in zip(got, want):
-                    assert rel_err(spec, spec_o) <= 1e-12
-                    assert rel_err(cp, cp_o) <= 1e-12
+            got = list(_em_iterates(s, g, 25, 1e-9, 1e-10))
+            want = list(oracle_em_iterates(s, g, 25, 1e-9, 1e-10))
+            assert len(got) == len(want)
+            for (spec, cp), (spec_o, cp_o) in zip(got, want):
+                assert rel_err(spec, spec_o) <= 1e-12
+                assert rel_err(cp, cp_o) <= 1e-12
+
+    def test_ridge_fallback_on_singular_block(self, monkeypatch):
+        """A rank-one SCM at G = P gives the exactly singular model block
+        ``ones``, so every iteration takes the ridge fallback.  The EM fixed
+        point there is the circulant MLE itself, spectrum (4, 0, 0, 0)."""
+        p = 4
+        s = np.ones((p, p))
+        refused = []
+        real_solve = np.linalg.solve
+
+        def solve(a, b):
+            try:
+                return real_solve(a, b)
+            except np.linalg.LinAlgError:
+                refused.append(a)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        iterates = list(_em_iterates(s, p, 25, 1e-9, 1e-10))
+        monkeypatch.undo()
+        assert refused, "the ridge fallback never ran"
+        eps = np.finfo(float).eps
+        lls = []
+        for spec, cp in iterates[:-1]:  # the last block is unridged, singular
+            assert np.isfinite(cp).all() and np.array_equal(cp, cp.T)
+            assert spec.min() >= 0.0
+            # The ridge leaves cond(cp) ~ 4e10, so an iteration may move each
+            # of the P lag sums behind the spectrum by cond * eps relative;
+            # it stays at the fixed point to P times that of its size, 4.
+            kappa = np.linalg.cond(cp)
+            assert np.abs(spec - [4.0, 0.0, 0.0, 0.0]).max() <= p * kappa * eps * 4.0
+            lls.append((-np.linalg.slogdet(cp)[1] - np.trace(np.linalg.solve(cp, s)), kappa))
+        # Criterion 9's monotone likelihood.  Its slack 1e-9 is widened by the
+        # rounding of the likelihood itself: the small eigenvalues of cp
+        # (1e-10 against entries of 1) carry a relative error of
+        # cond(cp) * eps each, and log det sums P of them.
+        for (a, _), (b, kappa) in zip(lls, lls[1:]):
+            assert b >= a - max(1e-9, p * kappa * eps)
+        assert np.allclose(em_toeplitz(s, g=p), s, rtol=0.0, atol=p * lls[0][1] * eps)
+
+    @pytest.mark.parametrize("case", ["rank-one", "benchmark-size"])
+    def test_matches_oracle_within_condition_bound(self, case):
+        """Against the dense oracle where the model block is ill-conditioned
+        or the run is long.
+
+        rank-one: P = 8 at G = 16, 25 iterations.  The spectrum halves where
+        the data has no power, so cond(cp) doubles per iteration, to 1.3e8
+        at the last block.  benchmark-size: all 200 default iterations on
+        rank-deficient ARMA(1,1) data at P = 128, N = 64, G = 2P (cond about
+        190).
+
+        Bound: a backward-stable solve (LU here, and the oracle's inverse)
+        of a block of condition kappa has a forward error of about
+        kappa * eps; each iterate inherits the errors of the ones before,
+        which in the rank-one run had half the conditioning per step and in
+        the long run are damped by the contracting update (the 200th
+        iterate is no further off than the 5th), so together they at most
+        double it; the two routes each carry such an error.  Hence
+        4 * kappa * eps, with kappa the largest condition number so far."""
+        if case == "rank-one":
+            s, g, max_iter, tol, min_kappa = np.ones((8, 8)), 16, 25, 1e-9, 5e7
+        else:
+            arma = ProcessSpec("arma", 128, a=(0.7,), b=(0.3,), sigma2=0.64)
+            s, g, max_iter, tol, min_kappa = sample(arma, 64, 5).scm, 256, 200, 1e-7, 100.0
+        got = list(_em_iterates(s, g, max_iter, tol, 1e-10))
+        want = list(oracle_em_iterates(s, g, max_iter, tol, 1e-10))
+        assert len(got) == len(want) == max_iter + 1
+        kappa = 1.0
+        for (spec, cp), (spec_o, cp_o) in zip(got, want):
+            kappa = max(kappa, np.linalg.cond(cp))
+            bound = 4.0 * kappa * np.finfo(float).eps
+            assert rel_err(spec, spec_o) <= bound
+            assert rel_err(cp, cp_o) <= bound
+        assert kappa > min_kappa
+
+    def test_no_general_inverse(self, monkeypatch):
+        """Each iteration inverts its block from one LU solve and the
+        Gohberg-Semencul formula, never with a general inverse."""
+        def no_inv(a):
+            raise AssertionError("EM called np.linalg.inv")
+
+        s = sample(ProcessSpec("ar", 32, a=(0.5,), sigma2=0.64), 8, 11).scm
+        monkeypatch.setattr(np.linalg, "inv", no_inv)
+        work = {}
+        out = em_toeplitz(s, max_iter=20, work=work)
+        assert work["iterations"] == 20 and np.isfinite(out).all()
 
     def test_real_data_stays_real(self):
         s = random_scm(6, 3, False, 1)

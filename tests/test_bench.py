@@ -247,6 +247,24 @@ class TestRunBenchmark:
         assert re.match(r"error: " + message, capsys.readouterr().err)
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("key, field", [("dims", "dims"), ("sample_counts", "sample_counts"),
+                                            ("points", "points"), ("names", "estimators")])
+    def test_empty_axis_rejected(self, tmp_path, capsys, key, field):
+        """An empty grid axis is a usage error (exit 1) and nothing is
+        written; it printed "wrote 0 aggregate rows" and wrote a header-only
+        ``results.csv``, so a config typo read as a successful run."""
+        text = re.sub(rf"^{key} = .*$", f"{key} = []", SMOKE_CFG, flags=re.M)
+        assert text != SMOKE_CFG
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {key} must not be empty\n"
+        assert not out.exists()
+        with pytest.raises(ValueError, match=f"{key} must not be empty"):
+            ExperimentConfig(**{**dataclasses.asdict(config_from_sections(parse_config(SMOKE_CFG))),
+                                field: ()})
+
     def test_icm_columns_only_for_capable_estimators(self, tmp_path):
         cfg = ExperimentConfig(
             kind="ar", points=((0.5,),), sigma2=0.64, dims=(10,),
@@ -354,6 +372,25 @@ class TestTiming:
         out = tmp_path / "timing.csv"
         assert main(["timing", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: unknown estimator 'nope'; known: ")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("key, arg", [("dims", "dims"), ("estimators", "estimator_names")])
+    def test_empty_axis_rejected_before_any_fit(self, tmp_path, monkeypatch, capsys, key, arg):
+        """No dimension or no estimator times nothing: a usage error raised
+        before any sample is drawn, where it wrote a header-only
+        ``timing.csv`` and exited 0."""
+        def no_sample(*args):
+            raise AssertionError("sampled for an empty timing axis")
+
+        monkeypatch.setattr(bench, "sample", no_sample)
+        with pytest.raises(ValueError, match=f"{key} must not be empty"):
+            timing_benchmark(**{arg: ()}, n=8, reps=1)
+        cfg = tmp_path / "timing.cfg"
+        cfg.write_text(f"[timing]\n{key} = []\n")
+        out = tmp_path / "timing.csv"
+        assert main(["timing", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {key} must not be empty\n"
         assert not out.exists()
 
 
