@@ -99,6 +99,8 @@ def _baseline(name, supports_icm, complexity, raw, fit=None):
 def _gs_result(r):
     meta = {"order": r.order, "family": r.family_id, "loglik": r.loglik,
             "iterations": r.iterations, "converged": r.converged}
+    if "scan" in r.extras:  # a tuning scan's totals (results.json only)
+        meta["scan"] = r.extras["scan"]
     return r.cm().dense(), r.icm_dense(), meta, r
 
 

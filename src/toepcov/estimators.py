@@ -182,19 +182,26 @@ def _line_search(evaluate, x, d, value, g, lo, hi):
     return None
 
 
-def _newton_ascent(evaluate, derivatives, x, lo, hi, max_iter, trail=None):
+def _newton_ascent(evaluate, derivatives, x, lo, hi, max_iter, trail=None, value=None):
     """Active-set projected Newton ascent from ``x`` inside ``[lo, hi]``
     (Bertsekas, SIAM J. Control Optim. 1982): each iteration holds
     coordinates at a bound whose gradient points outward, takes a Newton
     step on the others, clips it to the box and halves it until the Armijo
-    rule holds.  ``evaluate(x)`` is the objective (-inf where infeasible),
+    rule holds.  Where no clipped Newton step passes at a point that is not
+    stationary (the clip cuts the steps of free coordinates near their
+    bounds, and the gain with them), the iteration searches the projected
+    gradient arc ``clip(x + t g)`` instead, which ascends for a small
+    enough ``t``.
+    ``evaluate(x)`` is the objective (-inf where infeasible),
     ``derivatives(x)`` its gradient and Hessian; stationarity is measured by
     the gradient's projected mapping norm ``|clip(x + g) - x|``.  A step
     whose predicted gain is at rounding level ends the ascent, converged,
     before any line search.
+    ``value`` is ``evaluate(x)`` at the start when the caller has it.
     Returns ``(x, iterations, converged)``; ``trail`` gets each ``(x, value)``.
     """
-    value = evaluate(x)
+    if value is None:
+        value = evaluate(x)
     if trail is not None:
         trail.append((x, value))
     iters = 0
@@ -211,6 +218,8 @@ def _newton_ascent(evaluate, derivatives, x, lo, hi, max_iter, trail=None):
         if g @ d < rounding:
             return x, iters, True
         accepted = _line_search(evaluate, x, d, value, g, lo, hi)
+        if accepted is None and not stationary:
+            accepted = _line_search(evaluate, x, g, value, g, lo, hi)
         if accepted is None:
             return x, iters, True
         x, new_value = accepted
@@ -223,7 +232,7 @@ def _newton_ascent(evaluate, derivatives, x, lo, hi, max_iter, trail=None):
     return x, iters, False
 
 
-def _ratio_fit(prof, hi=None, barrier=None, trail=None) -> EstimationReport:
+def _ratio_fit(prof, hi=None, barrier=None, trail=None, start=None) -> EstimationReport:
     """Newton fit of every iterative GS estimator, over the coefficient ratios.
 
     Maximizes ``L_c(u) + mu psi(u)`` over the real vector ``x`` of the ratios
@@ -231,8 +240,10 @@ def _ratio_fit(prof, hi=None, barrier=None, trail=None) -> EstimationReport:
     maximized in closed form (``prof``, the context's shared ``GsObjective``
     at the fit's order, compared through its scale-free ``value``).  Each
     round is :func:`_newton_ascent` inside ``[-hi, hi]`` (unbounded by
-    default) from where the last stopped, the first from white noise.
-    Without a ``barrier`` there is one round at ``mu = 0`` of at most
+    default) from where the last stopped.  The first starts at white
+    noise, ``x = 0``, unless a fit without a barrier gives a ``start``:
+    then at ``start`` clipped to the box, if its value beats white noise's
+    0.  Without a ``barrier`` there is one round at ``mu = 0`` of at most
     ``_MAX_ITER`` iterations.  With one, ``barrier = (log_slack,
     slack_derivatives)``: ``psi = log_slack(u)`` is a constraint's log-slack
     (-inf when infeasible) and ``slack_derivatives(u)`` its exact gradient
@@ -268,13 +279,22 @@ def _ratio_fit(prof, hi=None, barrier=None, trail=None) -> EstimationReport:
         return g + mu * s_grad, hess + mu * s_hess
 
     x = np.zeros(hi.size)
+    value = None  # the first round evaluates its start
+    if start is not None:
+        clipped = np.clip(start, lo, hi)
+        value = value_at(clipped, 0.0)
+        if value > 0.0:
+            x = clipped
+        else:
+            value = 0.0  # white noise's, exactly
     total_iters = 0
     converged = False
     for mu in mus:
         x, iters, converged = _newton_ascent(
             lambda y, mu=mu: value_at(y, mu), lambda y, mu=mu: derivatives(y, mu),
-            x, lo, hi, max_iter, trail,
+            x, lo, hi, max_iter, trail, value,
         )
+        value = None
         total_iters += iters
     g, _ = prof.gradient(x)
     report = EstimationReport(
@@ -303,7 +323,9 @@ def estimate_pgd(
     The box ``|alpha_i| <= K_i alpha_0`` is a fixed box on the ratios ``u_i
     = alpha_i / alpha_0`` (within ``+-K_i``, or ``+-K_i / 2`` per part for
     complex data) and leaves the scale free.  So :func:`_ratio_fit` runs one
-    round without a barrier, its Newton loop projected onto that box.  Every
+    round without a barrier, its Newton loop projected onto that box, from
+    the objective's closed-form :attr:`~toepcov.likelihood.GsObjective.start`
+    clipped to the box (white noise where that is no better).  Every
     iterate lies in the box, so the positive-definiteness certificate holds
     throughout.
     """
@@ -313,7 +335,7 @@ def estimate_pgd(
     k = spec.k[:order]
     hi = np.tile(k / 2.0, 2) if prof.is_complex else k
     trail = [] if opts and opts.track_iterates else None
-    report = _ratio_fit(prof, hi, trail=trail)
+    report = _ratio_fit(prof, hi, trail=trail, start=prof.start)
     report.family_id = spec.family_id
     return report
 
@@ -389,25 +411,6 @@ def estimate_eig(ctx: LikelihoodContext, order: int = 1) -> EstimationReport:
     return _ratio_fit(prof, barrier=(log_slack, slack_derivatives))
 
 
-def _conditional_moments(scm: np.ndarray, order: int) -> np.ndarray:
-    """(order+1)-square matrix of trailing diagonal partial sums of the SCM.
-
-    Entry (j, l) sums ``S[t-l, t-j]`` over the modeled rows t = order..P-1.
-    """
-    p = scm.shape[0]
-    out = np.zeros((order + 1, order + 1), dtype=scm.dtype)
-    for j in range(order + 1):
-        for l in range(j + 1):
-            r = j - l
-            diag = np.diagonal(scm, offset=-r)
-            seg = diag[order - j : p - j]
-            val = np.sum(seg)
-            out[j, l] = val
-            if l != j:
-                out[l, j] = np.conj(val)
-    return out
-
-
 def estimate_pls(
     ctx: LikelihoodContext,
     spec: BoxSpec,
@@ -417,15 +420,17 @@ def estimate_pls(
     """Closed-form conditional-likelihood fit projected onto the box.
 
     Solves the least-squares system built from trailing diagonal sums of the
-    sample covariance, maps the AR solution to GS coordinates, and projects;
-    O(P * order + order^3) without the optional likelihood evaluation.
+    sample covariance (:meth:`LikelihoodContext.moments`, (order+1)(order+2)/2
+    diagonal segments, O(P * order^2) once per context and order), maps the
+    AR solution to GS coordinates, and projects; O(order^3) more without the
+    optional likelihood evaluation.
     """
     p = ctx.p
     if not 0 <= order <= p - 1:
         raise ValueError(f"order must lie in [0, {p - 1}], got {order}")
     if spec.dim != p:
         raise ValueError("box dimension does not match the context")
-    st = _conditional_moments(ctx.scm, order)
+    st = ctx.moments(order)
     extras = {}
     if order:
         block = st[1:, 1:]
@@ -473,7 +478,8 @@ def tune_order(fit, ctx: LikelihoodContext) -> EstimationReport:
     full-data log-likelihood ``N/2`` times the fitted objective, so the fit
     term grows with the sample count as consistency requires.  Scanning
     stops after ``_PATIENCE`` consecutive candidates without improvement;
-    ties keep the smaller order.
+    ties keep the smaller order.  The winner's ``extras["scan"]`` totals
+    the scan (:func:`_scan_totals`), each ``fit`` call a fit run.
     """
     if ctx.n < 2:
         raise ValueError("BIC order tuning needs at least two samples")
@@ -483,9 +489,12 @@ def tune_order(fit, ctx: LikelihoodContext) -> EstimationReport:
     best = white_noise_report(ctx)
     best_score = log_n - 0.5 * ctx.n * best.loglik
     strikes = 0
+    scan = _scan_totals()
     for order in range(1, cap):
+        scan["fits"] += 1
         try:
             rep = fit(ctx, order)
+            _count_fit(scan, rep)
             score = (order + 1) * log_n - 0.5 * ctx.n * rep.loglik
         except _INFEASIBLE:
             score = np.inf  # an infeasible candidate strikes like a worse one
@@ -496,7 +505,20 @@ def tune_order(fit, ctx: LikelihoodContext) -> EstimationReport:
             if strikes >= _PATIENCE:
                 break
     best.extras["bic_score"] = float(best_score)
+    best.extras["scan"] = scan
     return best
+
+
+def _scan_totals() -> dict:
+    """Totals over the candidates of an order or order x family scan: fixed-order
+    fits run, fits reused from another family, their Newton iterations, and
+    the fits that did not converge."""
+    return {"fits": 0, "reused": 0, "iterations": 0, "unconverged": 0}
+
+
+def _count_fit(scan, rep):
+    scan["iterations"] += rep.iterations
+    scan["unconverged"] += int(not rep.converged)
 
 
 def tune_box_family(
@@ -519,11 +541,13 @@ def tune_box_family(
     converged, with its gradient pointing out of the box.  A later family
     at the same order whose box strictly contains it takes it as is, with
     zero iterations, instead of fitting again.  These fits are kept for
-    this call only.
+    this call only.  The winner's ``extras["scan"]`` totals every candidate
+    of every family (:func:`_scan_totals`), reused ones apart.
     """
     if not families:
         raise ValueError("at least one bound family is required")
     interior: dict = {}  # order -> stationary fits strictly inside their own box
+    scan = _scan_totals()
 
     def fits():
         for family in families:
@@ -532,8 +556,11 @@ def tune_box_family(
             def fit_or_reuse(c, w, spec=spec):
                 for rep in interior.get(w, ()):
                     if strictly_inside_box(rep.alpha, spec, w):
+                        scan["reused"] += 1
                         return replace(rep, iterations=0, family_id=spec.family_id, extras=dict(rep.extras))
+                scan["fits"] += 1
                 rep = fit(c, w, spec)
+                _count_fit(scan, rep)
                 if rep.stationary and strictly_inside_box(rep.alpha, spec, w):
                     interior.setdefault(w, []).append(rep)
                 return rep
@@ -542,7 +569,9 @@ def tune_box_family(
             rep.family_id = rep.family_id or spec.family_id
             yield rep
 
-    return best_family_fit(fits())
+    best = best_family_fit(fits())
+    best.extras["scan"] = scan
+    return best
 
 
 def best_family_fit(reports) -> EstimationReport:

@@ -64,8 +64,9 @@ class SampleSet:
 
 class LikelihoodContext:
     """Sample covariance plus its partial diagonal sum table ``scm_sums``,
-    the statistic every likelihood value and gradient reads, and the
-    order-w :class:`GsObjective` on it (:meth:`objective`)."""
+    the statistic every likelihood value and gradient reads, the order-w
+    :class:`GsObjective` on it (:meth:`objective`) and the order-w
+    conditional moments of ``pls`` (:meth:`moments`)."""
 
     def __init__(self, scm, n: int):
         scm = np.asarray(scm)
@@ -83,6 +84,7 @@ class LikelihoodContext:
         self.p = scm.shape[0]
         self.trace_scale = trace / self.p
         self._objectives: dict = {}
+        self._moments: dict = {}
 
     @cached_property
     def scm_sums(self) -> PartialDiagSums:
@@ -91,10 +93,37 @@ class LikelihoodContext:
     def objective(self, order: int) -> "GsObjective":
         """The order-w :class:`GsObjective`, built on first use.  It is a pure
         function of the context and the order, so every fit at that order
-        shares it (and its derivatives at white noise)."""
+        shares it (its closed-form start and the derivatives it keeps)."""
         if order not in self._objectives:
             self._objectives[order] = GsObjective(self, order)
         return self._objectives[order]
+
+    def moments(self, order: int) -> np.ndarray:
+        """The order-w :func:`_conditional_moments` of the SCM, built on first
+        use, so every ``pls`` fit at that order shares them (callers do not
+        write to them)."""
+        if order not in self._moments:
+            self._moments[order] = _conditional_moments(self.scm, order)
+        return self._moments[order]
+
+
+def _conditional_moments(scm: np.ndarray, order: int) -> np.ndarray:
+    """(order+1)-square matrix of trailing diagonal partial sums of the SCM.
+
+    Entry (j, l) sums ``S[t-l, t-j]`` over the modeled rows t = order..P-1.
+    """
+    p = scm.shape[0]
+    out = np.zeros((order + 1, order + 1), dtype=scm.dtype)
+    for j in range(order + 1):
+        for l in range(j + 1):
+            r = j - l
+            diag = np.diagonal(scm, offset=-r)
+            seg = diag[order - j : p - j]
+            val = np.sum(seg)
+            out[j, l] = val
+            if l != j:
+                out[l, j] = np.conj(val)
+    return out
 
 
 def _evaluate(ctx: LikelihoodContext, alpha: GsParams) -> tuple:
@@ -251,8 +280,9 @@ class GsObjective:
     over white noise: it drops the ``-2 P log c`` that ``L_c`` carries at
     data scale ``c``, so its rounding, and a fit that compares its values,
     do not depend on the scale.  :meth:`gradient` differentiates both; it
-    keeps its result at white noise, where every fit starts, and at the
-    last other point, where a fit that stopped reads its report.
+    keeps its result at white noise, where the barrier fits start, and at
+    the last other point, where a fit that stopped reads its report.
+    :attr:`start` is where ``q`` is stationary, the box fit's start.
     """
 
     def __init__(self, ctx: LikelihoodContext, order: int):
@@ -272,6 +302,18 @@ class GsObjective:
         self._zero = np.zeros(self._hess_q.shape[0]).tobytes()
         self._at_zero = None  # derivatives at white noise
         self._at_last = (None, None)  # and at the last other point, with its bytes
+
+    @cached_property
+    def start(self) -> np.ndarray:
+        """``x`` of ``u* = -K[1:, 1:]^-1 K[1:, 0]``, where ``q(1, u)`` is
+        stationary (its minimizer where ``K[1:, 1:]`` is positive definite);
+        white noise, ``x = 0``, where ``K[1:, 1:]`` is singular.  It ignores
+        ``h``, so it is a start, not the fit."""
+        try:
+            u = -np.linalg.solve(self._form[1:, 1:], self._form[1:, 0])
+        except np.linalg.LinAlgError:
+            return np.zeros(self._hess_q.shape[0])
+        return np.concatenate((u.real, u.imag)) if self.is_complex else u
 
     def _terms(self, x):
         """``(u, v, q, a*, h, step-down output)``; the last point is kept for

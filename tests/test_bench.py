@@ -4,12 +4,13 @@ import json
 import os
 import re
 import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from toepcov import bench
+from toepcov import bench, estimators
 from toepcov.bench import (
     ESTIMATORS,
     ExperimentConfig,
@@ -772,3 +773,64 @@ def test_em_reports_its_iterations(tmp_path):
     for rec in by_name["em"]:
         assert isinstance(rec["iterations"], int) and isinstance(rec["converged"], bool)
     assert all("iterations" not in rec for rec in by_name["circ"])
+
+
+def test_scan_totals_reach_results_json(tmp_path, monkeypatch):
+    """Each tuned GS record in results.json totals its order x family scan:
+    fixed-order fits run, candidates reused from another family, Newton
+    iterations and unconverged fits, as counted by hand around the fits and
+    the order scans.  results.csv is the same with or without them."""
+    names = ("pgd", "pls", "frob")
+    counts = []  # one Counter per tuned call, in call order
+
+    def counted_fit(fn):
+        def run(*args, **kwargs):
+            rep = fn(*args, **kwargs)
+            counts[-1].update(fits=1, iterations=rep.iterations, unconverged=int(not rep.converged))
+            return rep
+        return run
+
+    real_tune_order = estimators.tune_order
+
+    def tune_order(fit, ctx):
+        def candidate(*args):
+            counts[-1].update(candidates=1)
+            return fit(*args)
+        return real_tune_order(candidate, ctx)
+
+    def bracketed(info):
+        def tuned(data):
+            counts.append(Counter())
+            return info.tuned(data)
+        return dataclasses.replace(info, tuned=tuned)
+
+    for fn in ("estimate_pgd", "estimate_pls", "estimate_frob"):
+        monkeypatch.setattr(bench, fn, counted_fit(getattr(bench, fn)))
+    for module in (estimators, bench):
+        monkeypatch.setattr(module, "tune_order", tune_order)
+    for name in names:
+        monkeypatch.setitem(ESTIMATORS, name, bracketed(ESTIMATORS[name]))
+    cfg = ExperimentConfig(kind="ar", points=((0.5,),), sigma2=0.64, dims=(10,),
+                           sample_counts=(16,), estimators=names, runs=3, seed=4)
+    run_benchmark(cfg, str(tmp_path / "with"), workers=1)
+    detail = json.loads((tmp_path / "with" / "results.json").read_text())
+    reused = 0
+    for i, cell in enumerate(detail["cells"]):
+        for run, rec in enumerate(cell["records"]):
+            c = counts[run * len(names) + i]
+            assert rec["scan"] == {"fits": c["fits"], "reused": c["candidates"] - c["fits"],
+                                   "iterations": c["iterations"], "unconverged": c["unconverged"]}
+            assert rec["scan"]["fits"] > 0
+            reused += rec["scan"]["reused"]
+    assert reused > 0
+
+    def without_scan(r):
+        cm, icm, meta, rep = real_gs_result(r)
+        meta.pop("scan", None)
+        return cm, icm, meta, rep
+
+    real_gs_result = bench._gs_result
+    monkeypatch.setattr(bench, "_gs_result", without_scan)
+    run_benchmark(cfg, str(tmp_path / "without"), workers=1)
+    assert "scan" not in json.loads((tmp_path / "without" / "results.json").read_text())["cells"][0]["records"][0]
+    assert (tmp_path / "with" / "results.csv").read_bytes() == (tmp_path / "without" / "results.csv").read_bytes()

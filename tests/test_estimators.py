@@ -167,6 +167,134 @@ class TestPgd:
         with pytest.raises(ValueError):
             estimate_pgd(ctx, spec16, 16)
 
+    @pytest.mark.parametrize("white_noise_start", [False, True])
+    def test_no_stall_on_tiny_bounds(self, white_noise_start, monkeypatch):
+        """At order 12 the exp-1.8 bounds reach 2e-9, so every Newton trial is
+        clipped and the Newton line search fails from white noise: the fit
+        stopped there, "converged", its projected gradient 0.85 and its
+        loglik 2.4 nats short.  The projected gradient arc takes over and
+        the fit reaches a stationary point."""
+        if white_noise_start:
+            monkeypatch.setattr(likelihood.GsObjective, "start", ZERO_START)
+        ctx = ar1_data(seed=1).context()
+        rep = estimate_pgd(ctx, box_spec_for(DEFAULT_FAMILIES[3], 16), 12)
+        assert rep.converged
+        assert rep.grad_norm < estimators._STAT_TOL * (1.0 + abs(rep.loglik))
+        assert rep.loglik > white_noise_report(ctx).loglik + 2.0
+
+
+# The white-noise start of every fit before the closed-form start: an oracle
+# for the tuned choices.
+ZERO_START = property(lambda self: np.zeros(self._hess_q.shape[0]))
+
+
+def _oracle_datasets():
+    """The datasets the start is checked on, by name."""
+    return {
+        "ar1-n2": lambda seed: ar1_data(n=2, seed=seed),
+        "ar1-a0.9-n4": lambda seed: ar1_data(n=4, a=0.9, seed=seed),
+        "complex-ar1-n8": lambda seed: complex_ar1_data(n=8, seed=seed),
+        "ma1-p64-n64": lambda seed: sample(ProcessSpec("ma", 64, b=(0.5,), sigma2=0.64), 64, seed),
+        "arma11-p128-n64": lambda seed: sample(
+            ProcessSpec("arma", 128, a=(0.7,), b=(0.3,), sigma2=0.64), 64, seed),
+    }
+
+
+class TestPgdStart:
+    """``pgd`` starts at ``GsObjective.start`` clipped to its box, where the
+    trace form q is stationary, when that beats white noise."""
+
+    @pytest.mark.parametrize("complex_case", [False, True])
+    def test_start_is_stationary_for_q(self, complex_case):
+        """The gradient of q(1, u) = v^H K v in x vanishes at the start to rounding."""
+        for seed, order in itertools.product(range(3), (1, 3, 6)):
+            data = complex_ar1_data(seed=seed) if complex_case else ar1_data(n=32, seed=seed)
+            prof = data.context().objective(order)
+            x = prof.start
+            assert x.shape == (2 * order if complex_case else order,) and x.dtype == float
+            v = np.append(1.0, prof.ratios(x))
+            grad_q = 2.0 * np.real(prof.factors.jac.conj().T @ (prof._form[1:] @ v))
+            assert np.linalg.norm(grad_q) <= 1e-12 * np.abs(prof._form).max() * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("complex_case", [False, True])
+    def test_first_iterate_is_the_clipped_start(self, complex_case):
+        """The ascent's first iterate is the start clipped to the box, inside
+        it, in the narrowest family (which clips) and a wide one (which does
+        not)."""
+        clipped_somewhere = False
+        for seed, family in itertools.product(range(3), (DEFAULT_FAMILIES[0], DEFAULT_FAMILIES[4])):
+            data = complex_ar1_data(n=8, seed=seed) if complex_case else ar1_data(n=8, a=0.9, seed=seed)
+            ctx = data.context()
+            spec = box_spec_for(family, 16)
+            rep = estimate_pgd(ctx, spec, 2, opts=PgdOptions(track_iterates=True))
+            prof = ctx.objective(2)
+            hi = np.tile(spec.k[:2] / 2, 2) if complex_case else spec.k[:2]
+            clipped = np.clip(prof.start, -hi, hi)
+            clipped_somewhere |= not np.array_equal(clipped, prof.start)
+            assert prof.value(clipped) > 0.0  # it beats white noise, so the fit starts there
+            first = rep.extras["iterates"][0]
+            assert np.array_equal(first.full, prof.params(clipped).full)
+            assert rep.extras["objectives"][0] == prof.value(clipped)
+            assert np.all(np.abs(clipped) <= hi)
+            ratios = first.alpha_rest[:2] / first.alpha0  # rounded once by a* u / a*
+            lim = hi * (1 + 1e-12)
+            assert np.all(np.abs(ratios.real) <= lim[:2]) and np.all(np.abs(ratios.imag) <= lim[-2:])
+            assert spectral_pd_check(first)
+        assert clipped_somewhere
+
+    @pytest.mark.parametrize("scm, order, why", [
+        ([[1, 2], [2, 1]], 1, "K[1:, 1:] = 0 is singular"),
+        ([[1, 0, 2], [0, 1, 0], [2, 0, 1]], 2, "the clipped start's value is -1.01"),
+        ([[1, 2, 0], [2, 1, 2], [0, 2, 1]], 1, "q < 0 at the clipped start: infeasible"),
+    ])
+    def test_white_noise_fallback(self, scm, order, why):
+        """On SCMs that are not positive semidefinite the clipped start does
+        not beat white noise, so the fit starts at white noise, without an
+        exception or a RuntimeWarning, and returns a positive definite fit."""
+        ctx = LikelihoodContext(np.array(scm, dtype=float), 5)
+        spec = box_spec_for(DEFAULT_FAMILIES[1], ctx.p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = estimate_pgd(ctx, spec, order, opts=PgdOptions(track_iterates=True))
+        first = rep.extras["iterates"][0]
+        assert not np.any(first.alpha_rest), why
+        assert rep.extras["objectives"][0] == ctx.objective(order).value(np.zeros(order)) == 0.0
+        assert spectral_pd_check(rep.alpha)
+
+    @pytest.mark.parametrize("name", sorted(_oracle_datasets()))
+    def test_tuned_choices_match_the_white_noise_start(self, name, monkeypatch):
+        """Tuned ``pgd`` chooses what it chose from white noise: the same order
+        and family, with a loglik within 1e-12 relative."""
+        info = bench.ESTIMATORS["pgd"]
+        for seed in range(3):
+            data = _oracle_datasets()[name](seed)
+            monkeypatch.undo()
+            _, _, meta, rep = info.tuned(data)
+            monkeypatch.setattr(likelihood.GsObjective, "start", ZERO_START)
+            _, _, expected_meta, expected = info.tuned(data)
+            assert (meta["order"], meta["family"]) == (expected_meta["order"], expected_meta["family"])
+            assert rep.loglik == pytest.approx(expected.loglik, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("name", sorted(_oracle_datasets()))
+    def test_pinned_orders_match_the_white_noise_start(self, name, monkeypatch):
+        """At every order below the BIC cap the family scan picks the family
+        it picked from white noise.  The loglik agrees within 1e-12 relative
+        unless both fits are stationary within the stop rule's tolerance,
+        with many coefficients on their bounds (ARMA order 16 here; 4 of 1200
+        comparisons over seeds 0-11, at most 7e-8 relative apart)."""
+        info = bench.ESTIMATORS["pgd"]
+        for seed in range(2):
+            data = _oracle_datasets()[name](seed)
+            for order in range(1, min(data.p - 1, int(round(2.0 * np.sqrt(data.p) + 8.0)))):
+                monkeypatch.undo()
+                _, _, meta, rep = info.pinned(data, order)
+                monkeypatch.setattr(likelihood.GsObjective, "start", ZERO_START)
+                _, _, expected_meta, expected = info.pinned(data, order)
+                assert meta["family"] == expected_meta["family"]
+                if rep.loglik != pytest.approx(expected.loglik, rel=1e-12, abs=0):
+                    for fit in (rep, expected):
+                        assert fit.grad_norm < estimators._STAT_TOL * (1.0 + abs(fit.loglik))
+
 
 class TestFrob:
     def test_white_noise_optimum(self):
@@ -587,6 +715,34 @@ class TestTuneBoxFamily:
             shared = tune_box_family(lambda c, w, s: estimate_pls(c, s, order=w), data.context())
             assert (shared.order, shared.family_id, shared.loglik) == (alone.order, alone.family_id, alone.loglik)
             assert np.array_equal(shared.alpha.full, alone.alpha.full)
+
+    def test_pls_moments_built_once_per_order(self, monkeypatch):
+        """A tuned ``pls`` fit over the five default families builds each
+        scanned order's conditional moments once, and every fit in it equals
+        the same fit on a fresh context (alpha bit for bit, and loglik)."""
+        built, fits = [], []
+        real = likelihood._conditional_moments
+
+        def counted(scm, order):
+            built.append(order)
+            return real(scm, order)
+
+        def fit(ctx, w, spec):
+            fits.append((w, spec, estimate_pls(ctx, spec, order=w)))
+            return fits[-1][2]
+
+        monkeypatch.setattr(likelihood, "_conditional_moments", counted)
+        for seed in range(3):
+            data = ar1_data(n=32, seed=seed)
+            built.clear()
+            fits.clear()
+            tune_box_family(fit, data.context())
+            assert sorted(built) == sorted({w for w, _, _ in fits})
+            assert len(fits) > len(built)  # families share the moments
+            for w, spec, rep in fits:
+                fresh = estimate_pls(data.context(), spec, order=w)
+                assert np.array_equal(rep.alpha.full, fresh.alpha.full)
+                assert rep.loglik == fresh.loglik
 
     @staticmethod
     def _fake_family_loop(monkeypatch, point, order=None):
