@@ -72,8 +72,8 @@ _ARMIJO_MAX_BACKTRACKS = 40
 # Smallest curvature the Newton step may use, relative to the largest.
 _CURVATURE_FLOOR = 1e-8
 # Stop rule of every Newton round: a step gains less than _REL_TOL max(1, |f|)
-# at a point whose projected gradient is below _STAT_TOL (1 + |f|), where f is
-# the objective: the likelihood's gain over white noise, plus any barrier; or
+# and lands where the projected gradient is below _STAT_TOL (1 + |f|), where f
+# is the objective: the likelihood's gain over white noise, plus any barrier; or
 # the step's predicted gain g.d is below the objective's rounding,
 # _ROUNDING (1 + |f|), so a line search could only follow rounding noise.
 _REL_TOL = 1e-8
@@ -182,7 +182,13 @@ def _line_search(evaluate, x, d, value, g, lo, hi):
     return None
 
 
-def _newton_ascent(evaluate, derivatives, x, lo, hi, max_iter, trail=None, value=None):
+def _mapping_norm(x, g, lo, hi) -> float:
+    """``|clip(x + g) - x|``, the projected gradient mapping norm of ``g`` at ``x``
+    in ``[lo, hi]``: the Newton fits' stationarity measure."""
+    return float(np.linalg.norm(np.clip(x + g, lo, hi) - x))
+
+
+def _newton_ascent(evaluate, derivatives, x, lo, hi, max_iter, trail=None):
     """Active-set projected Newton ascent from ``x`` inside ``[lo, hi]``
     (Bertsekas, SIAM J. Control Optim. 1982): each iteration holds
     coordinates at a bound whose gradient points outward, takes a Newton
@@ -193,21 +199,21 @@ def _newton_ascent(evaluate, derivatives, x, lo, hi, max_iter, trail=None, value
     gradient arc ``clip(x + t g)`` instead, which ascends for a small
     enough ``t``.
     ``evaluate(x)`` is the objective (-inf where infeasible),
-    ``derivatives(x)`` its gradient and Hessian; stationarity is measured by
-    the gradient's projected mapping norm ``|clip(x + g) - x|``.  A step
-    whose predicted gain is at rounding level ends the ascent, converged,
-    before any line search.
-    ``value`` is ``evaluate(x)`` at the start when the caller has it.
+    ``derivatives(x)`` its gradient and Hessian, asked for once per point;
+    stationarity is measured by the gradient's :func:`_mapping_norm`.  A
+    step whose predicted gain is at rounding level ends the ascent,
+    converged, before any line search.  A step that gains little ends it,
+    converged, only where the point it returns is stationary; from any
+    other point the ascent carries on.
     Returns ``(x, iterations, converged)``; ``trail`` gets each ``(x, value)``.
     """
-    if value is None:
-        value = evaluate(x)
+    value = evaluate(x)
     if trail is not None:
         trail.append((x, value))
+    g, hess = derivatives(x)
     iters = 0
     for iters in range(1, max_iter + 1):
-        g, hess = derivatives(x)
-        stationary = np.linalg.norm(np.clip(x + g, lo, hi) - x) < _STAT_TOL * (1.0 + abs(value))
+        stationary = _mapping_norm(x, g, lo, hi) < _STAT_TOL * (1.0 + abs(value))
         free = ~(((x <= lo) & (g <= 0)) | ((x >= hi) & (g >= 0)))
         rounding = _ROUNDING * (1.0 + abs(value))
         if np.linalg.norm(g[free]) < rounding:
@@ -223,11 +229,12 @@ def _newton_ascent(evaluate, derivatives, x, lo, hi, max_iter, trail=None, value
         if accepted is None:
             return x, iters, True
         x, new_value = accepted
-        improvement = new_value - value
+        small_gain = new_value - value < _REL_TOL * max(1.0, abs(new_value))
         value = new_value
         if trail is not None:
             trail.append((x, value))
-        if improvement < _REL_TOL * max(1.0, abs(value)) and stationary:
+        g, hess = derivatives(x)
+        if small_gain and _mapping_norm(x, g, lo, hi) < _STAT_TOL * (1.0 + abs(value)):
             return x, iters, True
     return x, iters, False
 
@@ -240,22 +247,24 @@ def _ratio_fit(prof, hi=None, barrier=None, trail=None, start=None) -> Estimatio
     maximized in closed form (``prof``, the context's shared ``GsObjective``
     at the fit's order, compared through its scale-free ``value``).  Each
     round is :func:`_newton_ascent` inside ``[-hi, hi]`` (unbounded by
-    default) from where the last stopped.  The first starts at white
+    default) from where the last stopped, and stops by its rule, which
+    reads stationarity at the point it returns.  The first starts at white
     noise, ``x = 0``, unless a fit without a barrier gives a ``start``:
     then at ``start`` clipped to the box, if its value beats white noise's
-    0.  Without a ``barrier`` there is one round at ``mu = 0`` of at most
-    ``_MAX_ITER`` iterations.  With one, ``barrier = (log_slack,
-    slack_derivatives)``: ``psi = log_slack(u)`` is a constraint's log-slack
-    (-inf when infeasible) and ``slack_derivatives(u)`` its exact gradient
-    and Hessian in ``x``; ``_BARRIER_ROUNDS`` rounds of at most
-    ``_BARRIER_MAX_ITER`` iterations each, ``mu`` starting at ``_MU0`` and
-    shrinking by ``_MU_SHRINK`` per round.  The report
-    reads the objective it maximized: ``loglik`` is ``L_c`` and ``grad_norm``
-    the likelihood's mapping norm ``|clip(x + g) - x|`` in ``x``, barrier
-    left out, from the derivatives the objective kept where the last round
-    stopped; ``stationary`` reads the same gradient unprojected.  The scale
-    is maximized out, so the likelihood's derivative along ``(1, u)`` is
-    zero and needs no entry.
+    0.  Each round evaluates its own start, which the objective's memo
+    serves where the start was just evaluated.  Without a ``barrier`` there
+    is one round at ``mu = 0`` of at most ``_MAX_ITER`` iterations.  With
+    one, ``barrier = (log_slack, slack_derivatives)``: ``psi =
+    log_slack(u)`` is a constraint's log-slack (-inf when infeasible) and
+    ``slack_derivatives(u)`` its exact gradient and Hessian in ``x``;
+    ``_BARRIER_ROUNDS`` rounds of at most ``_BARRIER_MAX_ITER`` iterations
+    each, ``mu`` starting at ``_MU0`` and shrinking by ``_MU_SHRINK`` per
+    round.  The report reads the objective it maximized: ``loglik`` is
+    ``L_c`` and ``grad_norm`` the likelihood's :func:`_mapping_norm` in
+    ``x``, barrier left out, from the derivatives the objective's memo
+    holds where the last round stopped; ``stationary`` reads the same
+    gradient unprojected.  The scale is maximized out, so the likelihood's
+    derivative along ``(1, u)`` is zero and needs no entry.
     """
     if hi is None:
         hi = np.full(2 * prof.order if prof.is_complex else prof.order, np.inf)
@@ -279,22 +288,14 @@ def _ratio_fit(prof, hi=None, barrier=None, trail=None, start=None) -> Estimatio
         return g + mu * s_grad, hess + mu * s_hess
 
     x = np.zeros(hi.size)
-    value = None  # the first round evaluates its start
-    if start is not None:
-        clipped = np.clip(start, lo, hi)
-        value = value_at(clipped, 0.0)
-        if value > 0.0:
-            x = clipped
-        else:
-            value = 0.0  # white noise's, exactly
+    if start is not None and value_at(np.clip(start, lo, hi), 0.0) > 0.0:  # white noise's value is 0
+        x = np.clip(start, lo, hi)
     total_iters = 0
     converged = False
     for mu in mus:
         x, iters, converged = _newton_ascent(
-            lambda y, mu=mu: value_at(y, mu), lambda y, mu=mu: derivatives(y, mu),
-            x, lo, hi, max_iter, trail, value,
+            lambda y, mu=mu: value_at(y, mu), lambda y, mu=mu: derivatives(y, mu), x, lo, hi, max_iter, trail
         )
-        value = None
         total_iters += iters
     g, _ = prof.gradient(x)
     report = EstimationReport(
@@ -303,7 +304,7 @@ def _ratio_fit(prof, hi=None, barrier=None, trail=None, start=None) -> Estimatio
         loglik=prof.loglik(x),
         iterations=total_iters,
         converged=converged,
-        grad_norm=float(np.linalg.norm(np.clip(x + g, lo, hi) - x)),
+        grad_norm=_mapping_norm(x, g, lo, hi),
         stationary=bool(np.linalg.norm(g) < _STAT_TOL * (1.0 + abs(prof.value(x)))),
     )
     if trail is not None:
@@ -504,7 +505,6 @@ def tune_order(fit, ctx: LikelihoodContext) -> EstimationReport:
             strikes += 1
             if strikes >= _PATIENCE:
                 break
-    best.extras["bic_score"] = float(best_score)
     best.extras["scan"] = scan
     return best
 

@@ -93,7 +93,7 @@ class LikelihoodContext:
     def objective(self, order: int) -> "GsObjective":
         """The order-w :class:`GsObjective`, built on first use.  It is a pure
         function of the context and the order, so every fit at that order
-        shares it (its closed-form start and the derivatives it keeps)."""
+        shares it (its closed-form start)."""
         if order not in self._objectives:
             self._objectives[order] = GsObjective(self, order)
         return self._objectives[order]
@@ -279,9 +279,10 @@ class GsObjective:
     at :meth:`params`.  :meth:`value` is ``L_c(x) - L_c(0)``, the increase
     over white noise: it drops the ``-2 P log c`` that ``L_c`` carries at
     data scale ``c``, so its rounding, and a fit that compares its values,
-    do not depend on the scale.  :meth:`gradient` differentiates both; it
-    keeps its result at white noise, where the barrier fits start, and at
-    the last other point, where a fit that stopped reads its report.
+    do not depend on the scale.  :meth:`gradient` differentiates both.  One
+    memo holds the last point's terms and, once :meth:`gradient` asks for
+    them, its derivatives; a new point replaces both, so the point a line
+    search accepted and where a fit reads its report cost no second pass.
     :attr:`start` is where ``q`` is stationary, the box fit's start.
     """
 
@@ -296,12 +297,9 @@ class GsObjective:
         self._form = table[: w + 1, : w + 1].copy()
         self._form[1:, 1:] -= np.conj(table[-w:, -w:][::-1, ::-1])
         self._hess_q = 2.0 * np.real(self.factors.jac.conj().T @ self._form[1:, 1:] @ self.factors.jac)
-        self._last = (None, None)
         self._q0 = float(np.real(self._form[0, 0]))  # q and a* at white noise, x = 0
         self._a0 = self.p / self._q0
-        self._zero = np.zeros(self._hess_q.shape[0]).tobytes()
-        self._at_zero = None  # derivatives at white noise
-        self._at_last = (None, None)  # and at the last other point, with its bytes
+        self._memo = (None, None, None)  # the last point's bytes, terms and derivatives
 
     @cached_property
     def start(self) -> np.ndarray:
@@ -316,9 +314,8 @@ class GsObjective:
         return np.concatenate((u.real, u.imag)) if self.is_complex else u
 
     def _terms(self, x):
-        """``(u, v, q, a*, h, step-down output)``; the last point is kept for
-        the derivatives at the point a line search accepted."""
-        if self._last[0] != x.tobytes():
+        """``(u, v, q, a*, h, step-down output)``, from the memo at its point."""
+        if self._memo[0] != x.tobytes():
             u = self.ratios(x)
             v = np.append(1.0, u)
             q = float(np.real(np.vdot(v, self._form @ v)))
@@ -326,8 +323,8 @@ class GsObjective:
                 raise NotPositiveDefiniteError(f"tr(Gamma S) / alpha_0 = {q:.6g} is not positive")
             steps = _step_down(-u, 1.0)
             h = -float(np.sum(np.log(steps[2][:-1])))
-            self._last = (x.tobytes(), (u, v, q, self.p / q, h, steps))
-        return self._last[1]
+            self._memo = (x.tobytes(), (u, v, q, self.p / q, h, steps), None)
+        return self._memo[1]
 
     def ratios(self, x) -> np.ndarray:
         """The ratios ``u`` (complex for complex data) of the real vector ``x``."""
@@ -351,14 +348,10 @@ class GsObjective:
     def gradient(self, x):
         """Gradient and Hessian of :meth:`value`, and of ``L_c``, in ``x``
         (shared arrays: callers do not write to them)."""
-        key = x.tobytes()
-        if key == self._zero:
-            if self._at_zero is None:
-                self._at_zero = self._derivatives_at(x)
-            return self._at_zero
-        if self._at_last[0] != key:
-            self._at_last = (key, self._derivatives_at(x))
-        return self._at_last[1]
+        self._terms(x)  # puts x in the memo
+        if self._memo[2] is None:
+            self._memo = (*self._memo[:2], self._derivatives_at(x))
+        return self._memo[2]
 
     def _derivatives_at(self, x):
         u, v, _, a0, _, steps = self._terms(x)

@@ -277,6 +277,52 @@ class TestProfiledObjective:
                 gains.append(gain)
             assert np.abs(np.array(gains) - gains[0]).max() <= 1e-12 * abs(gains[0])
 
+    @pytest.mark.parametrize("complex_case", [False, True], ids=["real", "complex"])
+    def test_memo_serves_only_its_own_point(self, complex_case):
+        """The memo holds one point: after ``gradient(x1)`` and ``value(x2)``,
+        ``gradient`` at x2 and then at x1 equals a fresh objective's, bit for
+        bit, so it never serves the derivatives of another point."""
+        ctx = random_context(16, complex_case=complex_case)
+        x1, x2 = (rng.normal(size=6 if complex_case else 3) * 0.1 for _ in range(2))
+        prof = GsObjective(ctx, 3)
+        prof.gradient(x1)
+        prof.value(x2)
+        for x in (x2, x1):
+            for got, want in zip(prof.gradient(x), GsObjective(ctx, 3).gradient(x)):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("complex_case", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("name", ["pgd", "frob"])
+    def test_derivatives_once_per_point(self, name, complex_case, monkeypatch):
+        """Within a fit the derivative kernel runs once per distinct point
+        that ``gradient`` is asked at, and the report's final read is served
+        by the memo."""
+        kernel_points, reads = [], []
+        kernel, gradient = GsObjective._derivatives_at, GsObjective.gradient
+
+        def counted_kernel(self, x):
+            kernel_points.append(x.tobytes())
+            return kernel(self, x)
+
+        def counted_gradient(self, x):
+            before = len(kernel_points)
+            out = gradient(self, x)
+            reads.append((x.tobytes(), len(kernel_points) > before))
+            return out
+
+        monkeypatch.setattr(GsObjective, "_derivatives_at", counted_kernel)
+        monkeypatch.setattr(GsObjective, "gradient", counted_gradient)
+        for order in (1, 3, 6):
+            kernel_points.clear()
+            reads.clear()
+            ctx = random_context(16, n=8, complex_case=complex_case)
+            if name == "pgd":
+                estimate_pgd(ctx, box_spec_for(DEFAULT_FAMILIES[1], 16), order)
+            else:
+                estimate_frob(ctx, order)
+            assert len(kernel_points) == len(set(kernel_points)) == len({key for key, _ in reads})
+            assert reads[-1] == (kernel_points[-1], False)
+
 
 class TestGsFactors:
     """The GS-factor kernel against central differences, in the real vector
