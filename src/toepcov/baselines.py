@@ -33,6 +33,11 @@ __all__ = [
 ]
 
 
+def _pow2_above(value) -> float:
+    """The power of two above ``|value|`` (one for zero): dividing by it is exact."""
+    return math.ldexp(1.0, math.frexp(float(value))[1])
+
+
 def sample_cov(samples) -> np.ndarray:
     """Sample covariance of mean-zero data, one sample per row."""
     x = np.atleast_2d(np.asarray(samples))
@@ -133,9 +138,11 @@ def cv_tune_mask(samples, kind: str = "banding") -> MaskSpec:
     diagonal-average estimate of the training folds and the raw sample
     covariance of the held-out fold, summed over folds; the smallest
     bandwidth of least risk wins.  Every bandwidth is scored from the lag
-    sums of each fold, in O(P^2) per fold.
+    sums of each fold, in O(P^2) per fold, at unit scale, where no risk
+    overflows or underflows: that scales them all by one power of two.
     """
-    return MaskSpec(kind, int(np.argmin(_cv_risks(samples, kind))))
+    x = np.asarray(samples)
+    return MaskSpec(kind, int(np.argmin(_cv_risks(x / _pow2_above(np.abs(x).max(initial=0.0)), kind))))
 
 
 def _circular_spectrum(q, g: int) -> np.ndarray:
@@ -233,7 +240,8 @@ def em_toeplitz(scm, g: int | None = None, max_iter: int = 200, tol: float = 1e-
     (spectrum updates made) and ``converged`` (whether the last one met
     ``tol``).  At the defaults the iteration almost never meets ``tol``
     (all 200 fits of the criterion-10 benchmark ran the full 200
-    iterations), so ``max_iter``, not convergence, sets the estimate.
+    iterations), so ``max_iter``, not convergence, sets the estimate.  It
+    iterates at unit mean variance, where no square or inverse overflows.
     """
     scm = np.asarray(scm)
     p = scm.shape[0]
@@ -241,13 +249,14 @@ def em_toeplitz(scm, g: int | None = None, max_iter: int = 200, tol: float = 1e-
         g = 2 * p
     if g < p:
         raise ValueError("embedding size must be at least the sample dimension")
+    unit = _pow2_above(np.real(np.trace(scm)) / p)
     iterations, prev, spec = -1, None, None
-    for new_spec, last in _em_iterates(scm, g, max_iter, tol, ridge=1e-10):
+    for new_spec, last in _em_iterates(scm / unit, g, max_iter, tol, ridge=1e-10):
         iterations, prev, spec = iterations + 1, spec, new_spec
     if work is not None:
         converged = prev is not None and _relative_change(spec, prev) < tol
         work.update(iterations=iterations, converged=bool(converged))
-    return last
+    return last * unit
 
 
 def _const_offdiag_target(scm) -> np.ndarray:
@@ -275,13 +284,16 @@ def shrink_coefficient(scm, target, samples) -> float:
 
     Uses the unbiased per-entry sampling variance of the SCM; with a single
     sample the variance is not estimable and the weight defaults to one.
+    The weight is scale-free, so it is computed at unit scale, where no
+    fourth power overflows or underflows.
     """
     x = np.atleast_2d(np.asarray(samples))
     n = x.shape[0]
     if n < 2:
         return 1.0
-    scm = np.asarray(scm)
-    t = _shrink_target(scm, target)
+    unit = _pow2_above(np.abs(x).max())
+    x, scm = x / unit, np.asarray(scm) / unit / unit  # unit**2 may underflow
+    t = _shrink_target(scm, target if isinstance(target, str) else np.asarray(target) / unit / unit)
     # sum over samples of ||x x^H - S||_F^2, expanded so that no P x P outer
     # product is formed: ||x||^4 - 2 Re x^H S x + ||S||_F^2
     sq = np.sum(np.abs(x) ** 2, axis=1)

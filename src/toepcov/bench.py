@@ -34,7 +34,6 @@ from .estimators import (
     tune_order,
     white_noise_report,
 )
-from .likelihood import LikelihoodContext
 from .processes import _KINDS, ProcessSpec, nmse, sample, true_cm
 
 __all__ = [
@@ -55,22 +54,22 @@ TIMING_PIN = 6
 class EstimatorInfo:
     """One estimator: its capabilities and its fitting policy.
 
-    ``tuned(data)`` fits a :class:`SampleSet` with the estimator's own
-    hyperparameter selection and returns ``(cm, icm, meta, report)``: the
-    dense covariance, the dense precision (None without ``supports_icm``),
-    the chosen hyperparameters, and the GS :class:`EstimationReport` (None
-    for baselines).  ``pinned(data, order)`` returns the same at a fixed AR
-    order; baselines have none.  ``timed(data)`` returns the zero-argument
-    call that :func:`timing_benchmark` measures.
+    ``fit(data, order=None)`` fits a :class:`SampleSet` and returns ``(cm,
+    icm, meta, report)``: the dense covariance, the dense precision (None
+    without ``supports_icm``), the chosen hyperparameters, and the GS
+    :class:`EstimationReport` (None for baselines).  Without ``order`` the
+    estimator selects its own hyperparameters; a ``"proposed"`` estimator
+    fits at a given AR order instead, and a baseline, which has none,
+    refuses one.  ``timed(data)`` returns the zero-argument call that
+    :func:`timing_benchmark` measures.
     """
 
     name: str
     kind: str  # "proposed" | "baseline"
     supports_icm: bool
     complexity: str
-    tuned: Callable
+    fit: Callable
     timed: Callable
-    pinned: Callable | None = None
 
 
 def _pd_inverse(mat):
@@ -80,19 +79,21 @@ def _pd_inverse(mat):
     return half.T.conj() @ half
 
 
-def _baseline(name, supports_icm, complexity, raw, fit=None):
+def _baseline(name, supports_icm, complexity, raw, tune=None):
     """Baseline from ``raw(data)``, the estimate with pinned hyperparameters.
 
-    ``fit(data)`` tunes the hyperparameters and returns the dense covariance
-    and the chosen values; without it the tuned fit is ``raw``, which must
-    then be dense.  Timing measures ``raw``.
+    ``tune(data)`` tunes the hyperparameters and returns the dense covariance
+    and the chosen values; without it the fit is ``raw``, which must then be
+    dense.  Timing measures ``raw``.
     """
 
-    def tuned(data):
-        cm, meta = (raw(data), {}) if fit is None else fit(data)
+    def fit(data, order=None):
+        if order is not None:
+            raise ValueError(f"estimator {name!r} has no AR order; --order must be 'auto'")
+        cm, meta = (raw(data), {}) if tune is None else tune(data)
         return cm, _pd_inverse(cm) if supports_icm else None, meta, None
 
-    return EstimatorInfo(name, "baseline", supports_icm, complexity, tuned,
+    return EstimatorInfo(name, "baseline", supports_icm, complexity, fit,
                          lambda d: lambda: raw(d))
 
 
@@ -104,64 +105,60 @@ def _gs_result(r):
     return r.cm().dense(), r.icm_dense(), meta, r
 
 
-def _gs(name, complexity, fit, boxed=False, **timing):
-    """GS estimator from ``fit(ctx, order, spec, **kw)``, one fixed-order fit.
+def _gs(name, complexity, fit_at, boxed=False, **timing):
+    """GS estimator from ``fit_at(ctx, order, spec, **kw)``, one fixed-order fit.
 
-    ``spec`` is the box of box estimators (None for the others).  Tuning
-    scans orders by BIC and, for box estimators, the default bound families
-    (:func:`tune_box_family`, which also picks the family at a pinned
-    order).  Timing fits at ``TIMING_PIN`` in the exp-1 box with the
-    ``timing`` keywords.
+    ``spec`` is the box of box estimators (None for the others).  Order 0 is
+    the white-noise fit.  Without an order the fit scans orders by BIC and,
+    for box estimators, the default bound families (:func:`tune_box_family`,
+    which also picks the family at a given order).  Timing fits at
+    ``TIMING_PIN`` in the exp-1 box with the ``timing`` keywords.
     """
 
-    def tuned(data):
-        ctx = data.context()
-        if boxed:
-            return _gs_result(tune_box_family(fit, ctx))
-        return _gs_result(tune_order(lambda c, w: fit(c, w, None), ctx))
-
-    def pinned(data, order):
-        if not 0 <= order <= data.p - 1:
+    def fit(data, order=None):
+        if order is not None and not 0 <= order <= data.p - 1:
             raise ValueError(f"order must lie in [0, {data.p - 1}], got {order}")
         ctx = data.context()
         if order == 0:
             return _gs_result(white_noise_report(ctx))
-        if not boxed:
-            return _gs_result(fit(ctx, order, None))
-        return _gs_result(tune_box_family(fit, ctx, order=order))
+        if boxed:
+            return _gs_result(tune_box_family(fit_at, ctx, order=order))
+        if order is None:
+            return _gs_result(tune_order(lambda c, w: fit_at(c, w, None), ctx))
+        return _gs_result(fit_at(ctx, order, None))
 
     def timed(data):
         spec = box_spec_for(DEFAULT_FAMILIES[1], data.p) if boxed else None
-        return lambda: fit(LikelihoodContext(data.scm, data.n), TIMING_PIN, spec, **timing)
+        return lambda: fit_at(data.context(), TIMING_PIN, spec, **timing)
 
-    return EstimatorInfo(name, "proposed", True, complexity, tuned, timed, pinned)
+    return EstimatorInfo(name, "proposed", True, complexity, fit, timed)
 
 
 def _banded(kind):
-    """``(raw, fit)`` of banding/tapering: pinned or cross-validated bandwidth."""
+    """``(raw, tune)`` of banding/tapering: pinned or cross-validated bandwidth."""
     pinned = baselines.MaskSpec(kind, TIMING_PIN)
 
-    def fit(data):
+    def tune(data):
         spec = baselines.cv_tune_mask(data.samples, kind=kind)
         return baselines.band_estimate(data.scm, spec).dense(), {"mask_k": spec.k}
 
-    return lambda d: baselines.band_estimate(d.scm, pinned), fit
+    return lambda d: baselines.band_estimate(d.scm, pinned), tune
 
 
-def _em_fit(data):
+def _em_tune(data):
     """Tuned ``em``: the estimate with its iteration count and convergence."""
     work: dict = {}
     return baselines.em_toeplitz(data.scm, work=work), work
 
 
 def _shrinkage(target):
-    """``(raw, fit)`` of shrinkage; the tuned fit records the plug-in weight."""
+    """``(raw, tune)`` of shrinkage; the tuned fit records the plug-in weight."""
 
-    def fit(data):
+    def tune(data):
         rho = baselines.shrink_coefficient(data.scm, target, data.samples)
         return baselines.shrink(data.scm, target, rho=rho), {"rho": rho}
 
-    return lambda d: baselines.shrink(d.scm, target, samples=d.samples), fit
+    return lambda d: baselines.shrink(d.scm, target, samples=d.samples), tune
 
 
 # Entries reach the estimators through module-level names at call time, so
@@ -178,7 +175,7 @@ ESTIMATORS = {
         _baseline("circ", True, "quadratic (lag sums and FFT)",
                   lambda d: baselines.circulant_mle(d.scm)),
         _baseline("em", True, "cubic per iteration (one LU solve, one GS product, two products)",
-                  lambda d: baselines.em_toeplitz(d.scm), _em_fit),
+                  lambda d: baselines.em_toeplitz(d.scm), _em_tune),
         _baseline("shrink_avg", False, "cubic (target build dominates)", *_shrinkage("avg")),
         _baseline("shrink_const", True, "quadratic", *_shrinkage("const")),
         # one eig Newton iteration: one Cholesky factorization of the P-square
@@ -340,7 +337,7 @@ def _run_cell(config: ExperimentConfig, task):
         rec = {"estimator": name, "run": run}
         start = time.perf_counter()
         try:
-            cm, icm, meta, _ = ESTIMATORS[name].tuned(data)
+            cm, icm, meta, _ = ESTIMATORS[name].fit(data)
             rec["wall_ms"] = (time.perf_counter() - start) * 1e3
             rec.update(meta)
             if config.cm_nmse:
@@ -504,7 +501,7 @@ def timing_benchmark(dims=(64, 128, 256), estimator_names=("pgd", "pls", "bandin
     _check_nonempty(dims=dims, estimators=estimator_names)
     _check_names(estimator_names)
     small = [p for p in dims if p <= TIMING_PIN]
-    if small and any(ESTIMATORS[name].pinned is not None for name in estimator_names):
+    if small and any(ESTIMATORS[name].kind == "proposed" for name in estimator_names):
         raise ValueError(f"GS timing fits at order {TIMING_PIN}, so it needs dimensions of at least "
                          f"{TIMING_PIN + 1}; got {', '.join(map(str, small))}")
     spec_params = {"a": (0.7,), "b": (0.3,), "sigma2": 0.64}

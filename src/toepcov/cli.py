@@ -141,10 +141,8 @@ def _cmd_estimate(args) -> int:
             order = int(args.order)
         except ValueError:
             raise _UsageError(f"--order must be 'auto' or an integer, got {args.order!r}")
-        if info.pinned is None:
-            raise _UsageError(f"estimator {name!r} has no AR order; --order must be 'auto'")
     start = time.perf_counter()
-    cm, icm, meta, fit = info.tuned(data) if order is None else info.pinned(data, order)
+    cm, icm, meta, fit = info.fit(data, order)
     report = dict.fromkeys(("alpha0", "alpha", *_REPORT_FIELDS.values()))
     report.update((_REPORT_FIELDS[k], v) for k, v in meta.items() if k in _REPORT_FIELDS)
     report.update(estimator=name, cm_first_col=cm[:, 0].tolist())

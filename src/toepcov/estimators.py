@@ -239,38 +239,38 @@ def _newton_ascent(evaluate, derivatives, x, lo, hi, max_iter, trail=None):
     return x, iters, False
 
 
-def _ratio_fit(prof, hi=None, barrier=None, trail=None, start=None) -> EstimationReport:
+def _ratio_fit(prof, spec=None, barrier=None, trail=None) -> EstimationReport:
     """Newton fit of every iterative GS estimator, over the coefficient ratios.
 
     Maximizes ``L_c(u) + mu psi(u)`` over the real vector ``x`` of the ratios
     ``u = alpha_rest / alpha_0`` (real, then imaginary parts), the scale
     maximized in closed form (``prof``, the context's shared ``GsObjective``
     at the fit's order, compared through its scale-free ``value``).  Each
-    round is :func:`_newton_ascent` inside ``[-hi, hi]`` (unbounded by
-    default) from where the last stopped, and stops by its rule, which
-    reads stationarity at the point it returns.  The first starts at white
-    noise, ``x = 0``, unless a fit without a barrier gives a ``start``:
-    then at ``start`` clipped to the box, if its value beats white noise's
-    0.  Each round evaluates its own start, which the objective's memo
-    serves where the start was just evaluated.  Without a ``barrier`` there
-    is one round at ``mu = 0`` of at most ``_MAX_ITER`` iterations.  With
-    one, ``barrier = (log_slack, slack_derivatives)``: ``psi =
+    round is :func:`_newton_ascent` inside the box ``spec`` (``|u_i| <=
+    K_i``, ``K_i / 2`` per part for complex data; unbounded without one)
+    from where the last stopped, and stops by its rule, which reads
+    stationarity at the point it returns.  The first starts at white noise,
+    ``x = 0``, which every barrier admits, or without a barrier at the
+    objective's ``start`` clipped to the box if that beats white noise's 0,
+    an evaluation the objective's memo serves again.  Without a ``barrier``
+    there is one round at ``mu = 0`` of at most ``_MAX_ITER`` iterations.
+    With one, ``barrier = (log_slack, slack_derivatives)``: ``psi =
     log_slack(u)`` is a constraint's log-slack (-inf when infeasible) and
     ``slack_derivatives(u)`` its exact gradient and Hessian in ``x``;
     ``_BARRIER_ROUNDS`` rounds of at most ``_BARRIER_MAX_ITER`` iterations
     each, ``mu`` starting at ``_MU0`` and shrinking by ``_MU_SHRINK`` per
     round.  The report reads the objective it maximized: ``loglik`` is
     ``L_c`` and ``grad_norm`` the likelihood's :func:`_mapping_norm` in
-    ``x``, barrier left out, from the derivatives the objective's memo
-    holds where the last round stopped; ``stationary`` reads the same
-    gradient unprojected.  The scale is maximized out, so the likelihood's
-    derivative along ``(1, u)`` is zero and needs no entry.
+    ``x``, barrier left out, from the derivatives the objective's memo holds
+    where the last round stopped; ``stationary`` reads the same gradient
+    unprojected; ``family_id`` is the box's.  The scale is maximized out, so
+    the likelihood's derivative along ``(1, u)`` is zero and needs no entry.
     """
-    if hi is None:
-        hi = np.full(2 * prof.order if prof.is_complex else prof.order, np.inf)
+    k = np.full(prof.order, np.inf) if spec is None else spec.k[: prof.order]
+    hi = np.tile(k / 2.0, 2) if prof.is_complex else k
     lo = -hi
     log_slack, slack_derivatives = barrier or (None, None)
-    mus = [_MU0 * _MU_SHRINK**k for k in range(_BARRIER_ROUNDS)] if barrier else [0.0]
+    mus = [_MU0 * _MU_SHRINK**r for r in range(_BARRIER_ROUNDS)] if barrier else [0.0]
     max_iter = _BARRIER_MAX_ITER if barrier else _MAX_ITER
 
     def value_at(x, mu):
@@ -288,8 +288,8 @@ def _ratio_fit(prof, hi=None, barrier=None, trail=None, start=None) -> Estimatio
         return g + mu * s_grad, hess + mu * s_hess
 
     x = np.zeros(hi.size)
-    if start is not None and value_at(np.clip(start, lo, hi), 0.0) > 0.0:  # white noise's value is 0
-        x = np.clip(start, lo, hi)
+    if not barrier and value_at(np.clip(prof.start, lo, hi), 0.0) > 0.0:  # white noise's value is 0
+        x = np.clip(prof.start, lo, hi)
     total_iters = 0
     converged = False
     for mu in mus:
@@ -304,6 +304,7 @@ def _ratio_fit(prof, hi=None, barrier=None, trail=None, start=None) -> Estimatio
         loglik=prof.loglik(x),
         iterations=total_iters,
         converged=converged,
+        family_id=None if spec is None else spec.family_id,
         grad_norm=_mapping_norm(x, g, lo, hi),
         stationary=bool(np.linalg.norm(g) < _STAT_TOL * (1.0 + abs(prof.value(x)))),
     )
@@ -332,13 +333,8 @@ def estimate_pgd(
     """
     if spec.dim != ctx.p:
         raise ValueError("box dimension does not match the context")
-    prof = ctx.objective(order)  # checks the order
-    k = spec.k[:order]
-    hi = np.tile(k / 2.0, 2) if prof.is_complex else k
     trail = [] if opts and opts.track_iterates else None
-    report = _ratio_fit(prof, hi, trail=trail, start=prof.start)
-    report.family_id = spec.family_id
-    return report
+    return _ratio_fit(ctx.objective(order), spec, trail=trail)  # the objective checks the order
 
 
 def estimate_frob(ctx: LikelihoodContext, order: int = 1) -> EstimationReport:
@@ -475,9 +471,12 @@ def tune_order(fit, ctx: LikelihoodContext) -> EstimationReport:
 
     ``fit(ctx, order)`` must return an :class:`EstimationReport` for
     ``order >= 1``; the order-zero candidate is the closed-form white-noise
-    fit.  The score penalizes each free parameter by ``log N`` against the
-    full-data log-likelihood ``N/2`` times the fitted objective, so the fit
-    term grows with the sample count as consistency requires.  Scanning
+    fit.  Order ``w`` scores ``(w + 1) log N - (N/2) l``, with ``l = -log det
+    C - tr(C^-1 S)`` the fitted per-sample objective, so the fit term grows
+    with the sample count as consistency requires.  For real data ``(N/2) l``
+    is the full-data log-likelihood, so each parameter costs twice textbook
+    BIC's ``(k/2) log N``; for complex data the full-data log-likelihood is
+    ``N l`` and there are ``2w + 1`` real parameters.  Scanning
     stops after ``_PATIENCE`` consecutive candidates without improvement;
     ties keep the smaller order.  The winner's ``extras["scan"]`` totals
     the scan (:func:`_scan_totals`), each ``fit`` call a fit run.

@@ -3,6 +3,7 @@ import collections
 import numpy as np
 import pytest
 
+from toepcov.bench import ESTIMATORS
 from toepcov.baselines import (
     MaskSpec,
     _cv_risks,
@@ -17,6 +18,7 @@ from toepcov.baselines import (
     shrink_coefficient,
     toeplitz_avg,
 )
+from toepcov.likelihood import SampleSet
 from toepcov.processes import ProcessSpec, sample, true_cm
 from toepcov.toeplitz import HermitianToeplitz
 
@@ -490,6 +492,16 @@ class TestShrink:
             if rho > 0:
                 assert np.linalg.eigvalsh(est).min() > 0
 
+    def test_weight_where_the_scm_underflows(self):
+        """Samples of 1e-300 square to an all-zero SCM, whose distance to any
+        target is zero: the weight is one, not the NaN of a unit scale whose
+        square underflows."""
+        x = 1e-300 * rng.normal(size=(6, 4))
+        s = sample_cov(x)
+        assert not s.any()
+        for target in ("avg", "const", np.zeros((4, 4))):
+            assert shrink_coefficient(s, target, x) == 1.0
+
     def test_requires_rho_or_samples(self):
         with pytest.raises(ValueError):
             shrink(np.eye(3), "const")
@@ -497,3 +509,26 @@ class TestShrink:
     def test_bad_rho_rejected(self):
         with pytest.raises(ValueError):
             shrink(np.eye(3), "const", rho=1.5)
+
+
+SCALE_DATA = sample(ProcessSpec("arma", 12, a=(0.7,), b=(0.3,), sigma2=0.64), 16, 2)
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+@pytest.mark.parametrize("name", sorted(n for n, info in ESTIMATORS.items() if info.kind == "baseline"))
+def test_registry_baseline_is_scale_equivariant(name, scale):
+    """Samples times c give c^2 times the unit-scale covariance and c^-2 times
+    its precision, to 1e-12 relative, with the same bandwidth, iteration
+    count and, to 1e-12, shrinkage weight; no RuntimeWarning (an error under
+    the test settings).  At c = 1e-100 the CV risks and the shrinkage moments
+    underflowed (banding picked another bandwidth, shrink_const was 45% off)
+    and em's inverse overflowed to NaN; at c = 1e100 their squares overflowed
+    (em NaN, the shrinkage weight NaN)."""
+    info = ESTIMATORS[name]
+    cm, icm, meta, _ = info.fit(SCALE_DATA)
+    cm_c, icm_c, meta_c, _ = info.fit(SampleSet(scale * SCALE_DATA.samples))
+    assert rel_err(cm_c / scale**2, cm) <= 1e-12
+    if info.supports_icm:
+        assert rel_err(icm_c * scale**2, icm) <= 1e-12
+    assert meta_c.pop("rho", 0.0) == pytest.approx(meta.pop("rho", 0.0), rel=1e-12, abs=0)
+    assert meta_c == meta

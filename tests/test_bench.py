@@ -48,6 +48,10 @@ icm_nmse = true
 """
 
 
+def _refuse_constant(name):
+    raise ValueError(f"report holds {name}, which is not strict JSON")
+
+
 def write_samples(path, p=10, n=8, seed=1):
     data = sample(ProcessSpec("ar", p, a=(0.5,), sigma2=0.64), n, seed)
     np.savetxt(path, data.samples, delimiter=",")
@@ -451,21 +455,30 @@ class TestCli:
         assert np.allclose(icm, np.asarray(report["icm_dense"]), atol=1e-10)
         cov = HermitianToeplitz(np.asarray(report["cm_first_col"])).dense()
         assert np.allclose(icm @ cov, np.eye(10), atol=1e-8)
-        # every float survives the report bit for bit, and stdout carries the
-        # same bytes as --out (wall_ms pinned by a frozen clock)
+        # every estimator's report is strict JSON (no NaN or infinity), also
+        # for samples x1e-100 and x1e100, every float survives it bit for
+        # bit, and stdout carries the same bytes as --out (wall_ms pinned by
+        # a frozen clock)
         monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
-        for name in ("pls", "pgd", "circ", "em"):
-            cm, icm, _, _ = ESTIMATORS[name].tuned(data)
-            argv = ["estimate", "--input", str(samples), "--estimator", name, "--icm"]
-            assert main([*argv, "--out", str(out)]) == 0
-            text = out.read_text()
-            report = json.loads(text)
-            for key, expected in (("icm_dense", icm), ("cm_first_col", cm[:, 0])):
-                got = np.asarray(report[key])
-                assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), (name, key)
-            capsys.readouterr()
-            assert main(argv) == 0
-            assert capsys.readouterr().out == text
+        for scale in (1.0, 1e-100, 1e100):
+            scaled = SampleSet(scale * data.samples)
+            np.savetxt(samples, scaled.samples, delimiter=",")
+            for name, info in sorted(ESTIMATORS.items()):
+                cm, icm, _, _ = info.fit(scaled)
+                argv = ["estimate", "--input", str(samples), "--estimator", name,
+                        *(["--icm"] if info.supports_icm else [])]
+                assert main([*argv, "--out", str(out)]) == 0
+                text = out.read_text()
+                report = json.loads(text, parse_constant=_refuse_constant)
+                for key, expected in (("icm_dense", icm), ("cm_first_col", cm[:, 0])):
+                    if expected is None:
+                        assert key not in report
+                        continue
+                    got = np.asarray(report[key])
+                    assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), (name, key)
+                capsys.readouterr()
+                assert main(argv) == 0
+                assert capsys.readouterr().out == text
 
     def test_estimate_fixed_order(self, tmp_path):
         samples = tmp_path / "x.csv"
@@ -482,7 +495,7 @@ class TestCli:
         """Samples x1e4 get the unit-scale order and family and c^2 times its
         precision scale (the absolute floor alpha_0 >= 1e-6 gave order 10)."""
         data = sample(ProcessSpec("ar", 16, a=(0.5,), sigma2=0.64), 32, 1)
-        _, _, unit, fit = ESTIMATORS["pgd"].tuned(data)
+        _, _, unit, fit = ESTIMATORS["pgd"].fit(data)
         samples = tmp_path / "x.csv"
         np.savetxt(samples, 1e4 * data.samples, delimiter=",")
         out = tmp_path / "report.json"
@@ -701,11 +714,6 @@ def test_registry_entry_drives_estimate_benchmark_and_timing(name, tmp_path):
     assert len(report["cm_first_col"]) == 8
     assert ("icm_dense" in report) == info.supports_icm
     assert (report["loglik"] is not None) == (info.kind == "proposed")
-    if info.pinned is None:
-        assert main(argv + ["--order", "2"]) == 1
-    else:
-        assert main(argv + ["--order", "2"]) == 0
-        assert json.loads(out.read_text())["order"] == 2
     cfg = ExperimentConfig(
         kind="ar", points=((0.5,),), sigma2=0.64, dims=(8,),
         sample_counts=(8,), estimators=(name,), runs=1, seed=2,
@@ -718,6 +726,29 @@ def test_registry_entry_drives_estimate_benchmark_and_timing(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_registry_fit_takes_an_order_exactly_when_proposed(name, tmp_path, capsys):
+    """``fit(data, 2)`` fits at order 2 for a proposed estimator and refuses
+    the order for a baseline, directly and through ``estimate --order 2``."""
+    info = ESTIMATORS[name]
+    samples = tmp_path / "x.csv"
+    data = write_samples(samples, p=8, n=8)
+    out = tmp_path / "report.json"
+    argv = ["estimate", "--input", str(samples), "--estimator", name, "--order", "2", "--out", str(out)]
+    message = f"estimator {name!r} has no AR order; --order must be 'auto'"
+    if info.kind == "proposed":
+        _, _, meta, rep = info.fit(data, 2)
+        assert meta["order"] == rep.order == 2
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["order"] == 2
+    else:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            info.fit(data, 2)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
 def test_estimate_reports_the_registry_record(name, tmp_path):
     """``estimate`` carries the fit record of the registry's tuned (and, for GS
     estimators, order-2) fit of the same samples."""
@@ -725,9 +756,9 @@ def test_estimate_reports_the_registry_record(name, tmp_path):
     samples = tmp_path / "x.csv"
     np.savetxt(samples, data.samples, delimiter=",")
     info = ESTIMATORS[name]
-    fits = [([], info.tuned(data))]
-    if info.pinned is not None:
-        fits.append((["--order", "2"], info.pinned(data, 2)))
+    fits = [([], info.fit(data))]
+    if info.kind == "proposed":
+        fits.append((["--order", "2"], info.fit(data, 2)))
     out = tmp_path / "report.json"
     for extra, (_, _, meta, _) in fits:
         argv = ["estimate", "--input", str(samples), "--estimator", name, "--out", str(out), *extra]
@@ -799,10 +830,10 @@ def test_scan_totals_reach_results_json(tmp_path, monkeypatch):
         return real_tune_order(candidate, ctx)
 
     def bracketed(info):
-        def tuned(data):
+        def fit(data, order=None):
             counts.append(Counter())
-            return info.tuned(data)
-        return dataclasses.replace(info, tuned=tuned)
+            return info.fit(data, order)
+        return dataclasses.replace(info, fit=fit)
 
     for fn in ("estimate_pgd", "estimate_pls", "estimate_frob"):
         monkeypatch.setattr(bench, fn, counted_fit(getattr(bench, fn)))

@@ -281,9 +281,9 @@ class TestPgdStart:
         for seed in range(3):
             data = _oracle_datasets()[name](seed)
             monkeypatch.undo()
-            _, _, meta, rep = info.tuned(data)
+            _, _, meta, rep = info.fit(data)
             monkeypatch.setattr(likelihood.GsObjective, "start", ZERO_START)
-            _, _, expected_meta, expected = info.tuned(data)
+            _, _, expected_meta, expected = info.fit(data)
             assert (meta["order"], meta["family"]) == (expected_meta["order"], expected_meta["family"])
             assert rep.loglik == pytest.approx(expected.loglik, rel=1e-12, abs=0)
 
@@ -299,9 +299,9 @@ class TestPgdStart:
             data = _oracle_datasets()[name](seed)
             for order in range(1, min(data.p - 1, int(round(2.0 * np.sqrt(data.p) + 8.0)))):
                 monkeypatch.undo()
-                _, _, meta, rep = info.pinned(data, order)
+                _, _, meta, rep = info.fit(data, order)
                 monkeypatch.setattr(likelihood.GsObjective, "start", ZERO_START)
-                _, _, expected_meta, expected = info.pinned(data, order)
+                _, _, expected_meta, expected = info.fit(data, order)
                 assert meta["family"] == expected_meta["family"]
                 if rep.loglik != pytest.approx(expected.loglik, rel=1e-12, abs=0):
                     for fit in (rep, expected):
@@ -463,7 +463,7 @@ def test_tuned_choice_does_not_depend_on_scale(name):
     """BIC tuning at x1e4 picks the unit-scale order and family (order 1,
     exp-0.6 for the box fits).  With the absolute floor alpha_0 >= 1e-6 it
     picked order 10, 7 (exp-1.4) and 14 for pgd, pls and frob."""
-    tuned = bench.ESTIMATORS[name].tuned
+    tuned = bench.ESTIMATORS[name].fit
     _, _, unit, _ = tuned(SCALE_DATA)
     _, _, large, _ = tuned(SampleSet(1e4 * SCALE_DATA.samples))
     assert (large["order"], large["family"]) == (unit["order"], unit["family"])
@@ -688,7 +688,7 @@ class TestTuneBoxFamily:
 
             monkeypatch.setattr(bench, "estimate_pgd", fake_pgd)
             info = bench.ESTIMATORS["pgd"]
-            _, _, meta, _ = info.tuned(data) if path == "tuned" else info.pinned(data, 2)
+            _, _, meta, _ = info.fit(data) if path == "tuned" else info.fit(data, 2)
             return meta["family"]
 
         assert selected(1e-12) == ids[0]
@@ -711,7 +711,7 @@ class TestTuneBoxFamily:
             )
             pinned = best_family_fit(estimate_pgd(data.context(), s, 3) for s in specs)
             info = bench.ESTIMATORS["pgd"]
-            for expected, (_, _, meta, rep) in ((tuned, info.tuned(data)), (pinned, info.pinned(data, 3))):
+            for expected, (_, _, meta, rep) in ((tuned, info.fit(data)), (pinned, info.fit(data, 3))):
                 assert (meta["order"], meta["family"]) == (expected.order, expected.family_id)
                 assert rep.loglik == pytest.approx(expected.loglik, rel=1e-12, abs=0)
 
