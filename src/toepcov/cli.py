@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage or parse error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -30,7 +31,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged (each call fills a new namespace, and no default is mutable)."""
     parser = _Parser(prog="toepcov", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

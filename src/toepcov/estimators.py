@@ -470,16 +470,22 @@ def tune_order(fit, ctx: LikelihoodContext) -> EstimationReport:
     """Pick the AR order by BIC over growing supports.
 
     ``fit(ctx, order)`` must return an :class:`EstimationReport` for
-    ``order >= 1``; the order-zero candidate is the closed-form white-noise
-    fit.  Order ``w`` scores ``(w + 1) log N - (N/2) l``, with ``l = -log det
-    C - tr(C^-1 S)`` the fitted per-sample objective, so the fit term grows
-    with the sample count as consistency requires.  For real data ``(N/2) l``
-    is the full-data log-likelihood, so each parameter costs twice textbook
-    BIC's ``(k/2) log N``; for complex data the full-data log-likelihood is
-    ``N l`` and there are ``2w + 1`` real parameters.  Scanning
-    stops after ``_PATIENCE`` consecutive candidates without improvement;
-    ties keep the smaller order.  The winner's ``extras["scan"]`` totals
-    the scan (:func:`_scan_totals`), each ``fit`` call a fit run.
+    ``order >= 1`` whose ``loglik`` is the log-likelihood of a positive
+    definite GS estimate at that order (or raise an infeasibility error); the
+    order-zero candidate is the closed-form white-noise fit.  Order ``w``
+    scores ``(w + 1) log N - (N/2) l``, with ``l = -log det C - tr(C^-1 S)``
+    the fitted per-sample objective, so the fit term grows with the sample
+    count as consistency requires.  For real data ``(N/2) l`` is the full-data
+    log-likelihood, so each parameter costs twice textbook BIC's ``(k/2) log
+    N``; for complex data the full-data log-likelihood is ``N l`` and there
+    are ``2w + 1`` real parameters.  Scanning stops after ``_PATIENCE``
+    consecutive candidates without improvement; ties keep the smaller order.
+    By that contract no candidate of order ``w`` has ``l`` above the
+    order's :attr:`~toepcov.likelihood.GsObjective.loglik_bound` ``B_w =
+    P log(P / q*) - P``, so where ``(w + 1) log N - (N/2) B_w`` exceeds the
+    best score by more than ``_REL_TOL max(1, |score|)`` the candidate
+    cannot win: it strikes without a fit.  The winner's ``extras["scan"]``
+    totals the scan (:func:`_scan_totals`), each ``fit`` call a fit run.
     """
     if ctx.n < 2:
         raise ValueError("BIC order tuning needs at least two samples")
@@ -491,13 +497,19 @@ def tune_order(fit, ctx: LikelihoodContext) -> EstimationReport:
     strikes = 0
     scan = _scan_totals()
     for order in range(1, cap):
-        scan["fits"] += 1
-        try:
-            rep = fit(ctx, order)
-            _count_fit(scan, rep)
-            score = (order + 1) * log_n - 0.5 * ctx.n * rep.loglik
-        except _INFEASIBLE:
-            score = np.inf  # an infeasible candidate strikes like a worse one
+        # the best score any candidate of this order can reach
+        least = (order + 1) * log_n - 0.5 * ctx.n * ctx.objective(order).loglik_bound
+        if least > best_score + _REL_TOL * max(1.0, abs(best_score)):
+            scan["pruned"] += 1
+            score = np.inf  # no candidate of this order can win
+        else:
+            scan["fits"] += 1
+            try:
+                rep = fit(ctx, order)
+                _count_fit(scan, rep)
+                score = (order + 1) * log_n - 0.5 * ctx.n * rep.loglik
+            except _INFEASIBLE:
+                score = np.inf  # an infeasible candidate strikes like a worse one
         if score < best_score:
             best, best_score, strikes = rep, score, 0
         else:
@@ -510,9 +522,10 @@ def tune_order(fit, ctx: LikelihoodContext) -> EstimationReport:
 
 def _scan_totals() -> dict:
     """Totals over the candidates of an order or order x family scan: fixed-order
-    fits run, fits reused from another family, their Newton iterations, and
-    the fits that did not converge."""
-    return {"fits": 0, "reused": 0, "iterations": 0, "unconverged": 0}
+    fits run, fits reused from another family, candidates pruned by the
+    likelihood bound, their Newton iterations, and the fits that did not
+    converge."""
+    return {"fits": 0, "reused": 0, "pruned": 0, "iterations": 0, "unconverged": 0}
 
 
 def _count_fit(scan, rep):
@@ -564,7 +577,11 @@ def tune_box_family(
                     interior.setdefault(w, []).append(rep)
                 return rep
 
-            rep = tune_order(fit_or_reuse, ctx) if order is None else fit_or_reuse(ctx, order)
+            if order is None:
+                rep = tune_order(fit_or_reuse, ctx)
+                scan["pruned"] += rep.extras["scan"]["pruned"]
+            else:
+                rep = fit_or_reuse(ctx, order)
             rep.family_id = rep.family_id or spec.family_id
             yield rep
 

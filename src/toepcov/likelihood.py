@@ -37,11 +37,18 @@ __all__ = ["DegenerateDataError", "SampleSet", "LikelihoodContext", "loglik", "g
 
 
 class DegenerateDataError(ValueError):
-    """Data with zero power: no positive definite estimate exists."""
+    """Data with zero power, or with power beyond the float range: no
+    positive definite estimate exists."""
 
 
 class SampleSet:
-    """N samples of dimension P with cached derived statistics."""
+    """N samples of dimension P and their sample covariance ``scm``.
+
+    The SCM is formed here, so data whose squares leave the float range
+    (the SCM's trace is zero or infinite, while the samples are finite and
+    not all zero) raise one :class:`DegenerateDataError` before any
+    estimator runs, and no overflow warning.
+    """
 
     def __init__(self, samples):
         samples = np.atleast_2d(np.asarray(samples))
@@ -51,12 +58,12 @@ class SampleSet:
             raise ValueError("samples must be finite (found NaN or infinity)")
         if not np.any(samples):
             raise DegenerateDataError("samples are all zero")
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.scm = sample_cov(samples)
+        if not 0.0 < float(np.real(np.trace(self.scm))) < np.inf:
+            raise DegenerateDataError("the samples' squares leave the float range; rescale the samples")
         self.samples = samples
         self.n, self.p = samples.shape
-
-    @cached_property
-    def scm(self) -> np.ndarray:
-        return sample_cov(self.samples)
 
     def context(self) -> "LikelihoodContext":
         return LikelihoodContext(self.scm, self.n)
@@ -283,7 +290,8 @@ class GsObjective:
     memo holds the last point's terms and, once :meth:`gradient` asks for
     them, its derivatives; a new point replaces both, so the point a line
     search accepted and where a fit reads its report cost no second pass.
-    :attr:`start` is where ``q`` is stationary, the box fit's start.
+    :attr:`start` is where ``q`` is stationary, the box fit's start, and
+    :attr:`loglik_bound` bounds ``L_c`` above at every stable point.
     """
 
     def __init__(self, ctx: LikelihoodContext, order: int):
@@ -292,14 +300,23 @@ class GsObjective:
         table = ctx.scm_sums.table
         self.p, self.order, w = ctx.p, order, order
         self.is_complex = np.iscomplexobj(table)
-        self.factors = _GsFactors(w + 1, w, self.is_complex)  # its jac is du/dx
         # K: v^H K v = v^H T[:w+1, :w+1] v - z^H T[P-w:, P-w:] z, z = conj(u reversed)
         self._form = table[: w + 1, : w + 1].copy()
         self._form[1:, 1:] -= np.conj(table[-w:, -w:][::-1, ::-1])
-        self._hess_q = 2.0 * np.real(self.factors.jac.conj().T @ self._form[1:, 1:] @ self.factors.jac)
         self._q0 = float(np.real(self._form[0, 0]))  # q and a* at white noise, x = 0
         self._a0 = self.p / self._q0
         self._memo = (None, None, None)  # the last point's bytes, terms and derivatives
+
+    @cached_property
+    def factors(self) -> _GsFactors:
+        """The (w+1)-square GS factors of ``h``; their ``jac`` is ``du/dx``.
+        Built on first use: :attr:`loglik_bound` does not need them."""
+        return _GsFactors(self.order + 1, self.order, self.is_complex)
+
+    @cached_property
+    def _hess_q(self) -> np.ndarray:
+        jac = self.factors.jac
+        return 2.0 * np.real(jac.conj().T @ self._form[1:, 1:] @ jac)
 
     @cached_property
     def start(self) -> np.ndarray:
@@ -310,8 +327,25 @@ class GsObjective:
         try:
             u = -np.linalg.solve(self._form[1:, 1:], self._form[1:, 0])
         except np.linalg.LinAlgError:
-            return np.zeros(self._hess_q.shape[0])
+            return np.zeros(self.order * (2 if self.is_complex else 1))
         return np.concatenate((u.real, u.imag)) if self.is_complex else u
+
+    @cached_property
+    def loglik_bound(self) -> float:
+        """``B = P log(P / q*) - P`` for the least ``q`` (at :attr:`start`),
+        ``q* = K00 - K10^H K11^-1 K10``: the Schur complement of ``K11`` in
+        ``K``, the squared last diagonal entry of the Cholesky factor of ``K``
+        with its first row and column moved last.  +inf where that
+        factorization fails (``K11`` not positive definite, or ``q* <= 0``).
+        ``L_c = P log(P / q) + h - P``, and at every stable point ``h <= 0``
+        (the step-down prediction errors of ``G^-1`` are at least 1) and ``q
+        >= q*``, so ``L_c <= B`` there: no positive definite GS estimate of
+        this order has a higher log-likelihood."""
+        try:
+            chol = np.linalg.cholesky(np.roll(self._form, -1, axis=(0, 1)))
+        except np.linalg.LinAlgError:
+            return np.inf
+        return self.p * (np.log(self.p) - 2.0 * np.log(np.abs(chol[-1, -1])) - 1.0)
 
     def _terms(self, x):
         """``(u, v, q, a*, h, step-down output)``, from the memo at its point."""

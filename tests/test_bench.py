@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toepcov import bench, estimators
+from toepcov import bench, estimators, likelihood
 from toepcov.bench import (
     ESTIMATORS,
     ExperimentConfig,
@@ -504,6 +504,53 @@ class TestCli:
         assert (report["order"], report["family_id"]) == (unit["order"], unit["family"]) == (1, "exp-0.6")
         assert report["alpha0"] * 1e8 == pytest.approx(fit.alpha.alpha0, rel=1e-8)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e155])
+    def test_squares_out_of_float_range_rejected(self, tmp_path, capsys, scale):
+        """Finite samples whose squares underflow (x1e-300: an all-zero SCM)
+        or overflow (x1e155: an infinite one) exit 2 with one message for
+        every estimator, and write no report; no RuntimeWarning (an error
+        under the test settings).  Without :class:`SampleSet`'s check,
+        ``scm`` and four other baselines exited 0 with a zero covariance at
+        x1e-300, the rest failed with messages of their own, and x1e155
+        leaked an overflow warning from the SCM product."""
+        samples = tmp_path / "x.csv"
+        data = sample(ProcessSpec("ar", 4, a=(0.5,), sigma2=0.64), 6, 0)
+        np.savetxt(samples, scale * data.samples, delimiter=",")
+        out = tmp_path / "report.json"
+        for name in sorted(ESTIMATORS):
+            assert main(["estimate", "--input", str(samples), "--estimator", name, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "numerical failure: the samples' squares leave the float range; rescale the samples\n")
+            assert not out.exists()
+
+    def test_parser_built_once_keeps_no_state(self, tmp_path, monkeypatch):
+        """One parser serves every call in a process, and a call's flags do
+        not reach the next: ``--icm --order 3``, then no flags, then
+        ``--order 3``, then ``--order auto`` write the same reports as the
+        same calls each on a parser of its own (clock frozen for
+        ``wall_ms``)."""
+        samples = tmp_path / "x.csv"
+        write_samples(samples)
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+        flags = [["--icm", "--order", "3"], [], ["--order", "3"], ["--order", "auto"]]
+
+        def run(extra, out):
+            argv = ["estimate", "--input", str(samples), "--estimator", "pgd", *extra, "--out", str(out)]
+            assert main(argv) == 0
+            return out.read_text()
+
+        alone = []
+        for i, extra in enumerate(flags):
+            cli._build_parser.cache_clear()
+            alone.append(run(extra, tmp_path / f"alone{i}.json"))
+        parser = cli._build_parser()
+        assert [run(extra, tmp_path / f"seq{i}.json") for i, extra in enumerate(flags)] == alone
+        assert cli._build_parser() is parser
+        reports = [json.loads(text) for text in alone]
+        assert reports[0]["order"] == reports[2]["order"] == 3 != reports[1]["order"]
+        assert reports[0]["icm_dense"] and "icm_dense" not in reports[1]
+        assert alone[3] == alone[1]
+
     def test_estimate_baseline(self, tmp_path):
         samples = tmp_path / "x.csv"
         write_samples(samples)
@@ -808,9 +855,11 @@ def test_em_reports_its_iterations(tmp_path):
 
 def test_scan_totals_reach_results_json(tmp_path, monkeypatch):
     """Each tuned GS record in results.json totals its order x family scan:
-    fixed-order fits run, candidates reused from another family, Newton
-    iterations and unconverged fits, as counted by hand around the fits and
-    the order scans.  results.csv is the same with or without them."""
+    fixed-order fits run, candidates reused from another family, candidates
+    pruned by the likelihood bound (orders whose bound the scan read without
+    fitting them), Newton iterations and unconverged fits, as counted by hand
+    around the fits, the order scans and the bound.  results.csv is the same
+    with or without them."""
     names = ("pgd", "pls", "frob")
     counts = []  # one Counter per tuned call, in call order
 
@@ -829,6 +878,12 @@ def test_scan_totals_reach_results_json(tmp_path, monkeypatch):
             return fit(*args)
         return real_tune_order(candidate, ctx)
 
+    real_bound = likelihood.GsObjective.loglik_bound.func
+
+    def bound(objective):
+        counts[-1].update(visited=1)
+        return real_bound(objective)
+
     def bracketed(info):
         def fit(data, order=None):
             counts.append(Counter())
@@ -839,21 +894,24 @@ def test_scan_totals_reach_results_json(tmp_path, monkeypatch):
         monkeypatch.setattr(bench, fn, counted_fit(getattr(bench, fn)))
     for module in (estimators, bench):
         monkeypatch.setattr(module, "tune_order", tune_order)
+    monkeypatch.setattr(likelihood.GsObjective, "loglik_bound", property(bound))
     for name in names:
         monkeypatch.setitem(ESTIMATORS, name, bracketed(ESTIMATORS[name]))
     cfg = ExperimentConfig(kind="ar", points=((0.5,),), sigma2=0.64, dims=(10,),
                            sample_counts=(16,), estimators=names, runs=3, seed=4)
     run_benchmark(cfg, str(tmp_path / "with"), workers=1)
     detail = json.loads((tmp_path / "with" / "results.json").read_text())
-    reused = 0
+    reused = pruned = 0
     for i, cell in enumerate(detail["cells"]):
         for run, rec in enumerate(cell["records"]):
             c = counts[run * len(names) + i]
             assert rec["scan"] == {"fits": c["fits"], "reused": c["candidates"] - c["fits"],
+                                   "pruned": c["visited"] - c["candidates"],
                                    "iterations": c["iterations"], "unconverged": c["unconverged"]}
             assert rec["scan"]["fits"] > 0
             reused += rec["scan"]["reused"]
-    assert reused > 0
+            pruned += rec["scan"]["pruned"]
+    assert reused > 0 and pruned > 0
 
     def without_scan(r):
         cm, icm, meta, rep = real_gs_result(r)

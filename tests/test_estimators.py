@@ -32,6 +32,12 @@ def ar1_data(p=16, n=8, a=0.5, sigma2=0.64, seed=0):
     return sample(ProcessSpec("ar", p, a=(a,), sigma2=sigma2), n, seed)
 
 
+def ma1_data(p=16, n=32, b=0.8, seed=0):
+    """MA(1) samples, far from any low AR order: the order scan's likelihood
+    bound prunes none of orders 2-7 at P=16, N=32."""
+    return sample(ProcessSpec("ma", p, b=(b,), sigma2=0.64), n, seed)
+
+
 def complex_ar1_data(p=16, n=8, seed=0):
     """Circular complex Gaussian samples with the AR(1) covariance."""
     chol = np.linalg.cholesky(true_cm(ProcessSpec("ar", p, a=(0.5,), sigma2=0.64)).dense())
@@ -621,8 +627,11 @@ class TestTuneOrder:
         assert rep.loglik == pytest.approx(loglik(ctx, rep.alpha), abs=1e-12)
 
     def test_infeasible_candidates_strike(self, spec16):
-        """An infeasible candidate counts as a worse one: after order 1, five
-        infeasible orders end the scan."""
+        """An infeasible candidate counts as a worse one: on MA(1) data, where
+        the likelihood bound prunes no order, five infeasible orders after
+        order 1 end the scan.  On AR(1) data the bound prunes orders 3-6
+        after the infeasible order 2: pruned and infeasible candidates strike
+        alike, and the scan ends at the same order."""
         calls = []
 
         def fit(ctx, order):
@@ -631,14 +640,136 @@ class TestTuneOrder:
                 raise toeplitz.NotPositiveDefiniteError("infeasible")
             return estimate_pls(ctx, spec16, order=order)
 
-        rep = tune_order(fit, ar1_data(n=32, seed=7).context())
+        rep = tune_order(fit, ma1_data(seed=0).context())
         assert calls == [1, 2, 3, 4, 5, 6]
         assert rep.order == 1
+        assert (rep.extras["scan"]["fits"], rep.extras["scan"]["pruned"]) == (6, 0)
+        calls.clear()
+        rep = tune_order(fit, ar1_data(n=32, seed=7).context())
+        assert calls == [1, 2]
+        assert rep.order == 1
+        assert (rep.extras["scan"]["fits"], rep.extras["scan"]["pruned"]) == (2, 4)
 
     def test_single_sample_rejected(self, spec16):
         data = ar1_data(n=1)
         with pytest.raises(ValueError):
             tune_order(lambda c, w: estimate_pls(c, spec16, order=w), data.context())
+
+
+def unpruned_tune_order(fit, ctx):
+    """:func:`tune_order` without the likelihood bound: every order is fitted
+    until ``_PATIENCE`` candidates in a row fail to improve the BIC score.
+    The oracle the pruned scan must match bit for bit."""
+    if ctx.n < 2:
+        raise ValueError("BIC order tuning needs at least two samples")
+    cap = min(ctx.p - 1, int(round(2.0 * np.sqrt(ctx.p) + 8.0)))
+    log_n = np.log(ctx.n)
+    best = white_noise_report(ctx)
+    best_score = log_n - 0.5 * ctx.n * best.loglik
+    strikes = 0
+    for order in range(1, cap):
+        try:
+            rep = fit(ctx, order)
+            score = (order + 1) * log_n - 0.5 * ctx.n * rep.loglik
+        except estimators._INFEASIBLE:
+            score = np.inf
+        if score < best_score:
+            best, best_score, strikes = rep, score, 0
+        else:
+            strikes += 1
+            if strikes >= estimators._PATIENCE:
+                break
+    best.extras["scan"] = estimators._scan_totals()
+    return best
+
+
+def arma_data(p, n, seed):
+    return sample(ProcessSpec("arma", p, a=(0.7,), b=(0.3,), sigma2=0.64), n, seed)
+
+
+# (name, data(seed)) of the likelihood-bound checks: N < P and N > P, P = 16
+# and 64, real and complex, data the bound prunes (AR(1)) and data it barely
+# prunes (MA(1), ARMA(1,1)).
+BOUND_CASES = [
+    ("ar1-p16-n4", lambda s: ar1_data(16, 4, seed=s)),
+    ("ar1-p16-n8", lambda s: ar1_data(16, 8, seed=s)),
+    ("ar1-p16-n32", lambda s: ar1_data(16, 32, seed=s)),
+    ("ar1-p16-n128", lambda s: ar1_data(16, 128, seed=s)),
+    ("ma1-p16-n32", lambda s: ma1_data(seed=s)),
+    ("arma-p32-n16", lambda s: arma_data(32, 16, s)),
+    ("complex-p16-n8", lambda s: complex_ar1_data(16, 8, s)),
+    ("complex-p16-n64", lambda s: complex_ar1_data(16, 64, s)),
+    ("ar1-p64-n32", lambda s: ar1_data(64, 32, seed=s)),
+    ("ar1-p64-n128", lambda s: ar1_data(64, 128, seed=s)),
+]
+
+
+class TestLoglikBound:
+    @pytest.mark.parametrize("make", [m for _, m in BOUND_CASES], ids=[c for c, _ in BOUND_CASES])
+    def test_every_fitted_candidate_is_below_the_bound(self, monkeypatch, make):
+        """Every candidate a tuned ``pgd``, ``pls`` or ``frob`` scan fits
+        reports a loglik at most its order's bound B_w (to 1e-12 relative
+        rounding), which is what makes pruning exact."""
+        checked = []
+
+        def checking(fn):
+            def run(ctx, *args, **kwargs):
+                rep = fn(ctx, *args, **kwargs)
+                bound = ctx.objective(rep.order).loglik_bound
+                assert rep.loglik <= bound + 1e-12 * max(1.0, abs(bound))
+                checked.append(rep.order)
+                return rep
+            return run
+
+        for fn in ("estimate_pgd", "estimate_pls", "estimate_frob"):
+            monkeypatch.setattr(bench, fn, checking(getattr(bench, fn)))
+        for seed in range(2):
+            data = make(seed)
+            for name in ("pgd", "pls", "frob"):
+                bench.ESTIMATORS[name].fit(data)
+        assert checked
+
+    @pytest.mark.parametrize("make", [m for _, m in BOUND_CASES], ids=[c for c, _ in BOUND_CASES])
+    def test_registry_matches_unpruned_scan(self, monkeypatch, make):
+        """On 24 datasets per case (240 in all), tuned ``pgd`` (every third
+        dataset), ``frob`` (every sixth) and ``pls`` (all) give what the
+        unpruned scan gives: the same order, family, loglik and parameters,
+        bit for bit."""
+        def fits(name, data):
+            return [bench.ESTIMATORS[name].fit(d)[3] for d in data]
+
+        data = [make(seed) for seed in range(24)]
+        runs = {"pls": data, "pgd": data[::3], "frob": data[::6]}
+        pruned = {name: fits(name, sets) for name, sets in runs.items()}
+        for module in (estimators, bench):
+            monkeypatch.setattr(module, "tune_order", unpruned_tune_order)
+        for name, sets in runs.items():
+            for got, want in zip(pruned[name], fits(name, sets)):
+                assert (got.order, got.family_id, got.loglik) == (want.order, want.family_id, want.loglik)
+                assert np.array_equal(got.alpha.full, want.alpha.full)
+
+    def test_order_without_a_definite_form_is_fitted(self):
+        """At orders 8-10 of AR(1) P=16 N=32 data, ``K11`` (the order-w form
+        on the ratios, from the SCM table's corners) is not positive
+        definite: the bound is +inf and the scan fits those orders, while it
+        prunes orders 6 and 7 after order 5 reached its bound."""
+        ctx = ar1_data(16, 32, seed=0).context()
+        table = ctx.scm_sums.table
+        for w in (8, 9, 10):
+            k11 = table[1 : w + 1, 1 : w + 1] - table[-w:, -w:][::-1, ::-1]
+            assert np.linalg.eigvalsh(k11).min() < 0
+            assert ctx.objective(w).loglik_bound == np.inf
+        worse = white_noise_report(ctx).loglik - 1.0
+        calls = []
+
+        def fit(c, w):
+            calls.append(w)
+            value = c.objective(w).loglik_bound if w == 5 else worse
+            return EstimationReport(GsParams(1.0, np.zeros(15)), w, value, 0, True)
+
+        rep = tune_order(fit, ctx)
+        assert calls == [1, 2, 3, 4, 5, 8, 9, 10]
+        assert rep.order == 5 and rep.extras["scan"]["pruned"] == 2
 
 
 class TestTuneBoxFamily:
@@ -731,7 +862,8 @@ class TestTuneBoxFamily:
     def test_pls_moments_built_once_per_order(self, monkeypatch):
         """A tuned ``pls`` fit over the five default families builds each
         scanned order's conditional moments once, and every fit in it equals
-        the same fit on a fresh context (alpha bit for bit, and loglik)."""
+        the same fit on a fresh context (alpha bit for bit, and loglik).  On
+        MA(1) data the likelihood bound prunes no order the families fit."""
         built, fits = [], []
         real = likelihood._conditional_moments
 
@@ -745,7 +877,7 @@ class TestTuneBoxFamily:
 
         monkeypatch.setattr(likelihood, "_conditional_moments", counted)
         for seed in range(3):
-            data = ar1_data(n=32, seed=seed)
+            data = ma1_data(seed=seed)
             built.clear()
             fits.clear()
             tune_box_family(fit, data.context())
@@ -760,7 +892,10 @@ class TestTuneBoxFamily:
     def _fake_family_loop(monkeypatch, point, order=None):
         """``tune_box_family`` over fake fits at ``point(spec)``: returns the
         (family, order) of each fit it ran and the reports it compared.  BIC
-        picks order 2 of the fake likelihood."""
+        picks order 2 of the fake likelihood.  On its data (AR(1) a=0.95, times
+        0.025) white noise's loglik, 70, lies below the fake ones, 75-100, and
+        the order scan's likelihood bound, 112-115 or +inf, above them, as
+        :func:`tune_order`'s contract asks: the bound prunes no order."""
         calls, compared = [], []
 
         def fit(ctx, w, spec):
@@ -773,7 +908,7 @@ class TestTuneBoxFamily:
             return best_family_fit(compared)
 
         monkeypatch.setattr(estimators, "best_family_fit", best)
-        tune_box_family(fit, ar1_data(n=32, seed=7).context(), order=order)
+        tune_box_family(fit, SampleSet(0.025 * ar1_data(n=32, a=0.95, seed=7).samples).context(), order=order)
         return calls, compared
 
     @pytest.mark.parametrize("order", [None, 2], ids=["tuned", "pinned"])
