@@ -267,19 +267,15 @@ def _const_offdiag_target(scm) -> np.ndarray:
     return mu * np.eye(p) + off * h
 
 
-def _shrink_target(scm, target) -> np.ndarray:
-    if isinstance(target, str):
-        if target == "avg":
-            return toeplitz_avg(scm).dense()
-        if target == "const":
-            return _const_offdiag_target(scm)
-        if target == "identity":
-            return np.real(np.trace(scm)) / scm.shape[0] * np.eye(scm.shape[0])
-        raise ValueError(f"unknown shrinkage target {target!r}")
-    return np.asarray(target)
+def _shrink_target(scm, target: str) -> np.ndarray:
+    if target == "avg":
+        return toeplitz_avg(scm).dense()
+    if target == "const":
+        return _const_offdiag_target(scm)
+    raise ValueError(f"unknown shrinkage target {target!r}; known: avg, const")
 
 
-def shrink_coefficient(scm, target, samples) -> float:
+def shrink_coefficient(scm, target: str, samples) -> float:
     """Plug-in convex weight: estimated SCM variance over squared bias.
 
     Uses the unbiased per-entry sampling variance of the SCM; with a single
@@ -293,7 +289,7 @@ def shrink_coefficient(scm, target, samples) -> float:
         return 1.0
     unit = _pow2_above(np.abs(x).max())
     x, scm = x / unit, np.asarray(scm) / unit / unit  # unit**2 may underflow
-    t = _shrink_target(scm, target if isinstance(target, str) else np.asarray(target) / unit / unit)
+    t = _shrink_target(scm, target)
     # sum over samples of ||x x^H - S||_F^2, expanded so that no P x P outer
     # product is formed: ||x||^4 - 2 Re x^H S x + ||S||_F^2
     sq = np.sum(np.abs(x) ** 2, axis=1)
@@ -305,20 +301,16 @@ def shrink_coefficient(scm, target, samples) -> float:
     return float(np.clip(num / den, 0.0, 1.0))
 
 
-def shrink(scm, target="const", rho: float | None = None, samples=None) -> np.ndarray:
-    """Convex combination of the sample covariance with a structured target.
+def shrink(scm, target: str, rho: float) -> np.ndarray:
+    """Convex combination ``(1 - rho) S + rho T`` of the sample covariance
+    ``S`` with a structured target ``T``.
 
-    ``target`` is one of ``"avg"`` (diagonal-averaged Toeplitz), ``"const"``
-    (scaled identity plus constant off-diagonal), ``"identity"``, or an
-    explicit matrix.  Without ``rho`` the plug-in coefficient is estimated
-    from ``samples``.
+    ``target`` is ``"avg"`` (diagonal-averaged Toeplitz) or ``"const"``
+    (scaled identity plus constant off-diagonal); the registry's weight is
+    :func:`shrink_coefficient`'s plug-in estimate.
     """
     scm = np.asarray(scm)
     t = _shrink_target(scm, target)
-    if rho is None:
-        if samples is None:
-            raise ValueError("either rho or samples must be provided")
-        rho = shrink_coefficient(scm, target, samples)
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"shrinkage weight must lie in [0, 1], got {rho}")
     return (1.0 - rho) * scm + rho * t

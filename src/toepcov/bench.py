@@ -34,7 +34,8 @@ from .estimators import (
     tune_order,
     white_noise_report,
 )
-from .processes import _KINDS, ProcessSpec, nmse, sample, true_cm
+from .processes import _KINDS, ProcessSpec, coloring, nmse, sample, true_cm
+from .toeplitz import NotPositiveDefiniteError
 
 __all__ = [
     "EstimatorInfo",
@@ -61,7 +62,8 @@ class EstimatorInfo:
     estimator selects its own hyperparameters; a ``"proposed"`` estimator
     fits at a given AR order instead, and a baseline, which has none,
     refuses one.  ``timed(data)`` returns the zero-argument call that
-    :func:`timing_benchmark` measures.
+    :func:`timing_benchmark` measures: the fit, or the estimate at a tuned
+    bandwidth or order pinned to ``TIMING_PIN``.
     """
 
     name: str
@@ -79,22 +81,23 @@ def _pd_inverse(mat):
     return half.T.conj() @ half
 
 
-def _baseline(name, supports_icm, complexity, raw, tune=None):
-    """Baseline from ``raw(data)``, the estimate with pinned hyperparameters.
+def _baseline(name, supports_icm, complexity, fit, pinned=None):
+    """Baseline from ``fit(data)``, its dense covariance and chosen
+    hyperparameters.
 
-    ``tune(data)`` tunes the hyperparameters and returns the dense covariance
-    and the chosen values; without it the fit is ``raw``, which must then be
-    dense.  Timing measures ``raw``.
+    Timing measures ``fit``, or ``pinned(data)`` where a bandwidth is tuned:
+    the estimate at bandwidth ``TIMING_PIN``, not densified.
     """
 
-    def fit(data, order=None):
+    def fit_at(data, order=None):
         if order is not None:
             raise ValueError(f"estimator {name!r} has no AR order; --order must be 'auto'")
-        cm, meta = (raw(data), {}) if tune is None else tune(data)
+        cm, meta = fit(data)
         return cm, _pd_inverse(cm) if supports_icm else None, meta, None
 
-    return EstimatorInfo(name, "baseline", supports_icm, complexity, fit,
-                         lambda d: lambda: raw(d))
+    timed = pinned or fit
+    return EstimatorInfo(name, "baseline", supports_icm, complexity, fit_at,
+                         lambda d: lambda: timed(d))
 
 
 def _gs_result(r):
@@ -135,30 +138,26 @@ def _gs(name, complexity, fit_at, boxed=False, **timing):
 
 
 def _banded(kind):
-    """``(raw, tune)`` of banding/tapering: pinned or cross-validated bandwidth."""
+    """``(fit, pinned)`` of banding/tapering: cross-validated or pinned bandwidth."""
     pinned = baselines.MaskSpec(kind, TIMING_PIN)
 
-    def tune(data):
+    def fit(data):
         spec = baselines.cv_tune_mask(data.samples, kind=kind)
         return baselines.band_estimate(data.scm, spec).dense(), {"mask_k": spec.k}
 
-    return lambda d: baselines.band_estimate(d.scm, pinned), tune
+    return fit, lambda d: baselines.band_estimate(d.scm, pinned)
 
 
-def _em_tune(data):
-    """Tuned ``em``: the estimate with its iteration count and convergence."""
+def _em(data):
+    """``em`` with its iteration count and convergence."""
     work: dict = {}
     return baselines.em_toeplitz(data.scm, work=work), work
 
 
-def _shrinkage(target):
-    """``(raw, tune)`` of shrinkage; the tuned fit records the plug-in weight."""
-
-    def tune(data):
-        rho = baselines.shrink_coefficient(data.scm, target, data.samples)
-        return baselines.shrink(data.scm, target, rho=rho), {"rho": rho}
-
-    return lambda d: baselines.shrink(d.scm, target, samples=d.samples), tune
+def _shrink(target, data):
+    """Shrinkage toward ``target`` at the plug-in weight, which it records."""
+    rho = baselines.shrink_coefficient(data.scm, target, data.samples)
+    return baselines.shrink(data.scm, target, rho), {"rho": rho}
 
 
 # Entries reach the estimators through module-level names at call time, so
@@ -166,18 +165,17 @@ def _shrinkage(target):
 ESTIMATORS = {
     info.name: info
     for info in (
-        _baseline("scm", False, "quadratic per entry pass", lambda d: d.scm),
+        _baseline("scm", False, "quadratic per entry pass", lambda d: (d.scm, {})),
         _baseline("avg", False, "quadratic (diagonal averages)",
-                  lambda d: baselines.toeplitz_avg(d.scm),
                   lambda d: (baselines.toeplitz_avg(d.scm).dense(), {})),
         _baseline("banding", False, "linear in dim times bandwidth", *_banded("banding")),
         _baseline("tapering", False, "linear in dim times bandwidth", *_banded("tapering")),
         _baseline("circ", True, "quadratic (lag sums and FFT)",
-                  lambda d: baselines.circulant_mle(d.scm)),
+                  lambda d: (baselines.circulant_mle(d.scm), {})),
         _baseline("em", True, "cubic per iteration (one LU solve, one GS product, two products)",
-                  lambda d: baselines.em_toeplitz(d.scm), _em_tune),
-        _baseline("shrink_avg", False, "cubic (target build dominates)", *_shrinkage("avg")),
-        _baseline("shrink_const", True, "quadratic", *_shrinkage("const")),
+                  _em),
+        _baseline("shrink_avg", False, "cubic (target build dominates)", partial(_shrink, "avg")),
+        _baseline("shrink_const", True, "quadratic", partial(_shrink, "const")),
         # one eig Newton iteration: one Cholesky factorization of the P-square
         # slack, then P-square products per coefficient for exact derivatives
         _gs("eig", "cubic times the order per iteration (small dims)",
@@ -400,12 +398,13 @@ def run_benchmark(config: ExperimentConfig, out_dir: str, svg: bool = False, wor
 
     Returns the aggregated rows.  Output files contain no timestamps, so
     identical configs produce identical bytes.  Every process of the grid is
-    built before any cell runs, so a bad point or dimension fails at once.
+    built and factored before any cell runs, so a bad point or dimension, or
+    a singular truth, fails at once.
     """
     for point, p in itertools.product(config.points, config.dims):
         try:
-            true_cm(config.process_spec(point, p))
-        except ValueError as exc:
+            coloring(config.process_spec(point, p))  # the factor sample() draws with
+        except (ValueError, NotPositiveDefiniteError) as exc:
             raise ValueError(f"{config.kind} point {list(point)} at dimension {p}: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
     cells = list(itertools.product(config.points, config.dims, config.sample_counts))

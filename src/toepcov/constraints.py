@@ -10,6 +10,7 @@ function certifies positive definiteness for every point inside the box.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -200,17 +201,10 @@ class BoxSpec:
         return self.k.size + 1
 
 
-_BOX_CACHE: dict = {}
-
-
+@cache
 def box_spec_for(family: FunctionFamily, p: int) -> BoxSpec:
     """Box specification for a family at dimension ``p`` (scale bisected, cached)."""
-    key = (family.family_id, p)
-    spec = _BOX_CACHE.get(key)
-    if spec is None:
-        spec = BoxSpec(bisect_box_scale(family, p)[1], family_id=family.family_id)
-        _BOX_CACHE[key] = spec
-    return spec
+    return BoxSpec(bisect_box_scale(family, p)[1], family_id=family.family_id)
 
 
 def project_box(alpha: GsParams, spec: BoxSpec) -> GsParams:

@@ -490,7 +490,7 @@ def tune_order(fit, ctx: LikelihoodContext) -> EstimationReport:
     if ctx.n < 2:
         raise ValueError("BIC order tuning needs at least two samples")
     p = ctx.p
-    cap = min(p - 1, int(round(2.0 * np.sqrt(p) + 8.0)))
+    cap = min(p, int(round(2.0 * np.sqrt(p) + 8.0)))  # orders 1 .. cap - 1: P - 1 for P <= 16
     log_n = np.log(ctx.n)
     best = white_noise_report(ctx)
     best_score = log_n - 0.5 * ctx.n * best.loglik

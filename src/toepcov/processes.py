@@ -14,7 +14,7 @@ import numpy as np
 from .likelihood import SampleSet
 from .toeplitz import HermitianToeplitz, NotPositiveDefiniteError, ar_to_autocov
 
-__all__ = ["ProcessSpec", "true_cm", "sample", "nmse"]
+__all__ = ["ProcessSpec", "true_cm", "coloring", "sample", "nmse"]
 
 _KINDS = ("ar", "ma", "arma", "fbm")
 
@@ -83,15 +83,20 @@ def true_cm(spec: ProcessSpec) -> HermitianToeplitz:
     return HermitianToeplitz(_fbm_autocov(spec.h, spec.p))
 
 
+def coloring(spec: ProcessSpec) -> np.ndarray:
+    """Cholesky factor of the process covariance, which colors white noise;
+    raises :class:`NotPositiveDefiniteError` where that is singular."""
+    try:
+        return np.linalg.cholesky(true_cm(spec).dense())
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"process covariance is not positive definite: {exc}")
+
+
 def sample(spec: ProcessSpec, n: int, seed: int) -> SampleSet:
     """Draw ``n`` exact stationary samples, deterministic in the seed."""
     if n < 1:
         raise ValueError("need at least one sample")
-    cov = true_cm(spec).dense()
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"process covariance is not positive definite: {exc}")
+    chol = coloring(spec)
     rng = np.random.default_rng(seed)
     white = rng.standard_normal((n, spec.p))
     return SampleSet(white @ chol.T)

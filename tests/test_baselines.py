@@ -440,11 +440,20 @@ class TestShrink:
     def test_endpoints(self):
         s = sample_cov(rng.normal(size=(6, 5)))
         assert np.allclose(shrink(s, "const", rho=0.0), s)
-        t = shrink(s, "identity", rho=1.0)
-        assert np.allclose(t, np.trace(s) / 5 * np.eye(5))
+        assert np.allclose(shrink(s, "avg", rho=1.0), toeplitz_avg(s).dense())
 
-    def test_identity_midpoint(self):
-        assert np.allclose(shrink(np.eye(4), "identity", rho=0.5), np.eye(4))
+    def test_avg_midpoint(self):
+        s = sample_cov(rng.normal(size=(6, 5)))
+        assert np.allclose(shrink(s, "avg", rho=0.5), (s + toeplitz_avg(s).dense()) / 2)
+
+    @pytest.mark.parametrize("target", ["identity", "nope"])
+    def test_unknown_target_rejected(self, target):
+        """Only the registry's targets exist; the error names them."""
+        x = rng.normal(size=(6, 4))
+        for call in (lambda: shrink(np.eye(4), target, rho=0.5),
+                     lambda: shrink_coefficient(sample_cov(x), target, x)):
+            with pytest.raises(ValueError, match=f"unknown shrinkage target '{target}'; known: avg, const"):
+                call()
 
     def test_plugin_weight_in_unit_interval(self):
         x = rng.normal(size=(10, 6))
@@ -487,8 +496,8 @@ class TestShrink:
         for _ in range(1000):
             x = rng.normal(size=(int(rng.integers(2, 6)), 8))
             s = sample_cov(x)
-            est = shrink(s, "const", samples=x)
             rho = shrink_coefficient(s, "const", x)
+            est = shrink(s, "const", rho)
             if rho > 0:
                 assert np.linalg.eigvalsh(est).min() > 0
 
@@ -499,12 +508,10 @@ class TestShrink:
         x = 1e-300 * rng.normal(size=(6, 4))
         s = sample_cov(x)
         assert not s.any()
-        for target in ("avg", "const", np.zeros((4, 4))):
-            assert shrink_coefficient(s, target, x) == 1.0
-
-    def test_requires_rho_or_samples(self):
-        with pytest.raises(ValueError):
-            shrink(np.eye(3), "const")
+        for target in ("avg", "const"):
+            rho = shrink_coefficient(s, target, x)
+            assert rho == 1.0
+            assert not shrink(s, target, rho).any()
 
     def test_bad_rho_rejected(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toepcov import bench, estimators, likelihood
+from toepcov import baselines, bench, estimators, likelihood
 from toepcov.bench import (
     ESTIMATORS,
     ExperimentConfig,
@@ -233,13 +233,17 @@ class TestRunBenchmark:
         ("ar", "[[0.5]]", "[8, 1]", "[8]", r"ar point \[0\.5\] at dimension 1: AR order 1 too large"),
         ("fbm", "[[0.7], [0.2]]", "[8]", "[8]", r"fbm point \[0\.2\] at dimension 8: Hurst parameter"),
         ("ar", "[[0.5]]", "[8]", "[8, 0]", r"sample_counts must be at least 1"),
-    ], ids=["unstable-ar", "ar-order-above-dim", "fbm-hurst", "zero-samples"])
+        ("fbm", "[[0.7], [1.0]]", "[8]", "[8]",
+         r"fbm point \[1\.0\] at dimension 8: process covariance is not positive definite"),
+    ], ids=["unstable-ar", "ar-order-above-dim", "fbm-hurst", "zero-samples", "fbm-singular"])
     def test_bad_grid_rejected_before_any_cell(self, tmp_path, monkeypatch, capsys,
                                                kind, points, dims, counts, message):
         """A grid point or dimension with no valid process, or a sample count
         below one, is a usage error (exit 1) raised before any cell runs.  An
         unstable AR point exited 2 as a numerical failure, and every bad grid
-        failed only after the cells before it had run."""
+        failed only after the cells before it had run; fBm at H = 1, whose
+        covariance has rank one, exited 2 from its first cell without naming
+        the point and left an empty output directory."""
         def no_cell(*args):
             raise AssertionError("ran a cell of a bad grid")
 
@@ -250,7 +254,7 @@ class TestRunBenchmark:
         out = tmp_path / "out"
         assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
         assert re.match(r"error: " + message, capsys.readouterr().err)
-        assert not (out / "results.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, field", [("dims", "dims"), ("sample_counts", "sample_counts"),
                                             ("points", "points"), ("names", "estimators")])
@@ -770,6 +774,21 @@ def test_registry_entry_drives_estimate_benchmark_and_timing(name, tmp_path):
     assert row["nmse_icm_count"] == int(info.supports_icm)
     (timed,) = timing_benchmark((8,), (name,), n=8, reps=1)
     assert timed["median_ms"] >= 0.0 and timed["complexity"] == info.complexity
+
+
+@pytest.mark.parametrize("name", sorted(n for n, info in ESTIMATORS.items() if info.kind == "baseline"))
+def test_baseline_timing_measures_its_estimate(name):
+    """A baseline's timed call computes, bit for bit, the estimate and record
+    its fit returns; banding and tapering, whose bandwidth is tuned, time
+    their estimate at bandwidth ``TIMING_PIN`` instead."""
+    data = sample(ProcessSpec("arma", 12, a=(0.7,), b=(0.3,), sigma2=0.64), 16, 3)
+    got = ESTIMATORS[name].timed(data)()
+    if name in ("banding", "tapering"):
+        want = baselines.band_estimate(data.scm, baselines.MaskSpec(name, bench.TIMING_PIN))
+        assert np.array_equal(got.first_col, want.first_col)
+    else:
+        cm, _, meta, _ = ESTIMATORS[name].fit(data)
+        assert np.array_equal(got[0], cm) and got[1] == meta
 
 
 @pytest.mark.parametrize("name", sorted(ESTIMATORS))

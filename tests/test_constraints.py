@@ -136,6 +136,17 @@ class TestBisectBoxScale:
         assert 1.0 - 1e-3 <= box_bound(k) < 1.0
 
 
+    def test_box_is_cached_per_decay(self):
+        """The cache keys on the family itself, not on its ``%g`` id: decay
+        2.2000004 printed as ``exp-2.2`` and got the box of decay 2.2."""
+        near = FunctionFamily(2.2000004)
+        assert near.family_id == DEFAULT_FAMILIES[4].family_id
+        box = box_spec_for(DEFAULT_FAMILIES[4], 16)
+        assert box_spec_for(FunctionFamily(2.2), 16) is box
+        assert np.array_equal(box_spec_for(near, 16).k, bisect_box_scale(near, 16)[1])
+        assert not np.array_equal(box_spec_for(near, 16).k, box.k)
+
+
 class TestBoxSpec:
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

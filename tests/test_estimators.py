@@ -650,6 +650,16 @@ class TestTuneOrder:
         assert rep.order == 1
         assert (rep.extras["scan"]["fits"], rep.extras["scan"]["pruned"]) == (2, 4)
 
+    @pytest.mark.parametrize("p, a", [(2, (0.9,)), (3, (0.5, -0.6))])
+    @pytest.mark.parametrize("name", ["pgd", "pls", "frob", "eig"])
+    def test_top_order_is_a_candidate(self, name, p, a):
+        """Order P - 1 is scanned where the cap allows it.  The scan stopped
+        below ``min(P - 1, cap)``, so at P = 2 every tuned fit returned white
+        noise, which scores BIC 491.6 against order 1's 340.3 (pgd) on this
+        AR(1) data, and at P = 3 AR(2) data got order 1."""
+        data = sample(ProcessSpec("ar", p, a=a, sigma2=1.0), 200, 1)
+        assert bench.ESTIMATORS[name].fit(data)[2]["order"] == p - 1
+
     def test_single_sample_rejected(self, spec16):
         data = ar1_data(n=1)
         with pytest.raises(ValueError):
@@ -662,7 +672,7 @@ def unpruned_tune_order(fit, ctx):
     The oracle the pruned scan must match bit for bit."""
     if ctx.n < 2:
         raise ValueError("BIC order tuning needs at least two samples")
-    cap = min(ctx.p - 1, int(round(2.0 * np.sqrt(ctx.p) + 8.0)))
+    cap = min(ctx.p, int(round(2.0 * np.sqrt(ctx.p) + 8.0)))
     log_n = np.log(ctx.n)
     best = white_noise_report(ctx)
     best_score = log_n - 0.5 * ctx.n * best.loglik

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from toepcov.baselines import sample_cov, toeplitz_avg
-from toepcov.processes import ProcessSpec, nmse, sample, true_cm
-from toepcov.toeplitz import toeplitz_logdet
+from toepcov.processes import ProcessSpec, coloring, nmse, sample, true_cm
+from toepcov.toeplitz import NotPositiveDefiniteError, toeplitz_logdet
 
 rng = np.random.default_rng(2718)
 
@@ -59,6 +59,14 @@ class TestTrueCm:
 
 
 class TestSample:
+    def test_singular_truth_not_sampled(self):
+        """fBm at H = 1 is a valid process whose covariance has rank one."""
+        spec = ProcessSpec("fbm", 8, h=1.0)
+        with pytest.raises(NotPositiveDefiniteError, match="process covariance is not positive definite"):
+            coloring(spec)
+        with pytest.raises(NotPositiveDefiniteError):
+            sample(spec, 4, 0)
+
     def test_seed_determinism(self):
         spec = ProcessSpec("ar", 12, a=(0.5,), sigma2=0.64)
         a = sample(spec, 5, 99).samples
