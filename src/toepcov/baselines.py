@@ -4,9 +4,10 @@ over a circulant embedding, and shrinkage toward structured targets.
 
 Everything Toeplitz or circulant here reads a matrix through its diagonal
 (lag) sums, one O(P^2) pass, and moves between lags and spectra with FFTs;
-only EM is cubic in P: per iteration one LU solve, one Gohberg-Semencul
-product and two products.  Banded and tapered estimates expose a
-covariance-only surface; none of the estimators here guarantees an
+only EM is cubic in P: per iteration one LU solve, a Gohberg-Semencul
+product and two products, each product on half the rows, because the model
+block's persymmetry mirrors the other half.  Banded and tapered estimates
+expose a covariance-only surface; none of the estimators here guarantees an
 invertible result except where noted.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -145,16 +147,27 @@ def cv_tune_mask(samples, kind: str = "banding") -> MaskSpec:
     return MaskSpec(kind, int(np.argmin(_cv_risks(x / _pow2_above(np.abs(x).max(initial=0.0)), kind))))
 
 
-def _circular_spectrum(q, g: int) -> np.ndarray:
+def _circular_spectrum(rows, g: int) -> np.ndarray:
     """Diagonal of ``F E q E^T F^H`` for the unitary G-point DFT ``F``, with
     ``E`` placing the P x P matrix ``q`` in the top-left corner: the DFT of
-    the lag sums folded modulo G, over G."""
-    p = q.shape[0]
-    sums = lag_sums(q)
-    folded = np.zeros(g, dtype=sums.dtype)
-    folded[:p] = sums[p - 1 :]
-    folded[g - p + 1 :] += sums[: p - 1]  # lags -(P-1) .. -1
+    the lag sums folded modulo G, over G.  ``rows`` is ``q``, or its top
+    rows where the caller accounts for the others; entry ``[i, j]`` adds to
+    slot ``(i - j) mod G``, all in one ``bincount``."""
+    slots = _circular_slots(*rows.shape, g)
+    folded = np.bincount(slots, rows.real.ravel(), g)
+    if np.iscomplexobj(rows):
+        folded = folded + 1j * np.bincount(slots, rows.imag.ravel(), g)
     return np.fft.fft(folded).real / g
+
+
+@lru_cache(maxsize=8)
+def _circular_slots(h: int, p: int, g: int) -> np.ndarray:
+    """Slot ``(i - j) mod G`` of each entry ``[i, j]`` of the top ``h`` rows
+    of a P x P matrix, row-major."""
+    i = np.arange(p)
+    slots = ((i[:h, None] - i) % g).ravel()
+    slots.flags.writeable = False
+    return slots
 
 
 def _circulant_block(spec, p: int, real: bool) -> np.ndarray:
@@ -183,9 +196,21 @@ def _relative_change(new, old) -> float:
 
 
 def _em_iterates(scm, g: int, max_iter: int, tol: float, ridge: float):
-    """Yield (spectrum, covariance-block) per EM iteration."""
+    """Yield (spectrum, covariance-block) per EM iteration.
+
+    Each iteration does its dense work on the top ``H = ceil(P/2)`` rows.
+    The model block ``cp`` is Hermitian Toeplitz, so it and its inverse are
+    persymmetric: ``J conj(cp^-1) J = cp^-1`` with ``J`` the exchange matrix.
+    A circular spectrum is the real part of a DFT of lag sums, which does
+    not change under ``M -> J conj(M) J``; so the E-step may read the data
+    through ``sbar = (S + J conj(S) J) / 2``, and then its matrix
+    ``M = cp^-1 (sbar - cp) cp^-1`` is persymmetric too.  Its rows below
+    ``H`` mirror those above, so the spectrum of ``M`` is twice that of its
+    top rows, the middle row of odd P weighted by one half (exactly).
+    """
     scm = np.asarray(scm)
     p = scm.shape[0]
+    h = (p + 1) // 2
     real = not np.iscomplexobj(scm)
     scale = float(np.real(np.trace(scm))) / p
     e0 = np.eye(p, 1).ravel()
@@ -198,11 +223,17 @@ def _em_iterates(scm, g: int, max_iter: int, tol: float, ridge: float):
     # P = 16, a fifth of an `em` fit there.  gs_assemble is not used: at
     # full order it loops over the P diagonals in Python, which took 1.4 ms
     # against 0.2 ms for the two products at P = 128 on one BLAS thread; it
-    # stays the banded route for low-order GS estimates.
+    # stays the banded route for low-order GS estimates.  Only the top H
+    # rows of the pair are formed; the rest of `cp_inv` is their flipped
+    # conjugate.
     gs = np.zeros(3 * p - 1, np.result_type(scm.dtype, np.float64))
     step = gs.itemsize
     lower = np.ndarray((p, p), gs.dtype, gs, (p - 1) * step, (step, -step))
     mirror = np.ndarray((p, p), gs.dtype, gs, (2 * p - 1) * step, (-step, step))
+    cp_inv = np.empty((p, p), gs.dtype)
+    top_inv, bottom_inv, flipped = cp_inv[:h], cp_inv[h:], cp_inv[: p - h][::-1, ::-1]
+    lower_top, mirror_top = lower[:h], mirror[:h]
+    sbar = (scm + scm[::-1, ::-1].conj()) / 2
     # the embedded SCM pads the unobserved diagonal with the mean variance
     spec = np.maximum(_circular_spectrum(scm, g) + (g - p) * scale / g, 0.0)
     for _ in range(max_iter):
@@ -214,10 +245,16 @@ def _em_iterates(scm, g: int, max_iter: int, tol: float, ridge: float):
             x = np.linalg.solve(cp, e0)
         yield spec, cp
         gs[p - 1 : 2 * p - 1] = x
-        cp_inv = (lower @ lower.conj().T - np.conj(mirror @ mirror.conj().T)) / x[0].real
+        np.divide(lower_top @ lower.conj().T - (mirror_top @ mirror.conj().T).conj(), x[0].real,
+                  out=top_inv)
+        np.conjugate(flipped, out=bottom_inv)
         # E-step moments t_data - t_model, with t_data from cp^-1 S cp^-1 and
-        # t_model from cp^-1 = cp^-1 cp cp^-1: one spectrum of their difference
-        new_spec = spec + spec**2 * _circular_spectrum(cp_inv @ (scm - cp) @ cp_inv, g)
+        # t_model from cp^-1 = cp^-1 cp cp^-1: one spectrum of their
+        # difference, twice that of the top rows of M
+        top = (top_inv @ (sbar - cp)) @ cp_inv
+        if p % 2:
+            top[-1] *= 0.5
+        new_spec = spec + spec**2 * (2 * _circular_spectrum(top, g))
         new_spec = np.maximum(new_spec, 0.0)
         change = _relative_change(new_spec, spec)
         spec = new_spec
@@ -234,14 +271,18 @@ def em_toeplitz(scm, g: int | None = None, max_iter: int = 200, tol: float = 1e-
     process; the circulant spectrum is re-estimated until its relative
     change drops below ``tol``.  Returns the upper-left P x P covariance
     block.  An iteration costs one LU solve for the first column of the
-    model block's inverse, one Gohberg-Semencul product that assembles the
-    inverse from it, two P x P products and FFTs of lag sums; the solve and
-    the products are cubic in P.  A ``work`` dict receives ``iterations``
-    (spectrum updates made) and ``converged`` (whether the last one met
-    ``tol``).  At the defaults the iteration almost never meets ``tol``
-    (all 200 fits of the criterion-10 benchmark ran the full 200
-    iterations), so ``max_iter``, not convergence, sets the estimate.  It
-    iterates at unit mean variance, where no square or inverse overflows.
+    model block's inverse, a Gohberg-Semencul product that assembles the
+    inverse from it, two products for the E-step and FFTs of lag sums; the
+    solve and the products are cubic in P.  The block is persymmetric, and
+    so are its inverse and the E-step matrix once the data is averaged with
+    its flipped conjugate, so every product forms only the top half of its
+    rows (``4 P^3`` flops of matrix products per iteration, not ``8 P^3``).
+    A ``work`` dict receives ``iterations`` (spectrum updates made) and
+    ``converged`` (whether the last one met ``tol``).  At the defaults the
+    iteration almost never meets ``tol`` (all 200 fits of the criterion-10
+    benchmark ran the full 200 iterations), so ``max_iter``, not
+    convergence, sets the estimate.  It iterates at unit mean variance,
+    where no square or inverse overflows.
     """
     scm = np.asarray(scm)
     p = scm.shape[0]
@@ -261,10 +302,13 @@ def em_toeplitz(scm, g: int | None = None, max_iter: int = 200, tol: float = 1e-
 
 def _const_offdiag_target(scm) -> np.ndarray:
     p = scm.shape[0]
-    h = np.ones((p, p)) - np.eye(p)
     mu = np.real(np.trace(scm)) / p
-    off = np.real(np.sum(scm * h.T)) / (p * (p - 1)) if p > 1 else 0.0
-    return mu * np.eye(p) + off * h
+    off_diag = np.array(scm)
+    np.fill_diagonal(off_diag, 0.0)
+    off = np.real(np.sum(off_diag)) / (p * (p - 1)) if p > 1 else 0.0
+    target = np.full((p, p), off)
+    np.fill_diagonal(target, mu)
+    return target
 
 
 def _shrink_target(scm, target: str) -> np.ndarray:

@@ -19,7 +19,7 @@ from toepcov.baselines import (
     toeplitz_avg,
 )
 from toepcov.likelihood import SampleSet
-from toepcov.processes import ProcessSpec, sample, true_cm
+from toepcov.processes import ProcessSpec, coloring, sample, true_cm
 from toepcov.toeplitz import HermitianToeplitz
 
 rng = np.random.default_rng(777)
@@ -358,7 +358,8 @@ class TestEmToeplitz:
             assert b >= a - max(1e-9, p * kappa * eps)
         assert np.allclose(em_toeplitz(s, g=p), s, rtol=0.0, atol=p * lls[0][1] * eps)
 
-    @pytest.mark.parametrize("case", ["rank-one", "benchmark-size"])
+    @pytest.mark.parametrize("case", ["rank-one", "benchmark-size", "complex-odd-127",
+                                      "complex-odd-129"])
     def test_matches_oracle_within_condition_bound(self, case):
         """Against the dense oracle where the model block is ill-conditioned
         or the run is long.
@@ -367,7 +368,9 @@ class TestEmToeplitz:
         the data has no power, so cond(cp) doubles per iteration, to 1.3e8
         at the last block.  benchmark-size: all 200 default iterations on
         rank-deficient ARMA(1,1) data at P = 128, N = 64, G = 2P (cond about
-        190).
+        190).  complex-odd-P: the same run on circular complex ARMA(1,1)
+        data at odd P = 127 and 129, where the middle row of the
+        persymmetric E-step counts half (cond about 170 and 190).
 
         Bound: a backward-stable solve (LU here, and the oracle's inverse)
         of a block of condition kappa has a forward error of about
@@ -379,9 +382,14 @@ class TestEmToeplitz:
         4 * kappa * eps, with kappa the largest condition number so far."""
         if case == "rank-one":
             s, g, max_iter, tol, min_kappa = np.ones((8, 8)), 16, 25, 1e-9, 5e7
-        else:
+        elif case == "benchmark-size":
             arma = ProcessSpec("arma", 128, a=(0.7,), b=(0.3,), sigma2=0.64)
             s, g, max_iter, tol, min_kappa = sample(arma, 64, 5).scm, 256, 200, 1e-7, 100.0
+        else:
+            p = int(case.rsplit("-", 1)[1])
+            arma = ProcessSpec("arma", p, a=(0.7,), b=(0.3,), sigma2=0.64)
+            white = np.random.default_rng(p).standard_normal((64, 2 * p)).view(complex) / np.sqrt(2)
+            s, g, max_iter, tol, min_kappa = sample_cov(white @ coloring(arma).T), 2 * p, 200, 1e-7, 100.0
         got = list(_em_iterates(s, g, max_iter, tol, 1e-10))
         want = list(oracle_em_iterates(s, g, max_iter, tol, 1e-10))
         assert len(got) == len(want) == max_iter + 1
@@ -394,16 +402,39 @@ class TestEmToeplitz:
         assert kappa > min_kappa
 
     def test_no_general_inverse(self, monkeypatch):
-        """Each iteration inverts its block from one LU solve and the
-        Gohberg-Semencul formula, never with a general inverse."""
-        def no_inv(a):
-            raise AssertionError("EM called np.linalg.inv")
+        """Each iteration inverts its block from exactly one LU solve, plus
+        one per ridge retry, and the Gohberg-Semencul formula, never with a
+        general inverse or a Cholesky factor.  The rank-one SCM at G = P is
+        the singular block of the ridge test, where every solve retries; it
+        stops at once unless ``tol`` is 0."""
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"EM called np.linalg.{name}")
+            return call
 
-        s = sample(ProcessSpec("ar", 32, a=(0.5,), sigma2=0.64), 8, 11).scm
-        monkeypatch.setattr(np.linalg, "inv", no_inv)
-        work = {}
-        out = em_toeplitz(s, max_iter=20, work=work)
-        assert work["iterations"] == 20 and np.isfinite(out).all()
+        ar = sample(ProcessSpec("ar", 32, a=(0.5,), sigma2=0.64), 8, 11).scm
+        solves, retries = [], []
+        real_solve = np.linalg.solve
+
+        def solve(a, b):
+            solves.append(a)
+            try:
+                return real_solve(a, b)
+            except np.linalg.LinAlgError:
+                retries.append(a)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        monkeypatch.setattr(np.linalg, "inv", refuse("inv"))
+        monkeypatch.setattr(np.linalg, "cholesky", refuse("cholesky"))
+        for s, g, tol, ridged in ((ar, None, 1e-7, False), (np.ones((4, 4)), 4, 0.0, True)):
+            solves.clear()
+            retries.clear()
+            work = {}
+            out = em_toeplitz(s, g=g, max_iter=20, tol=tol, work=work)
+            assert work["iterations"] == 20 and np.isfinite(out).all()
+            assert len(solves) == work["iterations"] + len(retries)
+            assert bool(retries) == ridged
 
     def test_real_data_stays_real(self):
         s = random_scm(6, 3, False, 1)
