@@ -5,10 +5,11 @@ over a circulant embedding, and shrinkage toward structured targets.
 Everything Toeplitz or circulant here reads a matrix through its diagonal
 (lag) sums, one O(P^2) pass, and moves between lags and spectra with FFTs;
 only EM is cubic in P: per iteration one LU solve, a Gohberg-Semencul
-product and two products, each product on half the rows, because the model
-block's persymmetry mirrors the other half.  Banded and tapered estimates
-expose a covariance-only surface; none of the estimators here guarantees an
-invertible result except where noted.
+pair and two products, each product on half the rows, because the model
+block's persymmetry mirrors the other half, and the pair on the nonzero
+H x H corner of its lower triangular factors.  Banded and tapered
+estimates expose a covariance-only surface; none of the estimators here
+guarantees an invertible result except where noted.
 """
 
 from __future__ import annotations
@@ -207,6 +208,12 @@ def _em_iterates(scm, g: int, max_iter: int, tol: float, ridge: float):
     ``M = cp^-1 (sbar - cp) cp^-1`` is persymmetric too.  Its rows below
     ``H`` mirror those above, so the spectrum of ``M`` is twice that of its
     top rows, the middle row of odd P weighted by one half (exactly).
+
+    The products take ``P^3 / 2`` multiply-adds for the Gohberg-Semencul
+    pair, which reads only the first ``H`` columns of its lower triangular
+    factors, and ``P^3`` for the two E-step products: ``3 P^3`` flops per
+    iteration.  They go into arrays allocated once per fit; every yielded
+    spectrum and block is a new array.
     """
     scm = np.asarray(scm)
     p = scm.shape[0]
@@ -224,15 +231,18 @@ def _em_iterates(scm, g: int, max_iter: int, tol: float, ridge: float):
     # full order it loops over the P diagonals in Python, which took 1.4 ms
     # against 0.2 ms for the two products at P = 128 on one BLAS thread; it
     # stays the banded route for low-order GS estimates.  Only the top H
-    # rows of the pair are formed; the rest of `cp_inv` is their flipped
-    # conjugate.
+    # rows of the pair are formed, each factor's H x H corner times its
+    # first H columns, since the factors are zero above the diagonal; the
+    # rest of `cp_inv` is their flipped conjugate.
     gs = np.zeros(3 * p - 1, np.result_type(scm.dtype, np.float64))
     step = gs.itemsize
     lower = np.ndarray((p, p), gs.dtype, gs, (p - 1) * step, (step, -step))
     mirror = np.ndarray((p, p), gs.dtype, gs, (2 * p - 1) * step, (-step, step))
     cp_inv = np.empty((p, p), gs.dtype)
     top_inv, bottom_inv, flipped = cp_inv[:h], cp_inv[h:], cp_inv[: p - h][::-1, ::-1]
-    lower_top, mirror_top = lower[:h], mirror[:h]
+    lower_corner, lower_cols = lower[:h, :h], lower[:, :h]
+    mirror_corner, mirror_cols = mirror[:h, :h], mirror[:, :h]
+    pair, diff, half, top = (np.empty(shape, gs.dtype) for shape in ((h, p), (p, p), (h, p), (h, p)))
     sbar = (scm + scm[::-1, ::-1].conj()) / 2
     # the embedded SCM pads the unobserved diagonal with the mean variance
     spec = np.maximum(_circular_spectrum(scm, g) + (g - p) * scale / g, 0.0)
@@ -245,13 +255,17 @@ def _em_iterates(scm, g: int, max_iter: int, tol: float, ridge: float):
             x = np.linalg.solve(cp, e0)
         yield spec, cp
         gs[p - 1 : 2 * p - 1] = x
-        np.divide(lower_top @ lower.conj().T - (mirror_top @ mirror.conj().T).conj(), x[0].real,
-                  out=top_inv)
+        np.matmul(lower_corner, lower_cols.conj().T, out=top_inv)
+        np.matmul(mirror_corner, mirror_cols.conj().T, out=pair)
+        np.subtract(top_inv, pair.conj(), out=top_inv)
+        np.divide(top_inv, x[0].real, out=top_inv)
         np.conjugate(flipped, out=bottom_inv)
         # E-step moments t_data - t_model, with t_data from cp^-1 S cp^-1 and
         # t_model from cp^-1 = cp^-1 cp cp^-1: one spectrum of their
         # difference, twice that of the top rows of M
-        top = (top_inv @ (sbar - cp)) @ cp_inv
+        np.subtract(sbar, cp, out=diff)
+        np.matmul(top_inv, diff, out=half)
+        np.matmul(half, cp_inv, out=top)
         if p % 2:
             top[-1] *= 0.5
         new_spec = spec + spec**2 * (2 * _circular_spectrum(top, g))
@@ -276,7 +290,10 @@ def em_toeplitz(scm, g: int | None = None, max_iter: int = 200, tol: float = 1e-
     solve and the products are cubic in P.  The block is persymmetric, and
     so are its inverse and the E-step matrix once the data is averaged with
     its flipped conjugate, so every product forms only the top half of its
-    rows (``4 P^3`` flops of matrix products per iteration, not ``8 P^3``).
+    rows, and the Gohberg-Semencul pair, whose factors are lower
+    triangular, only the nonzero ``H x H`` corner of those rows, with
+    ``H = ceil(P/2)`` (``3 P^3`` flops of matrix products per iteration, not
+    ``8 P^3``).
     A ``work`` dict receives ``iterations`` (spectrum updates made) and
     ``converged`` (whether the last one met ``tol``).  At the defaults the
     iteration almost never meets ``tol`` (all 200 fits of the criterion-10

@@ -172,7 +172,7 @@ ESTIMATORS = {
         _baseline("tapering", False, "linear in dim times bandwidth", *_banded("tapering")),
         _baseline("circ", True, "quadratic (lag sums and FFT)",
                   lambda d: (baselines.circulant_mle(d.scm), {})),
-        _baseline("em", True, "cubic per iteration (one LU solve, GS and E-step products on half the rows)",
+        _baseline("em", True, "cubic per iteration (one LU solve, 3P^3 flops of GS and E-step products)",
                   _em),
         _baseline("shrink_avg", False, "cubic (target build dominates)", partial(_shrink, "avg")),
         _baseline("shrink_const", True, "quadratic", partial(_shrink, "const")),

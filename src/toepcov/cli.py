@@ -125,6 +125,27 @@ _REPORT_FIELDS = {"order": "order", "mask_k": "order", "family": "family_id", "l
                   "iterations": "iterations", "converged": "converged"}
 
 
+def _report_text(report: dict) -> str:
+    """``json.dumps(report, sort_keys=True)`` plus a newline, for a flat
+    report whose matrices are float arrays, written by :func:`_json_matrix`."""
+    fields = (f"{json.dumps(key)}: {_json_matrix(value) if isinstance(value, np.ndarray) else json.dumps(value)}"
+              for key, value in sorted(report.items()))
+    return "{" + ", ".join(fields) + "}\n"
+
+
+def _json_matrix(mat) -> str:
+    """``json.dumps(mat.tolist())`` for a float matrix, with each distinct
+    value formatted once.  Entries are matched by bit pattern (so ``-0.0``
+    and ``0.0`` stay apart), and one ``json.dumps`` of the distinct values
+    spells them all as the stdlib does; a symmetric matrix, as every
+    registry precision is, has about half as many values to format."""
+    mat = np.asarray(mat, dtype=float)
+    bits, inverse = np.unique(mat.view(np.uint64), return_inverse=True)
+    words = np.array(json.dumps(bits.view(float).tolist())[1:-1].split(", "), dtype=object)
+    rows = words[inverse.reshape(mat.shape)].tolist()
+    return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+
+
 def _cmd_estimate(args) -> int:
     name = args.estimator
     if name not in bench.ESTIMATORS:
@@ -153,9 +174,9 @@ def _cmd_estimate(args) -> int:
     if fit is not None:
         report.update(alpha0=fit.alpha.alpha0, alpha=fit.alpha.alpha_rest.tolist())
     if args.icm:
-        report["icm_dense"] = icm.tolist()
+        report["icm_dense"] = icm
     report["wall_ms"] = (time.perf_counter() - start) * 1e3
-    text = json.dumps(report, sort_keys=True) + "\n"
+    text = _report_text(report)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text)

@@ -6,6 +6,7 @@ import pytest
 from toepcov.bench import ESTIMATORS
 from toepcov.baselines import (
     MaskSpec,
+    _circulant_block,
     _cv_risks,
     _em_iterates,
     band_estimate,
@@ -435,6 +436,19 @@ class TestEmToeplitz:
             assert work["iterations"] == 20 and np.isfinite(out).all()
             assert len(solves) == work["iterations"] + len(retries)
             assert bool(retries) == ridged
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_yielded_blocks_are_not_overwritten(self, complex_data):
+        """Every block the iteration yields still equals the block of its own
+        spectrum once the whole run is over, so no later iteration writes
+        into an array it handed out (the products go into buffers of the
+        fit).  The data is full rank, so no block takes the ridge."""
+        for p in (1, 2, 5, 16, 33):
+            s = random_scm(p, p + 3, complex_data, 90 + p)
+            iterates = list(_em_iterates(s, 2 * p, 25, 0.0, 1e-10))
+            assert len(iterates) == 26
+            for spec, cp in iterates:
+                assert np.array_equal(cp, _circulant_block(spec, p, not complex_data))
 
     def test_real_data_stays_real(self):
         s = random_scm(6, 3, False, 1)

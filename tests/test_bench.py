@@ -850,6 +850,55 @@ def test_estimate_report_has_no_truth_metrics(order, tmp_path):
     assert "order" in report and not {"nmse_c", "nmse_icm"} & set(report)
 
 
+def _icm_cases(dims):
+    """``(estimator, P)`` for every estimator with a precision at each of
+    ``dims``; ``eig`` refuses dimensions above its limit."""
+    return [(name, p) for name, info in sorted(ESTIMATORS.items()) for p in dims
+            if info.supports_icm and not (name == "eig" and p > estimators.EIG_DIM_LIMIT)]
+
+
+@pytest.mark.parametrize("name, p", _icm_cases((1, 128)))
+def test_estimate_report_is_the_stdlib_text(name, p, tmp_path):
+    """The ``estimate --icm`` report is byte for byte the stdlib's sorted-key
+    JSON of itself, although ``icm_dense`` is written by the matrix writer.
+    At P = 1 white noise is the only order, which the boxed fits take only
+    when pinned."""
+    samples = tmp_path / "x.csv"
+    data = sample(ProcessSpec("arma", max(p, 2), a=(0.7,), b=(0.3,), sigma2=0.64), 64, 8)
+    np.savetxt(samples, data.samples[:, :p], delimiter=",")
+    out = tmp_path / "report.json"
+    pinned = ["--order", "0"] if p == 1 and ESTIMATORS[name].kind == "proposed" else []
+    assert main(["estimate", "--input", str(samples), "--estimator", name, "--icm",
+                 "--out", str(out), *pinned]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    assert np.shape(json.loads(text)["icm_dense"]) == (p, p)
+
+
+@pytest.mark.parametrize("case", ["signed-zeros", "special-values", "one-by-one", "non-symmetric"])
+def test_matrix_writer_matches_the_stdlib(case):
+    """The matrix writer spells each value as ``json.dumps`` does, and puts
+    every entry where ``tolist`` would, also where entries share a value or
+    differ only in the sign of zero."""
+    mat = {
+        "signed-zeros": np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, -1.0], [1.0, -1.0, -0.0]]),
+        "special-values": np.array([[5e-324, 1e16, 1e-5], [np.inf, np.nan, -np.inf],
+                                    [-5e-324, 0.1, 1e16]]),
+        "one-by-one": np.array([[2.5]]),
+        "non-symmetric": np.random.default_rng(4).standard_normal((7, 5)),
+    }[case]
+    assert cli._json_matrix(mat) == json.dumps(mat.tolist())
+
+
+@pytest.mark.parametrize("name, p", _icm_cases((2, 17, 128)))
+def test_precision_is_exactly_symmetric(name, p):
+    """Every precision the registry reports is symmetric bit for bit on real
+    data, which is what halves the values the report writer formats."""
+    data = sample(ProcessSpec("arma", p, a=(0.7,), b=(0.3,), sigma2=0.64), 64, 9)
+    _, icm, _, _ = ESTIMATORS[name].fit(data)
+    assert np.array_equal(icm, icm.T)
+
+
 def test_em_reports_its_iterations(tmp_path):
     """em's iteration count and convergence reach the estimate JSON and results.json."""
     samples = tmp_path / "x.csv"
