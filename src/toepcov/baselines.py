@@ -277,42 +277,41 @@ def _em_iterates(scm, g: int, max_iter: int, tol: float, ridge: float):
     yield spec, _circulant_block(spec, p, real)
 
 
-def em_toeplitz(scm, g: int | None = None, max_iter: int = 200, tol: float = 1e-7,
-                *, work: dict | None = None) -> np.ndarray:
+# em's definition, with G = 2P: the iteration cap and the relative spectrum change that stops it early
+_EM_MAX_ITER = 200
+_EM_TOL = 1e-7
+
+
+def em_toeplitz(scm, *, work: dict | None = None) -> np.ndarray:
     """EM estimate of a Toeplitz covariance via a larger circulant model.
 
-    The observed window is treated as a partial view of a ``g``-periodic
-    process; the circulant spectrum is re-estimated until its relative
-    change drops below ``tol``.  Returns the upper-left P x P covariance
-    block.  An iteration costs one LU solve for the first column of the
-    model block's inverse, a Gohberg-Semencul product that assembles the
-    inverse from it, two products for the E-step and FFTs of lag sums; the
-    solve and the products are cubic in P.  The block is persymmetric, and
-    so are its inverse and the E-step matrix once the data is averaged with
-    its flipped conjugate, so every product forms only the top half of its
-    rows, and the Gohberg-Semencul pair, whose factors are lower
-    triangular, only the nonzero ``H x H`` corner of those rows, with
-    ``H = ceil(P/2)`` (``3 P^3`` flops of matrix products per iteration, not
-    ``8 P^3``).
-    A ``work`` dict receives ``iterations`` (spectrum updates made) and
-    ``converged`` (whether the last one met ``tol``).  At the defaults the
-    iteration almost never meets ``tol`` (all 200 fits of the criterion-10
-    benchmark ran the full 200 iterations), so ``max_iter``, not
-    convergence, sets the estimate.  It iterates at unit mean variance,
-    where no square or inverse overflows.
+    The observed window is treated as a partial view of a ``2P``-periodic
+    process, whose circulant spectrum is re-estimated at most 200 times,
+    stopping early below a relative change of 1e-7.  That almost never
+    happens (all 200 fits of the criterion-10 benchmark ran the full 200
+    iterations), so the cap, not convergence, sets the estimate: the
+    upper-left P x P covariance block.  An iteration costs one LU solve for
+    the first column of the model block's inverse, a Gohberg-Semencul
+    product that assembles the inverse from it, two products for the E-step
+    and FFTs of lag sums; the solve and the products are cubic in P.  The
+    block is persymmetric, and so are its inverse and the E-step matrix once
+    the data is averaged with its flipped conjugate, so every product forms
+    only the top half of its rows, and the Gohberg-Semencul pair, whose
+    factors are lower triangular, only the nonzero ``H x H`` corner of those
+    rows, with ``H = ceil(P/2)`` (``3 P^3`` flops of matrix products per
+    iteration, not ``8 P^3``).  A ``work`` dict receives ``iterations``
+    (spectrum updates made) and ``converged`` (whether the last one met the
+    tolerance).  It iterates at unit mean variance, where no square or
+    inverse overflows.
     """
     scm = np.asarray(scm)
     p = scm.shape[0]
-    if g is None:
-        g = 2 * p
-    if g < p:
-        raise ValueError("embedding size must be at least the sample dimension")
     unit = _pow2_above(np.real(np.trace(scm)) / p)
     iterations, prev, spec = -1, None, None
-    for new_spec, last in _em_iterates(scm / unit, g, max_iter, tol, ridge=1e-10):
+    for new_spec, last in _em_iterates(scm / unit, 2 * p, _EM_MAX_ITER, _EM_TOL, ridge=1e-10):
         iterations, prev, spec = iterations + 1, spec, new_spec
     if work is not None:
-        converged = prev is not None and _relative_change(spec, prev) < tol
+        converged = prev is not None and _relative_change(spec, prev) < _EM_TOL
         work.update(iterations=iterations, converged=bool(converged))
     return last * unit
 

@@ -393,13 +393,13 @@ _CSV_FIELDS = (
 )
 
 
-def run_benchmark(config: ExperimentConfig, out_dir: str, svg: bool = False, workers: int | None = None):
+def run_benchmark(config: ExperimentConfig, out_dir: str, svg: bool = False):
     """Execute the full grid and write results.csv / results.json.
 
     Returns the aggregated rows.  Output files contain no timestamps, so
     identical configs produce identical bytes.  Every process of the grid is
     built and factored before any cell runs, so a bad point or dimension, or
-    a singular truth, fails at once.
+    a singular truth, fails at once.  ``TOEPCOV_WORKERS`` sizes the pool.
     """
     for point, p in itertools.product(config.points, config.dims):
         try:
@@ -410,7 +410,7 @@ def run_benchmark(config: ExperimentConfig, out_dir: str, svg: bool = False, wor
     cells = list(itertools.product(config.points, config.dims, config.sample_counts))
     tasks = [(cell, run) for cell in cells for run in range(config.runs)]
     # a fork pool starts all its workers on the first task: no more than there are tasks
-    workers = min(worker_count() if workers is None else max(1, workers), len(tasks))
+    workers = min(worker_count(), len(tasks))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         results = dict(zip(tasks, (pool.map if pool else map)(partial(_run_cell, config), tasks)))
 

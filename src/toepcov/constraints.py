@@ -203,7 +203,9 @@ class BoxSpec:
 
 @cache
 def box_spec_for(family: FunctionFamily, p: int) -> BoxSpec:
-    """Box specification for a family at dimension ``p`` (scale bisected, cached)."""
+    """Box specification for a family at dimension ``p`` (scale bisected, cached; empty at ``p = 1``)."""
+    if p == 1:
+        return BoxSpec(np.zeros(0), family_id=family.family_id)
     return BoxSpec(bisect_box_scale(family, p)[1], family_id=family.family_id)
 
 

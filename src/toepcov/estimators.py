@@ -420,7 +420,8 @@ def estimate_pls(
     sample covariance (:meth:`LikelihoodContext.moments`, (order+1)(order+2)/2
     diagonal segments, O(P * order^2) once per context and order), maps the
     AR solution to GS coordinates, and projects; O(order^3) more without the
-    optional likelihood evaluation.
+    optional likelihood evaluation.  Order 0 solves the empty system (white
+    noise at the mean variance, zero coefficients of the data's dtype).
     """
     p = ctx.p
     if not 0 <= order <= p - 1:
@@ -429,27 +430,22 @@ def estimate_pls(
         raise ValueError("box dimension does not match the context")
     st = ctx.moments(order)
     extras = {}
-    if order:
-        block = st[1:, 1:]
-        rhs = st[1:, 0]
-        try:
-            a_hat = np.linalg.solve(block, rhs)
-            if not np.all(np.isfinite(a_hat)):
-                raise np.linalg.LinAlgError("non-finite solution")
-        except np.linalg.LinAlgError:
-            ridge = 1e-10 * max(np.real(np.trace(block)) / order, 1e-300)
-            a_hat = np.linalg.solve(block + ridge * np.eye(order), rhs)
-            extras["ridge_used"] = True
-        resid = np.real(st[0, 0] - np.vdot(rhs, a_hat))
-    else:
-        a_hat = np.zeros(0, dtype=ctx.scm.dtype)
-        resid = np.real(st[0, 0])
+    block, rhs = st[1:, 1:], st[1:, 0]
+    try:
+        a_hat = np.linalg.solve(block, rhs)
+        if not np.all(np.isfinite(a_hat)):
+            raise np.linalg.LinAlgError("non-finite solution")
+    except np.linalg.LinAlgError:
+        ridge = 1e-10 * max(np.real(np.trace(block)) / order, 1e-300)
+        a_hat = np.linalg.solve(block + ridge * np.eye(order), rhs)
+        extras["ridge_used"] = True
+    resid = np.real(st[0, 0] - np.vdot(rhs, a_hat))
     sigma2 = resid / (p - order)
     floor = 1e-12 * ctx.trace_scale
     if sigma2 < floor:
         sigma2 = floor
         extras["variance_floored"] = True
-    rest = np.zeros(p - 1, dtype=a_hat.dtype if order else float)
+    rest = np.zeros(p - 1, dtype=a_hat.dtype)
     rest[:order] = -a_hat / sigma2
     alpha = project_box(GsParams(1.0 / sigma2, rest), spec)
     extras["a_hat"] = a_hat

@@ -3,6 +3,7 @@ import collections
 import numpy as np
 import pytest
 
+from toepcov import baselines
 from toepcov.bench import ESTIMATORS
 from toepcov.baselines import (
     MaskSpec,
@@ -269,7 +270,7 @@ class TestCirculantMle:
 
 class TestEmToeplitz:
     def test_identity_fixed_point_at_full_embedding(self):
-        out = em_toeplitz(np.eye(5), g=5, max_iter=4)
+        *_, (_, out) = _em_iterates(np.eye(5), 5, 4, 1e-7, 1e-10)
         assert np.allclose(out, np.eye(5), atol=1e-12)
 
     def test_likelihood_monotone(self):
@@ -290,22 +291,18 @@ class TestEmToeplitz:
 
     def test_hermitian_output(self):
         s = sample(ProcessSpec("ma", 10, b=(0.4,), sigma2=1.0), 6, 3).scm
-        out = em_toeplitz(s, g=20)
+        out = em_toeplitz(s)
         assert np.allclose(out, out.T, atol=1e-12)
 
     def test_matches_circulant_likelihood_at_full_embedding(self):
         s = sample(ProcessSpec("ar", 8, a=(0.4,), sigma2=1.0), 16, 9).scm
-        em = em_toeplitz(s, g=8, max_iter=500, tol=1e-12)
+        *_, (_, em) = _em_iterates(s, 8, 500, 1e-12, 1e-10)
         circ = circulant_mle(s)
 
         def gauss_ll(cm):
             return -np.linalg.slogdet(cm)[1] - np.trace(np.linalg.solve(cm, s))
 
         assert gauss_ll(em) == pytest.approx(gauss_ll(circ), abs=1e-6)
-
-    def test_embedding_size_validated(self):
-        with pytest.raises(ValueError):
-            em_toeplitz(np.eye(8), g=4)
 
     @pytest.mark.parametrize("complex_data", [False, True])
     def test_iterates_match_dense_oracle(self, complex_data):
@@ -357,7 +354,7 @@ class TestEmToeplitz:
         # cond(cp) * eps each, and log det sums P of them.
         for (a, _), (b, kappa) in zip(lls, lls[1:]):
             assert b >= a - max(1e-9, p * kappa * eps)
-        assert np.allclose(em_toeplitz(s, g=p), s, rtol=0.0, atol=p * lls[0][1] * eps)
+        assert np.allclose(iterates[-1][1], s, rtol=0.0, atol=p * lls[0][1] * eps)
 
     @pytest.mark.parametrize("case", ["rank-one", "benchmark-size", "complex-odd-127",
                                       "complex-odd-129"])
@@ -407,7 +404,8 @@ class TestEmToeplitz:
         one per ridge retry, and the Gohberg-Semencul formula, never with a
         general inverse or a Cholesky factor.  The rank-one SCM at G = P is
         the singular block of the ridge test, where every solve retries; it
-        stops at once unless ``tol`` is 0."""
+        stops at once unless ``tol`` is 0, and ``em_toeplitz`` has no
+        ``G = P``, so it runs through the iterates.  The cap is cut to 20."""
         def refuse(name):
             def call(*args, **kwargs):
                 raise AssertionError(f"EM called np.linalg.{name}")
@@ -428,14 +426,15 @@ class TestEmToeplitz:
         monkeypatch.setattr(np.linalg, "solve", solve)
         monkeypatch.setattr(np.linalg, "inv", refuse("inv"))
         monkeypatch.setattr(np.linalg, "cholesky", refuse("cholesky"))
-        for s, g, tol, ridged in ((ar, None, 1e-7, False), (np.ones((4, 4)), 4, 0.0, True)):
-            solves.clear()
-            retries.clear()
-            work = {}
-            out = em_toeplitz(s, g=g, max_iter=20, tol=tol, work=work)
-            assert work["iterations"] == 20 and np.isfinite(out).all()
-            assert len(solves) == work["iterations"] + len(retries)
-            assert bool(retries) == ridged
+        monkeypatch.setattr(baselines, "_EM_MAX_ITER", 20)
+        work = {}
+        out = em_toeplitz(ar, work=work)
+        assert work["iterations"] == 20 and np.isfinite(out).all()
+        assert len(solves) == 20 and not retries
+        solves.clear()
+        *iterates, (_, out) = _em_iterates(np.ones((4, 4)), 4, 20, 0.0, 1e-10)
+        assert len(iterates) == 20 and np.isfinite(out).all()
+        assert len(solves) == 20 + len(retries) and retries
 
     @pytest.mark.parametrize("complex_data", [False, True])
     def test_yielded_blocks_are_not_overwritten(self, complex_data):
@@ -454,24 +453,40 @@ class TestEmToeplitz:
         s = random_scm(6, 3, False, 1)
         assert all(not np.iscomplexobj(cp) for _, cp in _em_iterates(s, 12, 5, 0.0, 1e-10))
 
-    def test_work_reports_iterations_at_max_iter(self):
+    def test_definition(self):
+        """``em`` is 200 iterations at G = 2P, tolerance 1e-7, run at unit
+        mean variance: on AR(1) data it stops at the cap, and its estimate
+        is the last block of those iterates scaled back, bit for bit."""
         s = sample(ProcessSpec("ar", 16, a=(0.5,), sigma2=0.64), 8, 500).scm
         work = {}
-        out = em_toeplitz(s, max_iter=7, work=work)
+        out = em_toeplitz(s, work=work)
+        assert work == {"iterations": 200, "converged": False}
+        unit = baselines._pow2_above(np.trace(s) / 16)
+        *_, (_, cp) = _em_iterates(s / unit, 32, 200, 1e-7, 1e-10)
+        assert np.array_equal(out, cp * unit)
+
+    def test_work_reports_iterations_at_max_iter(self, monkeypatch):
+        monkeypatch.setattr(baselines, "_EM_MAX_ITER", 7)
+        s = sample(ProcessSpec("ar", 16, a=(0.5,), sigma2=0.64), 8, 500).scm
+        work = {}
+        out = em_toeplitz(s, work=work)
         assert work == {"iterations": 7, "converged": False}
-        assert np.array_equal(out, em_toeplitz(s, max_iter=7))
+        assert np.array_equal(out, em_toeplitz(s))
 
     def test_work_reports_convergence(self):
+        """White data at its own mean variance is the flat spectrum's block,
+        so the first update changes nothing."""
         work = {}
-        em_toeplitz(np.eye(5), g=5, max_iter=4, work=work)
+        em_toeplitz(np.eye(5), work=work)
         assert work == {"iterations": 1, "converged": True}
 
-    def test_large_dimension_structure(self):
+    def test_large_dimension_structure(self, monkeypatch):
         p = 1024
         s = sample_cov(np.random.default_rng(6).normal(size=(4, p)))
         *_, (spec, cp) = _em_iterates(s, 2 * p, 3, 1e-7, 1e-10)
         assert spec.min() >= 0.0
-        out = em_toeplitz(s, max_iter=3)
+        monkeypatch.setattr(baselines, "_EM_MAX_ITER", 3)
+        out = em_toeplitz(s)
         assert np.array_equal(out, cp)
         assert np.array_equal(out[1:, 1:], out[:-1, :-1])  # Toeplitz
         assert np.array_equal(out, out.T)

@@ -175,11 +175,13 @@ class TestRunBenchmark:
         ) as fb:
             assert fa.read() == fb.read()
 
-    def test_parallel_matches_serial(self, tmp_path):
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
         cfg = config_from_sections(parse_config(SMOKE_CFG))
-        run_benchmark(cfg, str(tmp_path / "serial"), workers=1)
+        monkeypatch.setenv("TOEPCOV_WORKERS", "1")
+        run_benchmark(cfg, str(tmp_path / "serial"))
+        monkeypatch.setenv("TOEPCOV_WORKERS", "2")
         try:
-            run_benchmark(cfg, str(tmp_path / "parallel"), workers=2)
+            run_benchmark(cfg, str(tmp_path / "parallel"))
         except (OSError, PermissionError) as exc:  # pragma: no cover
             pytest.skip(f"process pool unavailable: {exc}")
         with open(tmp_path / "serial" / "results.csv", "rb") as fa, open(
@@ -627,19 +629,20 @@ class TestCli:
         ) == 0
         assert json.loads(out.read_text())["order"] == 0
 
-    @pytest.mark.parametrize("name, code", [("frob", 0), ("eig", 0), ("pgd", 1), ("pls", 1)])
+    @pytest.mark.parametrize("name, code", [("frob", 0), ("eig", 0), ("pgd", 0), ("pls", 0)])
     def test_one_column_samples(self, tmp_path, capsys, name, code):
-        """At P = 1 white noise is the only order: tuned ``frob`` and ``eig``
-        report order 0, and the boxed ``pgd`` and ``pls`` refuse the
-        dimension."""
+        """At P = 1 white noise is the only order: every tuned GS estimator,
+        the boxed ``pgd`` and ``pls`` in the empty box too, reports order 0
+        with the scale and likelihood of the pinned ``--order 0`` fit."""
         path = tmp_path / "x.csv"
         np.savetxt(path, np.random.default_rng(3).standard_normal((8, 1)), delimiter=",")
-        assert main(["estimate", "--input", str(path), "--estimator", name]) == code
-        captured = capsys.readouterr()
-        if code == 0:
-            assert json.loads(captured.out)["order"] == 0
-        else:
-            assert captured.err == "error: dimension must be at least 2\n"
+        reports = []
+        for pinned in ([], ["--order", "0"]):
+            assert main(["estimate", "--input", str(path), "--estimator", name, *pinned]) == code
+            reports.append(json.loads(capsys.readouterr().out))
+        tuned, white = reports
+        assert tuned["order"] == 0 and tuned["alpha"] == []
+        assert (tuned["alpha0"], tuned["loglik"]) == (white["alpha0"], white["loglik"])
 
     @pytest.mark.parametrize("name", ["eig", "frob", "pgd", "pls"])
     def test_pinned_order_range(self, tmp_path, capsys, name):
@@ -860,16 +863,13 @@ def _icm_cases(dims):
 @pytest.mark.parametrize("name, p", _icm_cases((1, 128)))
 def test_estimate_report_is_the_stdlib_text(name, p, tmp_path):
     """The ``estimate --icm`` report is byte for byte the stdlib's sorted-key
-    JSON of itself, although ``icm_dense`` is written by the matrix writer.
-    At P = 1 white noise is the only order, which the boxed fits take only
-    when pinned."""
+    JSON of itself, although ``icm_dense`` is written by the matrix writer."""
     samples = tmp_path / "x.csv"
     data = sample(ProcessSpec("arma", max(p, 2), a=(0.7,), b=(0.3,), sigma2=0.64), 64, 8)
     np.savetxt(samples, data.samples[:, :p], delimiter=",")
     out = tmp_path / "report.json"
-    pinned = ["--order", "0"] if p == 1 and ESTIMATORS[name].kind == "proposed" else []
     assert main(["estimate", "--input", str(samples), "--estimator", name, "--icm",
-                 "--out", str(out), *pinned]) == 0
+                 "--out", str(out)]) == 0
     text = out.read_text()
     assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
     assert np.shape(json.loads(text)["icm_dense"]) == (p, p)
@@ -967,7 +967,8 @@ def test_scan_totals_reach_results_json(tmp_path, monkeypatch):
         monkeypatch.setitem(ESTIMATORS, name, bracketed(ESTIMATORS[name]))
     cfg = ExperimentConfig(kind="ar", points=((0.5,),), sigma2=0.64, dims=(10,),
                            sample_counts=(16,), estimators=names, runs=3, seed=4)
-    run_benchmark(cfg, str(tmp_path / "with"), workers=1)
+    monkeypatch.setenv("TOEPCOV_WORKERS", "1")
+    run_benchmark(cfg, str(tmp_path / "with"))
     detail = json.loads((tmp_path / "with" / "results.json").read_text())
     reused = pruned = 0
     for i, cell in enumerate(detail["cells"]):
@@ -988,6 +989,6 @@ def test_scan_totals_reach_results_json(tmp_path, monkeypatch):
 
     real_gs_result = bench._gs_result
     monkeypatch.setattr(bench, "_gs_result", without_scan)
-    run_benchmark(cfg, str(tmp_path / "without"), workers=1)
+    run_benchmark(cfg, str(tmp_path / "without"))
     assert "scan" not in json.loads((tmp_path / "without" / "results.json").read_text())["cells"][0]["records"][0]
     assert (tmp_path / "with" / "results.csv").read_bytes() == (tmp_path / "without" / "results.csv").read_bytes()

@@ -167,6 +167,14 @@ class TestBoxSpec:
             assert np.all(spec.k >= 0)
             assert 1.0 - 1e-3 <= box_bound(spec.k) < 1.0
 
+    def test_one_dimension_is_the_empty_box(self):
+        """At P = 1 there is no coefficient to bound: every family's box is
+        empty, certified by ``box_bound([]) = 0``, and keeps its family."""
+        for family in DEFAULT_FAMILIES:
+            spec = box_spec_for(family, 1)
+            assert (spec.dim, spec.k.size, spec.family_id) == (1, 0, family.family_id)
+            assert box_bound(spec.k) == 0.0
+
 
 class TestProjectBox:
     def test_interior_unchanged(self):

@@ -509,6 +509,18 @@ class TestPls:
         assert rep.alpha.alpha0 == pytest.approx(8.0 / np.trace(ctx.scm))
         assert np.all(rep.alpha.alpha_rest == 0.0)
 
+    def test_order_zero_complex_white_noise(self):
+        """Order 0 solves the empty system of the data's dtype: complex data
+        gets complex zero coefficients, the scale of the mean variance, and
+        the white-noise likelihood."""
+        x = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
+        ctx = LikelihoodContext(sample_cov(x), 4)
+        rep = estimate_pls(ctx, box_spec_for(DEFAULT_FAMILIES[1], 8), order=0)
+        assert rep.alpha.alpha0 == pytest.approx(8.0 / np.trace(ctx.scm).real)
+        assert rep.alpha.alpha_rest.dtype == complex and np.all(rep.alpha.alpha_rest == 0.0)
+        assert rep.extras["a_hat"].size == 0 and rep.stationary
+        assert rep.loglik == pytest.approx(white_noise_report(ctx).loglik, rel=1e-12)
+
     def test_matches_normal_equations_oracle(self):
         for _ in range(30):
             p = int(rng.integers(4, 24))
