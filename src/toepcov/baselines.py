@@ -4,12 +4,14 @@ over a circulant embedding, and shrinkage toward structured targets.
 
 Everything Toeplitz or circulant here reads a matrix through its diagonal
 (lag) sums, one O(P^2) pass, and moves between lags and spectra with FFTs;
-only EM is cubic in P: per iteration one LU solve, a Gohberg-Semencul
-pair and two products, each product on half the rows, because the model
-block's persymmetry mirrors the other half, and the pair on the nonzero
-H x H corner of its lower triangular factors.  Banded and tapered
-estimates expose a covariance-only surface; none of the estimators here
-guarantees an invertible result except where noted.
+only EM is cubic in P: per iteration two half-size systems for the first
+column of the model block's inverse, whose centrosymmetry splits the
+order-P solve (one stacked LU of order H = ceil(P/2) for real data, P^3/6
+flops), a Gohberg-Semencul pair and two products, each product on half the
+rows, because the block's persymmetry mirrors the other half, and the pair
+on the nonzero H x H corner of its lower triangular factors.  Banded and
+tapered estimates expose a covariance-only surface; none of the estimators
+here guarantees an invertible result except where noted.
 """
 
 from __future__ import annotations
@@ -153,20 +155,22 @@ def _circular_spectrum(rows, g: int) -> np.ndarray:
     ``E`` placing the P x P matrix ``q`` in the top-left corner: the DFT of
     the lag sums folded modulo G, over G.  ``rows`` is ``q``, or its top
     rows where the caller accounts for the others; entry ``[i, j]`` adds to
-    slot ``(i - j) mod G``, all in one ``bincount``."""
-    slots = _circular_slots(*rows.shape, g)
-    folded = np.bincount(slots, rows.real.ravel(), g)
-    if np.iscomplexobj(rows):
-        folded = folded + 1j * np.bincount(slots, rows.imag.ravel(), g)
-    return np.fft.fft(folded).real / g
+    slot ``(i - j) mod G``, all in one ``bincount``, which for complex
+    entries adds the real and imaginary parts to interleaved slots that
+    read back as one complex array."""
+    parts = 2 if np.iscomplexobj(rows) else 1
+    flat = np.ascontiguousarray(rows).view(rows.real.dtype).ravel()
+    folded = np.bincount(_circular_slots(*rows.shape, g, parts), flat, parts * g)
+    return np.fft.fft(folded.view(complex) if parts == 2 else folded).real / g
 
 
 @lru_cache(maxsize=8)
-def _circular_slots(h: int, p: int, g: int) -> np.ndarray:
+def _circular_slots(h: int, p: int, g: int, parts: int) -> np.ndarray:
     """Slot ``(i - j) mod G`` of each entry ``[i, j]`` of the top ``h`` rows
-    of a P x P matrix, row-major."""
+    of a P x P matrix, row-major; with ``parts = 2`` each entry takes slots
+    ``2 s`` and ``2 s + 1``, for its real and imaginary part."""
     i = np.arange(p)
-    slots = ((i[:h, None] - i) % g).ravel()
+    slots = (((i[:h, None] - i) % g)[..., None] * parts + np.arange(parts)).ravel()
     slots.flags.writeable = False
     return slots
 
@@ -196,6 +200,71 @@ def _relative_change(new, old) -> float:
     return math.sqrt(step @ step) / max(math.sqrt(old @ old), 1e-300)
 
 
+def _half_solver(block, x):
+    """``solve()``, which writes the first column of ``block``'s inverse
+    into ``x`` by systems of half the order (Cantoni & Butler, *Linear
+    Algebra Appl.* 13, 1976).
+
+    ``block`` is Hermitian Toeplitz and is read anew at every call.  The
+    column ``z`` solves ``C z = e_0`` for a real symmetric centrosymmetric C
+    (``J C J = C``, with ``J`` the exchange matrix) of order n: ``block``
+    itself when it is real, with ``z = x``; when it is complex, ``[[Re, -Im],
+    [Im, Re]]`` of it, of order 2P, with ``z`` the real parts of ``x`` over
+    its imaginary parts.  C commutes with J, so ``z`` is the sum of a
+    symmetric solution for ``(e_0 + J e_0) / 2`` and a skew one for ``(e_0 -
+    J e_0) / 2``, whose top ``k = ceil(n/2)`` entries ``a`` and ``b`` solve
+    ``R+ a = r+`` and ``R- b = r-``, the top ``k`` entries of those right
+    sides, with ``R+- = C[:k, :k] +- (C J)[:k, :k]``.  At odd n the middle
+    column belongs to the symmetric half alone, and the skew half, whose
+    middle row and column vanish, takes a unit pivot there, so the middle
+    entry of ``b`` is zero.  Then ``z[:k] = a + b`` and ``z[n-k:] = J (a -
+    b)``, which at odd n both write the middle entry, with the same value.
+
+    Real data stacks the two halves, of order ``ceil(P/2)``, into one LU
+    solve: ``P^3 / 6`` flops, a quarter of the order-P LU's.  For complex
+    data ``R+ = Re(block) - Im(block) J`` and ``R- = J R+ J``, so one real LU
+    of order P solves both, as ``R+ (a, J b) = (r+, J r-)``: a quarter of the
+    flops of a complex LU of the block.  A singular half raises
+    ``LinAlgError``.
+    """
+    p = block.shape[0]
+    if np.iscomplexobj(block):
+        # the top P rows of C reversed are -Im(block) J = Im(block^T) J
+        n, near, far, z_top, z_bottom = 2 * p, block.real, block.T.imag[:, ::-1], x.real, x.imag
+    else:
+        n, near, far, z_top, z_bottom = p, block, block[:, ::-1], x[: p - p // 2], x[p // 2 :]
+    k = n - n // 2
+    near, far = near[:k, :k], far[:k, :k]
+    e = np.eye(n, 1)
+    r_sym, r_skew = (e + e[::-1])[:k] / 2, (e - e[::-1])[:k] / 2
+    if np.iscomplexobj(block):
+        sym, rhs = np.empty((k, k)), np.hstack((r_sym, r_skew[::-1]))
+
+        def solve():
+            np.add(near, far, out=sym)
+            a, jb = np.linalg.solve(sym, rhs).T
+            np.add(a, jb[::-1], out=z_top)
+            np.subtract(a[::-1], jb, out=z_bottom)
+
+        return solve
+    halves, rhs = np.empty((2, k, k)), np.stack((r_sym, r_skew))
+    sym, skew = halves
+    sym_middle, near_middle = sym[:, -1], near[:, -1]
+    z_top, z_bottom = z_top[:, None], z_bottom[::-1, None]
+
+    def solve():
+        np.add(near, far, out=sym)
+        np.subtract(near, far, out=skew)
+        if n % 2:
+            sym_middle[...] = near_middle
+            skew[-1, -1] = 1.0
+        a, b = np.linalg.solve(halves, rhs)
+        np.add(a, b, out=z_top)
+        np.subtract(a, b, out=z_bottom)
+
+    return solve
+
+
 def _em_iterates(scm, g: int, max_iter: int, tol: float, ridge: float):
     """Yield (spectrum, covariance-block) per EM iteration.
 
@@ -209,18 +278,29 @@ def _em_iterates(scm, g: int, max_iter: int, tol: float, ridge: float):
     ``H`` mirror those above, so the spectrum of ``M`` is twice that of its
     top rows, the middle row of odd P weighted by one half (exactly).
 
-    The products take ``P^3 / 2`` multiply-adds for the Gohberg-Semencul
-    pair, which reads only the first ``H`` columns of its lower triangular
-    factors, and ``P^3`` for the two E-step products: ``3 P^3`` flops per
-    iteration.  They go into arrays allocated once per fit; every yielded
-    spectrum and block is a new array.
+    The first column of ``cp^-1`` comes from two half-size systems
+    (:func:`_half_solver`): for real data one stacked LU of two blocks of
+    order H, ``P^3 / 6`` flops against ``2 P^3 / 3`` for the order-P LU, and
+    for complex data one real LU of order P.  The products take ``P^3 / 2``
+    multiply-adds for the Gohberg-Semencul pair, which reads only the first
+    ``H`` columns of its lower triangular factors, and ``P^3`` for the two
+    E-step products: ``3 P^3`` flops per iteration.  They go into arrays
+    allocated once per fit; every yielded spectrum and block is a new
+    array, the block a copy of a Toeplitz view on the lags each iteration
+    writes, bit for bit the block of :func:`_circulant_block`.
     """
     scm = np.asarray(scm)
     p = scm.shape[0]
     h = (p + 1) // 2
     real = not np.iscomplexobj(scm)
     scale = float(np.real(np.trace(scm))) / p
-    e0 = np.eye(p, 1).ravel()
+    dtype = np.result_type(scm.dtype, np.float64)
+    # each iteration writes the block's lags -(P-1) .. P-1 into `lags`, which
+    # `block` reads as a Toeplitz matrix: the view `toeplitz_from_lags` copies
+    lags = np.zeros(2 * p - 1, dtype)
+    step = lags.itemsize
+    block = np.ndarray((p, p), dtype, lags, (p - 1) * step, (step, -step))
+    nonneg, positive, negative = lags[p - 1 :], lags[p:], lags[: p - 1][::-1]
     # cp^-1 by Gohberg-Semencul from its first column x: (L(x) L(x)^H -
     # L(y) L(y)^H) / x_0 with y = (0, conj x_{P-1}, ..., conj x_1), the
     # factors of gs_factor_b and gs_factor_z.  Both are strided views on one
@@ -234,27 +314,34 @@ def _em_iterates(scm, g: int, max_iter: int, tol: float, ridge: float):
     # rows of the pair are formed, each factor's H x H corner times its
     # first H columns, since the factors are zero above the diagonal; the
     # rest of `cp_inv` is their flipped conjugate.
-    gs = np.zeros(3 * p - 1, np.result_type(scm.dtype, np.float64))
-    step = gs.itemsize
-    lower = np.ndarray((p, p), gs.dtype, gs, (p - 1) * step, (step, -step))
-    mirror = np.ndarray((p, p), gs.dtype, gs, (2 * p - 1) * step, (-step, step))
-    cp_inv = np.empty((p, p), gs.dtype)
+    gs = np.zeros(3 * p - 1, dtype)
+    x = gs[p - 1 : 2 * p - 1]
+    solve = _half_solver(block, x)
+    lower = np.ndarray((p, p), dtype, gs, (p - 1) * step, (step, -step))
+    mirror = np.ndarray((p, p), dtype, gs, (2 * p - 1) * step, (-step, step))
+    cp_inv = np.empty((p, p), dtype)
     top_inv, bottom_inv, flipped = cp_inv[:h], cp_inv[h:], cp_inv[: p - h][::-1, ::-1]
     lower_corner, lower_cols = lower[:h, :h], lower[:, :h]
     mirror_corner, mirror_cols = mirror[:h, :h], mirror[:, :h]
-    pair, diff, half, top = (np.empty(shape, gs.dtype) for shape in ((h, p), (p, p), (h, p), (h, p)))
+    pair, diff, half, top = (np.empty(shape, dtype) for shape in ((h, p), (p, p), (h, p), (h, p)))
+    # the E-step spectrum is _circular_spectrum's fold of `top`, with its
+    # slots and flat view bound once per fit and the factor 2 in its scale
+    parts = 1 if real else 2
+    slots, top_flat, width = _circular_slots(h, p, g, parts), top.view(float).ravel(), parts * g
     sbar = (scm + scm[::-1, ::-1].conj()) / 2
     # the embedded SCM pads the unobserved diagonal with the mean variance
     spec = np.maximum(_circular_spectrum(scm, g) + (g - p) * scale / g, 0.0)
     for _ in range(max_iter):
-        cp = _circulant_block(spec, p, real)
+        col = np.fft.ifft(spec)[:p]
+        nonneg[...] = col.real if real else col
+        np.conjugate(positive, out=negative)
         try:
-            x = np.linalg.solve(cp, e0)
+            solve()
         except np.linalg.LinAlgError:
-            cp = cp + ridge * scale * np.eye(p)
-            x = np.linalg.solve(cp, e0)
+            lags[p - 1] += ridge * scale
+            solve()
+        cp = block.copy()
         yield spec, cp
-        gs[p - 1 : 2 * p - 1] = x
         np.matmul(lower_corner, lower_cols.conj().T, out=top_inv)
         np.matmul(mirror_corner, mirror_cols.conj().T, out=pair)
         np.subtract(top_inv, pair.conj(), out=top_inv)
@@ -268,8 +355,11 @@ def _em_iterates(scm, g: int, max_iter: int, tol: float, ridge: float):
         np.matmul(half, cp_inv, out=top)
         if p % 2:
             top[-1] *= 0.5
-        new_spec = spec + spec**2 * (2 * _circular_spectrum(top, g))
-        new_spec = np.maximum(new_spec, 0.0)
+        folded = np.bincount(slots, top_flat, width).view(dtype)
+        new_spec = np.fft.fft(folded).real / (g / 2)
+        new_spec *= spec**2
+        new_spec += spec
+        np.maximum(new_spec, 0.0, out=new_spec)
         change = _relative_change(new_spec, spec)
         spec = new_spec
         if change < tol:
@@ -290,8 +380,11 @@ def em_toeplitz(scm, *, work: dict | None = None) -> np.ndarray:
     stopping early below a relative change of 1e-7.  That almost never
     happens (all 200 fits of the criterion-10 benchmark ran the full 200
     iterations), so the cap, not convergence, sets the estimate: the
-    upper-left P x P covariance block.  An iteration costs one LU solve for
-    the first column of the model block's inverse, a Gohberg-Semencul
+    upper-left P x P covariance block.  An iteration costs two half-size
+    systems for the first column of the model block's inverse (the block is
+    centrosymmetric, so the order-P solve splits into an even and an odd
+    half: one stacked LU of order ``ceil(P/2)``, ``P^3 / 6`` flops, for real
+    data, and one real LU of order P for complex data), a Gohberg-Semencul
     product that assembles the inverse from it, two products for the E-step
     and FFTs of lag sums; the solve and the products are cubic in P.  The
     block is persymmetric, and so are its inverse and the E-step matrix once
@@ -335,30 +428,43 @@ def _shrink_target(scm, target: str) -> np.ndarray:
     raise ValueError(f"unknown shrinkage target {target!r}; known: avg, const")
 
 
-def shrink_coefficient(scm, target: str, samples) -> float:
-    """Plug-in convex weight: estimated SCM variance over squared bias.
-
-    Uses the unbiased per-entry sampling variance of the SCM; with a single
-    sample the variance is not estimable and the weight defaults to one.
-    The weight is scale-free, so it is computed at unit scale, where no
-    fourth power overflows or underflows.
-    """
+def _shrink_weight(scm, t, samples) -> float:
+    """:func:`shrink_coefficient` toward the built target ``t``.  The weight
+    is scale-free, so it is computed at unit scale, where no fourth power
+    overflows or underflows: the samples over a power of two, and the SCM
+    and ``S - t`` over its square, divisions that are exact.  ``S - t`` is
+    formed at data scale, where it cannot overflow: for both targets no
+    entry of it exceeds the trace of S, finite for the SCM of finite data."""
     x = np.atleast_2d(np.asarray(samples))
     n = x.shape[0]
     if n < 2:
         return 1.0
     unit = _pow2_above(np.abs(x).max())
-    x, scm = x / unit, np.asarray(scm) / unit / unit  # unit**2 may underflow
-    t = _shrink_target(scm, target)
+    # two divisions, since unit**2 may underflow, in place on one P x P array
+    x, s = x / unit, np.divide(scm, unit)
+    s /= unit
     # sum over samples of ||x x^H - S||_F^2, expanded so that no P x P outer
     # product is formed: ||x||^4 - 2 Re x^H S x + ||S||_F^2
     sq = np.sum(np.abs(x) ** 2, axis=1)
-    quad = np.sum((np.conj(x) @ scm) * x, axis=1).real
-    num = (np.sum(sq**2) - 2.0 * np.sum(quad) + n * np.linalg.norm(scm) ** 2) / (n * (n - 1))
-    den = np.linalg.norm(scm - t) ** 2
+    quad = np.sum((np.conj(x) @ s) * x, axis=1).real
+    num = (np.sum(sq**2) - 2.0 * np.sum(quad) + n * np.linalg.norm(s) ** 2) / (n * (n - 1))
+    diff = np.subtract(scm, t, out=s)
+    diff /= unit
+    diff /= unit
+    den = np.linalg.norm(diff) ** 2
     if den <= 0:
         return 1.0
     return float(np.clip(num / den, 0.0, 1.0))
+
+
+def shrink_coefficient(scm, target: str, samples) -> float:
+    """Plug-in convex weight: estimated SCM variance over squared bias.
+
+    Uses the unbiased per-entry sampling variance of the SCM; with a single
+    sample the variance is not estimable and the weight defaults to one.
+    """
+    scm = np.asarray(scm)
+    return _shrink_weight(scm, _shrink_target(scm, target), samples)
 
 
 def shrink(scm, target: str, rho: float) -> np.ndarray:
@@ -374,3 +480,14 @@ def shrink(scm, target: str, rho: float) -> np.ndarray:
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"shrinkage weight must lie in [0, 1], got {rho}")
     return (1.0 - rho) * scm + rho * t
+
+
+def _plugin_shrink(scm, target: str, samples) -> tuple[np.ndarray, float]:
+    """:func:`shrink` at :func:`shrink_coefficient`'s weight, with the target
+    built once for both: the estimate and its weight."""
+    scm = np.asarray(scm)
+    t = _shrink_target(scm, target)
+    rho = _shrink_weight(scm, t, samples)
+    est = (1.0 - rho) * scm
+    est += np.multiply(t, rho, out=t)
+    return est, rho

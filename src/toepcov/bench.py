@@ -156,8 +156,8 @@ def _em(data):
 
 def _shrink(target, data):
     """Shrinkage toward ``target`` at the plug-in weight, which it records."""
-    rho = baselines.shrink_coefficient(data.scm, target, data.samples)
-    return baselines.shrink(data.scm, target, rho), {"rho": rho}
+    est, rho = baselines._plugin_shrink(data.scm, target, data.samples)
+    return est, {"rho": rho}
 
 
 # Entries reach the estimators through module-level names at call time, so
@@ -172,8 +172,8 @@ ESTIMATORS = {
         _baseline("tapering", False, "linear in dim times bandwidth", *_banded("tapering")),
         _baseline("circ", True, "quadratic (lag sums and FFT)",
                   lambda d: (baselines.circulant_mle(d.scm), {})),
-        _baseline("em", True, "cubic per iteration (one LU solve, 3P^3 flops of GS and E-step products)",
-                  _em),
+        _baseline("em", True, "cubic per iteration (two half-size LU systems, P^3/6 flops for real data, "
+                  "and 3P^3 flops of GS and E-step products)", _em),
         _baseline("shrink_avg", False, "cubic (target build dominates)", partial(_shrink, "avg")),
         _baseline("shrink_const", True, "quadratic", partial(_shrink, "const")),
         # one eig Newton iteration: one Cholesky factorization of the P-square

@@ -402,10 +402,14 @@ class TestEmToeplitz:
     def test_no_general_inverse(self, monkeypatch):
         """Each iteration inverts its block from exactly one LU solve, plus
         one per ridge retry, and the Gohberg-Semencul formula, never with a
-        general inverse or a Cholesky factor.  The rank-one SCM at G = P is
-        the singular block of the ridge test, where every solve retries; it
-        stops at once unless ``tol`` is 0, and ``em_toeplitz`` has no
-        ``G = P``, so it runs through the iterates.  The cap is cut to 20."""
+        general inverse or a Cholesky factor.  The solve is the half-size
+        route: for real data a stack of two real blocks of order ceil(P/2),
+        for complex data one real block of order P with two right sides, so
+        the order-P solve of the block itself fails here.  The rank-one SCM
+        at G = P is the singular block of the ridge test, where every solve
+        retries; it stops at once unless ``tol`` is 0, and ``em_toeplitz``
+        has no ``G = P``, so it runs through the iterates.  The cap is cut
+        to 20."""
         def refuse(name):
             def call(*args, **kwargs):
                 raise AssertionError(f"EM called np.linalg.{name}")
@@ -416,7 +420,7 @@ class TestEmToeplitz:
         real_solve = np.linalg.solve
 
         def solve(a, b):
-            solves.append(a)
+            solves.append((a.dtype, a.shape, b.shape))
             try:
                 return real_solve(a, b)
             except np.linalg.LinAlgError:
@@ -430,11 +434,59 @@ class TestEmToeplitz:
         work = {}
         out = em_toeplitz(ar, work=work)
         assert work["iterations"] == 20 and np.isfinite(out).all()
-        assert len(solves) == 20 and not retries
+        assert solves == [(np.float64, (2, 16, 16), (2, 16, 1))] * 20 and not retries
+        solves.clear()
+        out = em_toeplitz(random_scm(32, 8, True, 11), work=work)
+        assert work["iterations"] == 20 and np.isfinite(out).all()
+        assert solves == [(np.float64, (32, 32), (32, 2))] * 20 and not retries
         solves.clear()
         *iterates, (_, out) = _em_iterates(np.ones((4, 4)), 4, 20, 0.0, 1e-10)
         assert len(iterates) == 20 and np.isfinite(out).all()
         assert len(solves) == 20 + len(retries) and retries
+        assert {shape for _, shape, _ in solves} == {(2, 2, 2)}
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_half_solver_matches_full_solve(self, complex_data):
+        """The half-size route gives the first column of the block's inverse
+        that an LU solve of the whole block gives, at every P from 1 to 20
+        and at P = 63, 64, 127, 128, 129, odd and even orders alike.  The
+        blocks are circulant model blocks of spectra over several orders of
+        magnitude.  Bound: both routes are backward-stable LU solves, whose
+        forward errors are at most about P * cond * eps each."""
+        local = np.random.default_rng(31)
+        eps = np.finfo(float).eps
+        kappas = []
+        for p in [*range(1, 21), 63, 64, 127, 128, 129]:
+            for power in (1.0, 4.0):
+                spec = local.exponential(size=2 * p) ** power
+                cp = _circulant_block(spec, p, not complex_data)
+                x = np.empty(p, cp.dtype)
+                baselines._half_solver(cp, x)()
+                want = np.linalg.solve(cp, np.eye(p, 1).ravel())
+                kappa = np.linalg.cond(cp)
+                assert rel_err(x, want) <= p * kappa * eps
+                kappas.append(kappa)
+        assert max(kappas) > 1e4
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    @pytest.mark.parametrize("p", [3, 4, 8, 9])
+    def test_half_solver_rank_one_block_raises(self, monkeypatch, p, complex_data):
+        """The rank-one block ``ones`` makes every half singular (for complex
+        data both halves are the one real block ``ones``), so the solve
+        raises ``LinAlgError`` and the ridge retry of the iterates runs."""
+        block = np.ones((p, p), complex if complex_data else float)
+        halves = []
+        real_solve = np.linalg.solve
+
+        def solve(a, b):
+            halves.extend(a if a.ndim == 3 else [a])
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        with pytest.raises(np.linalg.LinAlgError):
+            baselines._half_solver(block, np.empty(p, block.dtype))()
+        assert len(halves) == (1 if complex_data else 2)
+        assert all(np.linalg.matrix_rank(half) < half.shape[0] for half in halves)
 
     @pytest.mark.parametrize("complex_data", [False, True])
     def test_yielded_blocks_are_not_overwritten(self, complex_data):
@@ -576,6 +628,27 @@ class TestShrink:
     def test_bad_rho_rejected(self):
         with pytest.raises(ValueError):
             shrink(np.eye(3), "const", rho=1.5)
+
+    @pytest.mark.parametrize("target", ["avg", "const"])
+    def test_registry_builds_the_target_once(self, monkeypatch, target):
+        """A registry fit builds its target once, and returns bit for bit
+        ``shrink`` at ``shrink_coefficient``'s weight, which build it once
+        each."""
+        data = sample(ProcessSpec("arma", 12, a=(0.7,), b=(0.3,), sigma2=0.64), 32, 4)
+        rho = shrink_coefficient(data.scm, target, data.samples)
+        want = shrink(data.scm, target, rho)
+        builds = []
+        real_target = baselines._shrink_target
+
+        def counted(scm, name):
+            builds.append(name)
+            return real_target(scm, name)
+
+        monkeypatch.setattr(baselines, "_shrink_target", counted)
+        cm, _, meta, _ = ESTIMATORS[f"shrink_{target}"].fit(data)
+        assert builds == [target]
+        assert meta["rho"] == rho and 0.0 < rho < 1.0
+        assert np.array_equal(cm, want)
 
 
 SCALE_DATA = sample(ProcessSpec("arma", 12, a=(0.7,), b=(0.3,), sigma2=0.64), 16, 2)
