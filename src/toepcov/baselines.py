@@ -3,15 +3,17 @@ tapering with cross-validated bandwidth, circulant maximum likelihood, EM
 over a circulant embedding, and shrinkage toward structured targets.
 
 Everything Toeplitz or circulant here reads a matrix through its diagonal
-(lag) sums, one O(P^2) pass, and moves between lags and spectra with FFTs;
-only EM is cubic in P: per iteration two half-size systems for the first
-column of the model block's inverse, whose centrosymmetry splits the
-order-P solve (one stacked LU of order H = ceil(P/2) for real data, P^3/6
-flops), a Gohberg-Semencul pair and two products, each product on half the
-rows, because the block's persymmetry mirrors the other half, and the pair
-on the nonzero H x H corner of its lower triangular factors.  Banded and
-tapered estimates expose a covariance-only surface; none of the estimators
-here guarantees an invertible result except where noted.
+(lag) sums, one O(P^2) pass, and moves between lags and spectra with FFTs,
+or, inside an EM iteration, with two real products built once per fit;
+only EM is cubic in P.  Its model block is centrosymmetric, so an
+iteration works in the block's even and odd halves: two half-size systems
+for the first column of the block's inverse (one stacked LU of order
+H = ceil(P/2) for real data, P^3/6 flops), a Gohberg-Semencul pair on the
+top H rows, because the block's persymmetry mirrors the other half, and on
+the nonzero H x H corner of its lower triangular factors, and an E-step of
+two products on the halves (two stacked blocks of order H for real data).
+Banded and tapered estimates expose a covariance-only surface; none of the
+estimators here guarantees an invertible result except where noted.
 """
 
 from __future__ import annotations
@@ -176,9 +178,13 @@ def _circular_slots(h: int, p: int, g: int, parts: int) -> np.ndarray:
 
 
 def _circulant_block(spec, p: int, real: bool) -> np.ndarray:
-    """Top-left P x P block of the circulant with eigenvalues ``spec``."""
+    """Top-left P x P block of the circulant with eigenvalues ``spec``,
+    exactly Hermitian: lag 0 of a real spectrum is real."""
     col = np.fft.ifft(spec)[:p]
-    col = col.real if real else col
+    if real:
+        col = col.real
+    else:
+        col[0] = col[0].real
     return toeplitz_from_lags(np.concatenate((np.conj(col[:0:-1]), col)))
 
 
@@ -191,8 +197,19 @@ def circulant_mle(scm) -> np.ndarray:
     """
     scm = np.asarray(scm)
     p = scm.shape[0]
+    return _circulant_block(np.maximum(_circular_spectrum(scm, p), 0.0), p, not np.iscomplexobj(scm))
+
+
+def _circulant_precision(scm) -> np.ndarray:
+    """Inverse of :func:`circulant_mle`: it embeds at G = P, so its estimate
+    is a circulant, whose inverse is the circulant of the reciprocal
+    spectrum; O(P^2).  A zero in the spectrum raises ``LinAlgError``."""
+    scm = np.asarray(scm)
+    p = scm.shape[0]
     spec = np.maximum(_circular_spectrum(scm, p), 0.0)
-    return _circulant_block(spec, p, not np.iscomplexobj(scm))
+    if not spec.all():
+        raise np.linalg.LinAlgError("the circulant estimate is singular")
+    return _circulant_block(1.0 / spec, p, not np.iscomplexobj(scm))
 
 
 def _relative_change(new, old) -> float:
@@ -200,94 +217,172 @@ def _relative_change(new, old) -> float:
     return math.sqrt(step @ step) / max(math.sqrt(old @ old), 1e-300)
 
 
-def _half_solver(block, x):
-    """``solve()``, which writes the first column of ``block``'s inverse
-    into ``x`` by systems of half the order (Cantoni & Butler, *Linear
-    Algebra Appl.* 13, 1976).
+def _centro_split(block):
+    """``(split, halves)``: ``split()`` writes into ``halves`` the even and
+    odd halves of the real symmetric centrosymmetric form C of the Hermitian
+    Toeplitz (or any persymmetric Hermitian) ``block``, read anew at every
+    call (Cantoni & Butler, *Linear Algebra Appl.* 13, 1976).
 
-    ``block`` is Hermitian Toeplitz and is read anew at every call.  The
-    column ``z`` solves ``C z = e_0`` for a real symmetric centrosymmetric C
-    (``J C J = C``, with ``J`` the exchange matrix) of order n: ``block``
-    itself when it is real, with ``z = x``; when it is complex, ``[[Re, -Im],
-    [Im, Re]]`` of it, of order 2P, with ``z`` the real parts of ``x`` over
-    its imaginary parts.  C commutes with J, so ``z`` is the sum of a
-    symmetric solution for ``(e_0 + J e_0) / 2`` and a skew one for ``(e_0 -
-    J e_0) / 2``, whose top ``k = ceil(n/2)`` entries ``a`` and ``b`` solve
-    ``R+ a = r+`` and ``R- b = r-``, the top ``k`` entries of those right
-    sides, with ``R+- = C[:k, :k] +- (C J)[:k, :k]``.  At odd n the middle
-    column belongs to the symmetric half alone, and the skew half, whose
-    middle row and column vanish, takes a unit pivot there, so the middle
-    entry of ``b`` is zero.  Then ``z[:k] = a + b`` and ``z[n-k:] = J (a -
-    b)``, which at odd n both write the middle entry, with the same value.
-
-    Real data stacks the two halves, of order ``ceil(P/2)``, into one LU
-    solve: ``P^3 / 6`` flops, a quarter of the order-P LU's.  For complex
-    data ``R+ = Re(block) - Im(block) J`` and ``R- = J R+ J``, so one real LU
-    of order P solves both, as ``R+ (a, J b) = (r+, J r-)``: a quarter of the
-    flops of a complex LU of the block.  A singular half raises
-    ``LinAlgError``.
+    C is ``block`` itself when it is real, and ``[[Re, -Im], [Im, Re]]`` of
+    it, of order 2P, when it is complex.  C commutes with the exchange
+    matrix J, so it acts on symmetric vectors ``(u, J u)`` through ``R+ =
+    C[:k, :k] + (C J)[:k, :k]`` and on skew ones ``(u, -J u)`` through ``R-
+    = C[:k, :k] - (C J)[:k, :k]``, with ``k = ceil(n/2)`` and n the order of
+    C; a product of such matrices has the product of their halves.  At odd
+    n the middle column belongs to the symmetric half alone, and the skew
+    half, whose middle row and column vanish, takes a unit pivot there.
+    For real data ``halves`` stacks R+ and R-, of order ``ceil(P/2)``; for
+    complex data it holds R+ = ``Re(block) - Im(block) J`` alone, of order
+    P, since ``R- = J R+ J``.
     """
     p = block.shape[0]
     if np.iscomplexobj(block):
-        # the top P rows of C reversed are -Im(block) J = Im(block^T) J
-        n, near, far, z_top, z_bottom = 2 * p, block.real, block.T.imag[:, ::-1], x.real, x.imag
-    else:
-        n, near, far, z_top, z_bottom = p, block, block[:, ::-1], x[: p - p // 2], x[p // 2 :]
-    k = n - n // 2
-    near, far = near[:k, :k], far[:k, :k]
+        # the top P rows of C J are -Im(block) J = Im(block^T) J
+        near, far, halves = block.real, block.T.imag[:, ::-1], np.empty((1, p, p))
+
+        def split():
+            np.add(near, far, out=halves[0])
+
+        return split, halves
+    k = p - p // 2
+    near, far, halves = block[:k, :k], block[:, ::-1][:k, :k], np.empty((2, k, k))
+    sym, skew = halves
+
+    def split():
+        np.add(near, far, out=sym)
+        np.subtract(near, far, out=skew)
+        if p % 2:
+            sym[:, -1] = near[:, -1]
+            skew[-1, -1] = 1.0
+
+    return split, halves
+
+
+def _half_solver(block, x):
+    """``solve()``, which writes the first column of ``block``'s inverse
+    into ``x`` by systems of half the order and returns the halves of
+    :func:`_centro_split` it solved.
+
+    The column ``z`` solves ``C z = e_0``, with ``z = x`` for real data and
+    the real parts of ``x`` over its imaginary parts for complex data.  It
+    is the sum of a symmetric solution for ``(e_0 + J e_0) / 2`` and a skew
+    one for ``(e_0 - J e_0) / 2``, whose top k entries ``a`` and ``b`` solve
+    ``R+ a = r+`` and ``R- b = r-``, the top k entries of those right sides;
+    at odd n the unit pivot makes the middle entry of ``b`` zero.  Then
+    ``z[:k] = a + b`` and ``z[n-k:] = J (a - b)``, which at odd n both write
+    the middle entry, with the same value.
+
+    Real data stacks the two halves, of order ``ceil(P/2)``, into one LU
+    solve: ``P^3 / 6`` flops, a quarter of the order-P LU's.  For complex
+    data one real LU of order P solves both, as ``R+ (a, J b) = (r+, J
+    r-)``: a quarter of the flops of a complex LU of the block.  A singular
+    half raises ``LinAlgError``.
+    """
+    p = block.shape[0]
+    split, halves = _centro_split(block)
+    n, k = 2 * p if np.iscomplexobj(block) else p, halves.shape[-1]
     e = np.eye(n, 1)
     r_sym, r_skew = (e + e[::-1])[:k] / 2, (e - e[::-1])[:k] / 2
     if np.iscomplexobj(block):
-        sym, rhs = np.empty((k, k)), np.hstack((r_sym, r_skew[::-1]))
+        sym, rhs, z_top, z_bottom = halves[0], np.hstack((r_sym, r_skew[::-1])), x.real, x.imag
 
         def solve():
-            np.add(near, far, out=sym)
+            split()
             a, jb = np.linalg.solve(sym, rhs).T
             np.add(a, jb[::-1], out=z_top)
             np.subtract(a[::-1], jb, out=z_bottom)
+            return halves
 
         return solve
-    halves, rhs = np.empty((2, k, k)), np.stack((r_sym, r_skew))
-    sym, skew = halves
-    sym_middle, near_middle = sym[:, -1], near[:, -1]
-    z_top, z_bottom = z_top[:, None], z_bottom[::-1, None]
+    rhs, z_top, z_bottom = np.stack((r_sym, r_skew)), x[:k, None], x[p // 2 :][::-1, None]
 
     def solve():
-        np.add(near, far, out=sym)
-        np.subtract(near, far, out=skew)
-        if n % 2:
-            sym_middle[...] = near_middle
-            skew[-1, -1] = 1.0
+        split()
         a, b = np.linalg.solve(halves, rhs)
         np.add(a, b, out=z_top)
         np.subtract(a, b, out=z_bottom)
+        return halves
 
     return solve
+
+
+def _turns(a, b, g: int) -> np.ndarray:
+    """``2 pi (a b mod G) / G``: the integer product is reduced modulo G
+    before it becomes an angle, so that large products lose no digits of
+    the cosine."""
+    return 2.0 * np.pi * (np.multiply.outer(a, b) % g) / g
+
+
+@lru_cache(maxsize=8)
+def _em_operators(p: int, g: int, real: bool):
+    """``(to_lags, width, slots, to_spec, mirror)``: the real products that
+    stand in for the FFTs of an EM iteration at order P and embedding G.
+
+    ``to_lags @ spec[:width]`` is the block's lags 0..P-1, the first P
+    entries of the inverse DFT of the spectrum, as reals, or as interleaved
+    real and imaginary parts.  ``slots`` folds the E-step's ``(2, H, k)``
+    array ``wide`` (see :func:`_em_iterates`) into lag sums modulo G, in one
+    ``bincount``, and ``(to_spec @ folded)[mirror]`` is the new spectrum's
+    E-step term, the real part of their DFT over G.  Real data has an even
+    spectrum, so both products act on its ``G//2 + 1`` half and the slots
+    fold lag ``s`` onto ``G - s``; complex data takes the cosine and sine
+    pair of the full spectrum.  Only slots that some entry reaches get a
+    column.  P^2 + P G/2 multiply-adds for real data; the FFTs they replace
+    cost two numpy calls, most of an iteration at P = 16.
+    """
+    h = (p + 1) // 2
+    k = h if real else p
+    i, j = np.arange(h)[:, None], np.arange(k)
+    # wide[0][i, j] sits at lag i - j, wide[1][i, j] at lag i - (P - 1 - j)
+    lags = np.stack(((i - j) % g, (i + j + 1 - p) % g))
+    if real:
+        freqs, ids = np.arange(g // 2 + 1), 2 * np.minimum(lags, g - lags)
+        weights = np.where((freqs > 0) & (2 * freqs != g), 2.0, 1.0) / g
+        to_lags = weights * np.cos(_turns(np.arange(p), freqs, g))
+    else:
+        freqs, ids = np.arange(g), 2 * lags + np.arange(2)[:, None, None]
+        angles = _turns(np.arange(p), freqs, g)
+        to_lags = np.stack((np.cos(angles), np.sin(angles)), axis=1).reshape(2 * p, g) / g
+    used, slots = np.unique(ids, return_inverse=True)
+    # wide[1] carries -2 Im(M) of the E-step matrix M for complex data
+    angles = _turns(freqs, used // 2, g)
+    to_spec = np.where(used % 2, -np.sin(angles), np.cos(angles)) / g
+    mirror = np.minimum(np.arange(g), g - np.arange(g)) if real else np.arange(g)
+    ops = to_lags, len(freqs), slots.ravel(), to_spec, mirror
+    for op in ops[:1] + ops[2:]:
+        op.flags.writeable = False
+    return ops
 
 
 def _em_iterates(scm, g: int, max_iter: int, tol: float, ridge: float):
     """Yield (spectrum, covariance-block) per EM iteration.
 
-    Each iteration does its dense work on the top ``H = ceil(P/2)`` rows.
+    Each iteration works in the even and odd halves of :func:`_centro_split`.
     The model block ``cp`` is Hermitian Toeplitz, so it and its inverse are
     persymmetric: ``J conj(cp^-1) J = cp^-1`` with ``J`` the exchange matrix.
     A circular spectrum is the real part of a DFT of lag sums, which does
     not change under ``M -> J conj(M) J``; so the E-step may read the data
     through ``sbar = (S + J conj(S) J) / 2``, and then its matrix
     ``M = cp^-1 (sbar - cp) cp^-1`` is persymmetric too.  Its rows below
-    ``H`` mirror those above, so the spectrum of ``M`` is twice that of its
-    top rows, the middle row of odd P weighted by one half (exactly).
+    ``H = ceil(P/2)`` mirror those above, so the spectrum of ``M`` is twice
+    that of its top rows, the middle row of odd P weighted by one half.
 
     The first column of ``cp^-1`` comes from two half-size systems
-    (:func:`_half_solver`): for real data one stacked LU of two blocks of
-    order H, ``P^3 / 6`` flops against ``2 P^3 / 3`` for the order-P LU, and
-    for complex data one real LU of order P.  The products take ``P^3 / 2``
-    multiply-adds for the Gohberg-Semencul pair, which reads only the first
-    ``H`` columns of its lower triangular factors, and ``P^3`` for the two
-    E-step products: ``3 P^3`` flops per iteration.  They go into arrays
-    allocated once per fit; every yielded spectrum and block is a new
-    array, the block a copy of a Toeplitz view on the lags each iteration
-    writes, bit for bit the block of :func:`_circulant_block`.
+    (:func:`_half_solver`), and the top H rows of ``cp^-1`` from it by
+    Gohberg-Semencul: ``P^3 / 2`` multiply-adds, since the pair reads only
+    the first H columns of its lower triangular factors.  Those rows give
+    the halves ``A+-`` of ``cp^-1``, the solver's halves of ``cp`` and of
+    ``sbar`` those of ``D = sbar - cp``, and ``M+- = A+- D+- A+-`` those of
+    ``M``: for real data two blocks of order H in one stacked pair of
+    products, ``P^3 / 2`` multiply-adds, and for complex data one real
+    block of order P (``M- = J M+ J``), ``2 P^3``.  The top rows of ``M``
+    are ``M+ + M-`` and ``M+ - M-`` reversed, which ``wide`` holds side by
+    side.  The lags of the block and the new spectrum come from the two
+    real products of :func:`_em_operators`, so an iteration calls no FFT.
+    Everything goes into arrays allocated once per fit; every yielded
+    spectrum and block is a new array, the block a copy of a Toeplitz view
+    on the lags each iteration writes.  The start spectrum and the last
+    block come from :func:`_circular_spectrum` and :func:`_circulant_block`.
     """
     scm = np.asarray(scm)
     p = scm.shape[0]
@@ -295,68 +390,87 @@ def _em_iterates(scm, g: int, max_iter: int, tol: float, ridge: float):
     real = not np.iscomplexobj(scm)
     scale = float(np.real(np.trace(scm))) / p
     dtype = np.result_type(scm.dtype, np.float64)
+    to_lags, width, slots, to_spec, mirror = _em_operators(p, g, real)
     # each iteration writes the block's lags -(P-1) .. P-1 into `lags`, which
     # `block` reads as a Toeplitz matrix: the view `toeplitz_from_lags` copies
     lags = np.zeros(2 * p - 1, dtype)
     step = lags.itemsize
     block = np.ndarray((p, p), dtype, lags, (p - 1) * step, (step, -step))
     nonneg, positive, negative = lags[p - 1 :], lags[p:], lags[: p - 1][::-1]
+    nonneg_real = nonneg.view(float)
     # cp^-1 by Gohberg-Semencul from its first column x: (L(x) L(x)^H -
     # L(y) L(y)^H) / x_0 with y = (0, conj x_{P-1}, ..., conj x_1), the
     # factors of gs_factor_b and gs_factor_z.  Both are strided views on one
-    # buffer [0 (P-1), x, 0 (P)]: `lower` reads it forward from x_0, `mirror`
-    # backward from past x_{P-1}, which is conj(L(y)).  Building them with
-    # LowerTriToeplitz(...).dense() instead cost 10 us per iteration at
-    # P = 16, a fifth of an `em` fit there.  gs_assemble is not used: at
-    # full order it loops over the P diagonals in Python, which took 1.4 ms
-    # against 0.2 ms for the two products at P = 128 on one BLAS thread; it
-    # stays the banded route for low-order GS estimates.  Only the top H
-    # rows of the pair are formed, each factor's H x H corner times its
-    # first H columns, since the factors are zero above the diagonal; the
-    # rest of `cp_inv` is their flipped conjugate.
+    # buffer [0 (P-1), x, 0 (P)]: `lower` reads it forward from x_0, `rev`
+    # backward from past x_{P-1}, which is conj(L(y)); their conjugates read
+    # `gs_conj`, which holds conj(x) for complex data and is `gs` for real
+    # data.  Building them with LowerTriToeplitz(...).dense() instead cost
+    # 10 us per iteration at P = 16, a fifth of an `em` fit there.
+    # gs_assemble is not used: at full order it loops over the P diagonals
+    # in Python, which took 1.4 ms against 0.2 ms for the two products at
+    # P = 128 on one BLAS thread; it stays the banded route for low-order GS
+    # estimates.  Only the top H rows of the pair are formed, each factor's
+    # H x H corner times its first H columns, since the factors are zero
+    # above the diagonal.
     gs = np.zeros(3 * p - 1, dtype)
-    x = gs[p - 1 : 2 * p - 1]
+    gs_conj = gs if real else np.zeros_like(gs)
+    x, x_conj = gs[p - 1 : 2 * p - 1], gs_conj[p - 1 : 2 * p - 1]
     solve = _half_solver(block, x)
-    lower = np.ndarray((p, p), dtype, gs, (p - 1) * step, (step, -step))
-    mirror = np.ndarray((p, p), dtype, gs, (2 * p - 1) * step, (-step, step))
-    cp_inv = np.empty((p, p), dtype)
-    top_inv, bottom_inv, flipped = cp_inv[:h], cp_inv[h:], cp_inv[: p - h][::-1, ::-1]
-    lower_corner, lower_cols = lower[:h, :h], lower[:, :h]
-    mirror_corner, mirror_cols = mirror[:h, :h], mirror[:, :h]
-    pair, diff, half, top = (np.empty(shape, dtype) for shape in ((h, p), (p, p), (h, p), (h, p)))
-    # the E-step spectrum is _circular_spectrum's fold of `top`, with its
-    # slots and flat view bound once per fit and the factor 2 in its scale
-    parts = 1 if real else 2
-    slots, top_flat, width = _circular_slots(h, p, g, parts), top.view(float).ravel(), parts * g
-    sbar = (scm + scm[::-1, ::-1].conj()) / 2
+    lower, lower_conj, rev, rev_conj = (
+        np.ndarray((p, p), dtype, buf, start * step, strides)
+        for start, strides in ((p - 1, (step, -step)), (2 * p - 1, (-step, step)))
+        for buf in (gs, gs_conj)
+    )
+    # top rows: L(x)[:H, :H] L(x)[:, :H]^H - conj(conj(L(y))[:H, :H] conj(L(y))[:, :H]^H)
+    gs_factors = (lower[:h, :h], lower_conj[:, :h].T), (rev_conj[:h, :h], rev[:, :h].T)
+    top_inv, pair = np.empty((h, p), dtype), np.empty((h, p), dtype)
+    split, sbar_halves = _centro_split((scm + scm[::-1, ::-1].conj()) / 2)
+    split()
+    inv_halves, diff, half, m_halves = (np.empty_like(sbar_halves) for _ in range(4))
+    k = sbar_halves.shape[-1]
+    wide = np.empty((2, h, k))
+    wide_flat = wide.ravel()
+    if real:
+        # A+- = top_inv[:, :H] +- (top_inv J)[:, :H], the middle column of
+        # odd P in A+ alone; M+ and M- are the stacked halves
+        near, far, sum_out, diff_out = top_inv[:, :h], top_inv[:, ::-1][:, :h], *inv_halves
+        m_sym, m_skew = m_halves
+    else:
+        # A+ = Re A - Im A J, whose bottom rows reversed are Re A + Im A J
+        near, far = top_inv.real, top_inv.imag[:, ::-1]
+        sum_out, diff_out = inv_halves[0][::-1, ::-1][:h], inv_halves[0][:h]
+        m_sym, m_skew = m_halves[0][:h], m_halves[0][::-1, ::-1][:h]
     # the embedded SCM pads the unobserved diagonal with the mean variance
     spec = np.maximum(_circular_spectrum(scm, g) + (g - p) * scale / g, 0.0)
     for _ in range(max_iter):
-        col = np.fft.ifft(spec)[:p]
-        nonneg[...] = col.real if real else col
+        np.matmul(to_lags, spec[:width], out=nonneg_real)
         np.conjugate(positive, out=negative)
         try:
-            solve()
+            halves = solve()
         except np.linalg.LinAlgError:
             lags[p - 1] += ridge * scale
-            solve()
-        cp = block.copy()
-        yield spec, cp
-        np.matmul(lower_corner, lower_cols.conj().T, out=top_inv)
-        np.matmul(mirror_corner, mirror_cols.conj().T, out=pair)
-        np.subtract(top_inv, pair.conj(), out=top_inv)
-        np.divide(top_inv, x[0].real, out=top_inv)
-        np.conjugate(flipped, out=bottom_inv)
+            halves = solve()
+        yield spec, block.copy()
+        if not real:
+            np.conjugate(x, out=x_conj)
+        np.matmul(*gs_factors[0], out=top_inv)
+        np.matmul(*gs_factors[1], out=pair)
+        np.subtract(top_inv, pair, out=top_inv)
+        np.multiply(top_inv, 1.0 / x[0].real, out=top_inv)
+        np.add(near, far, out=sum_out)
+        np.subtract(near, far, out=diff_out)
+        if real and p % 2:
+            sum_out[:, -1] = near[:, -1]
         # E-step moments t_data - t_model, with t_data from cp^-1 S cp^-1 and
-        # t_model from cp^-1 = cp^-1 cp cp^-1: one spectrum of their
-        # difference, twice that of the top rows of M
-        np.subtract(sbar, cp, out=diff)
-        np.matmul(top_inv, diff, out=half)
-        np.matmul(half, cp_inv, out=top)
+        # t_model from cp^-1 = cp^-1 cp cp^-1: one spectrum of M
+        np.subtract(sbar_halves, halves, out=diff)
+        np.matmul(inv_halves, diff, out=half)
+        np.matmul(half, inv_halves, out=m_halves)
+        np.add(m_sym, m_skew, out=wide[0])
+        np.subtract(m_sym, m_skew, out=wide[1])
         if p % 2:
-            top[-1] *= 0.5
-        folded = np.bincount(slots, top_flat, width).view(dtype)
-        new_spec = np.fft.fft(folded).real / (g / 2)
+            wide[:, -1] *= 0.5
+        new_spec = (to_spec @ np.bincount(slots, wide_flat, to_spec.shape[1]))[mirror]
         new_spec *= spec**2
         new_spec += spec
         np.maximum(new_spec, 0.0, out=new_spec)
@@ -380,20 +494,15 @@ def em_toeplitz(scm, *, work: dict | None = None) -> np.ndarray:
     stopping early below a relative change of 1e-7.  That almost never
     happens (all 200 fits of the criterion-10 benchmark ran the full 200
     iterations), so the cap, not convergence, sets the estimate: the
-    upper-left P x P covariance block.  An iteration costs two half-size
-    systems for the first column of the model block's inverse (the block is
-    centrosymmetric, so the order-P solve splits into an even and an odd
-    half: one stacked LU of order ``ceil(P/2)``, ``P^3 / 6`` flops, for real
-    data, and one real LU of order P for complex data), a Gohberg-Semencul
-    product that assembles the inverse from it, two products for the E-step
-    and FFTs of lag sums; the solve and the products are cubic in P.  The
-    block is persymmetric, and so are its inverse and the E-step matrix once
-    the data is averaged with its flipped conjugate, so every product forms
-    only the top half of its rows, and the Gohberg-Semencul pair, whose
-    factors are lower triangular, only the nonzero ``H x H`` corner of those
-    rows, with ``H = ceil(P/2)`` (``3 P^3`` flops of matrix products per
-    iteration, not ``8 P^3``).  A ``work`` dict receives ``iterations``
-    (spectrum updates made) and ``converged`` (whether the last one met the
+    upper-left P x P covariance block.  An iteration works in the even and
+    odd halves of the centrosymmetric model block (see :func:`_em_iterates`):
+    two half-size systems for the first column of its inverse (``P^3 / 6``
+    LU flops for real data), a Gohberg-Semencul pair on the top
+    ``H = ceil(P/2)`` rows of the inverse and an E-step on the halves,
+    ``2 P^3`` flops of products for real data (``8 P^3`` on whole
+    matrices), and two real ``O(P^2)`` products in place of the lag and
+    spectrum FFTs.  A ``work`` dict receives ``iterations`` (spectrum
+    updates made) and ``converged`` (whether the last one met the
     tolerance).  It iterates at unit mean variance, where no square or
     inverse overflows.
     """

@@ -81,9 +81,14 @@ def _pd_inverse(mat):
     return half.T.conj() @ half
 
 
-def _baseline(name, supports_icm, complexity, fit, pinned=None):
+def _dense_precision(data, cm):
+    return _pd_inverse(cm)
+
+
+def _baseline(name, precision, complexity, fit, pinned=None):
     """Baseline from ``fit(data)``, its dense covariance and chosen
-    hyperparameters.
+    hyperparameters, and ``precision(data, cm)``, its dense precision (None
+    for a covariance-only baseline).
 
     Timing measures ``fit``, or ``pinned(data)`` where a bandwidth is tuned:
     the estimate at bandwidth ``TIMING_PIN``, not densified.
@@ -93,10 +98,10 @@ def _baseline(name, supports_icm, complexity, fit, pinned=None):
         if order is not None:
             raise ValueError(f"estimator {name!r} has no AR order; --order must be 'auto'")
         cm, meta = fit(data)
-        return cm, _pd_inverse(cm) if supports_icm else None, meta, None
+        return cm, precision(data, cm) if precision else None, meta, None
 
     timed = pinned or fit
-    return EstimatorInfo(name, "baseline", supports_icm, complexity, fit_at,
+    return EstimatorInfo(name, "baseline", precision is not None, complexity, fit_at,
                          lambda d: lambda: timed(d))
 
 
@@ -165,17 +170,18 @@ def _shrink(target, data):
 ESTIMATORS = {
     info.name: info
     for info in (
-        _baseline("scm", False, "quadratic per entry pass", lambda d: (d.scm, {})),
-        _baseline("avg", False, "quadratic (diagonal averages)",
+        _baseline("scm", None, "quadratic per entry pass", lambda d: (d.scm, {})),
+        _baseline("avg", None, "quadratic (diagonal averages)",
                   lambda d: (baselines.toeplitz_avg(d.scm).dense(), {})),
-        _baseline("banding", False, "linear in dim times bandwidth", *_banded("banding")),
-        _baseline("tapering", False, "linear in dim times bandwidth", *_banded("tapering")),
-        _baseline("circ", True, "quadratic (lag sums and FFT)",
+        _baseline("banding", None, "linear in dim times bandwidth", *_banded("banding")),
+        _baseline("tapering", None, "linear in dim times bandwidth", *_banded("tapering")),
+        # circ's precision is the circulant of its reciprocal spectrum
+        _baseline("circ", lambda d, cm: baselines._circulant_precision(d.scm), "quadratic (lag sums and FFT)",
                   lambda d: (baselines.circulant_mle(d.scm), {})),
-        _baseline("em", True, "cubic per iteration (two half-size LU systems, P^3/6 flops for real data, "
-                  "and 3P^3 flops of GS and E-step products)", _em),
-        _baseline("shrink_avg", False, "cubic (target build dominates)", partial(_shrink, "avg")),
-        _baseline("shrink_const", True, "quadratic", partial(_shrink, "const")),
+        _baseline("em", _dense_precision, "cubic per iteration (for real data two half-size LU systems, P^3/6 flops, "
+                  "and 2P^3 flops of GS and half-size E-step products; no FFT)", _em),
+        _baseline("shrink_avg", None, "cubic (target build dominates)", partial(_shrink, "avg")),
+        _baseline("shrink_const", _dense_precision, "quadratic", partial(_shrink, "const")),
         # one eig Newton iteration: one Cholesky factorization of the P-square
         # slack, then P-square products per coefficient for exact derivatives
         _gs("eig", "cubic times the order per iteration (small dims)",

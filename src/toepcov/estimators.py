@@ -152,11 +152,12 @@ def _newton_step(hess, g):
 
     The Hessian is symmetrized and the eigenvalues of its negation floored,
     so the step is an ascent direction even where the objective is not
-    concave.
+    concave.  A Hessian with no curvature at all leaves the gradient, which
+    the clip and the line search bound.
     """
     lam, vec = np.linalg.eigh(-0.5 * (hess + hess.T))
-    lam = np.maximum(lam, _CURVATURE_FLOOR * np.abs(lam).max())
-    d = vec @ ((vec.T @ g) / lam)
+    floor = _CURVATURE_FLOOR * np.abs(lam).max()
+    d = g if floor == 0.0 else vec @ ((vec.T @ g) / np.maximum(lam, floor))
     if not np.all(np.isfinite(d)):  # overflowed derivatives: a numerical failure
         raise np.linalg.LinAlgError("Newton direction is not finite")
     return d

@@ -46,7 +46,8 @@ class SampleSet:
 
     The SCM is formed here, so data whose squares leave the float range
     (the SCM's trace is zero or infinite, while the samples are finite and
-    not all zero) raise one :class:`DegenerateDataError` before any
+    not all zero, or its mean is below the smallest normal float, whose
+    reciprocal overflows) raise one :class:`DegenerateDataError` before any
     estimator runs, and no overflow warning.
     """
 
@@ -60,7 +61,7 @@ class SampleSet:
             raise DegenerateDataError("samples are all zero")
         with np.errstate(over="ignore", invalid="ignore"):
             self.scm = sample_cov(samples)
-        if not 0.0 < float(np.real(np.trace(self.scm))) < np.inf:
+        if not np.finfo(float).tiny <= float(np.real(np.trace(self.scm))) / samples.shape[1] < np.inf:
             raise DegenerateDataError("the samples' squares leave the float range; rescale the samples")
         self.samples = samples
         self.n, self.p = samples.shape

@@ -3,7 +3,7 @@ import collections
 import numpy as np
 import pytest
 
-from toepcov import baselines
+from toepcov import baselines, bench
 from toepcov.bench import ESTIMATORS
 from toepcov.baselines import (
     MaskSpec,
@@ -267,6 +267,33 @@ class TestCirculantMle:
         for k in range(1, 8):
             assert np.allclose(np.roll(est[:, 0], k), est[:, k], atol=1e-10)
 
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_precision_matches_dense_inverse(self, complex_data):
+        """The precision from the reciprocal spectrum is the Cholesky
+        inverse of the estimate, exactly Hermitian, at every P from 2 to 20
+        and at P = 64, 127 and 128.  Bound: the Cholesky inverse of a matrix
+        of condition kappa has a forward error of about P kappa eps."""
+        eps = np.finfo(float).eps
+        for p in [*range(2, 21), 64, 127, 128]:
+            s = random_scm(p, p + 2, complex_data, 300 + p)
+            est, icm = circulant_mle(s), baselines._circulant_precision(s)
+            assert np.array_equal(icm, icm.conj().T)
+            assert rel_err(icm, bench._pd_inverse(est)) <= p * np.linalg.cond(est) * eps
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_singular_estimate_has_no_precision(self, complex_data):
+        """A rank-one SCM at G = P has the spectrum (P, 0, ..., 0): the
+        precision raises ``LinAlgError`` before it divides by a zero, with no
+        RuntimeWarning (an error under the test settings), and ``estimate
+        --icm`` refuses it as the Cholesky did."""
+        x = np.ones((1, 6)) * (1j if complex_data else 1.0)
+        s = sample_cov(x)
+        assert np.count_nonzero(np.maximum(baselines._circular_spectrum(s, 6), 0.0)) == 1
+        with pytest.raises(np.linalg.LinAlgError):
+            baselines._circulant_precision(s)
+        with pytest.raises(np.linalg.LinAlgError):
+            bench._pd_inverse(circulant_mle(s))
+
 
 class TestEmToeplitz:
     def test_identity_fixed_point_at_full_embedding(self):
@@ -306,9 +333,12 @@ class TestEmToeplitz:
 
     @pytest.mark.parametrize("complex_data", [False, True])
     def test_iterates_match_dense_oracle(self, complex_data):
-        # small P at several embeddings, then the benchmark's sizes at G = 2P
-        cases = [(p, g) for p in (1, 2, 5, 16) for g in (p, 2 * p, 2 * p + 1, 3 * p)]
-        for p, g in cases + [(64, 128), (128, 256)]:
+        """Every P from 1 to 20 and odd and even P up to 129, at G = P, 2P
+        and 2P + 1 (the odd embedding has no Nyquist frequency), and at
+        G = 3P for small P."""
+        orders = [*range(1, 21), 31, 32, 63, 64, 127, 128, 129]
+        cases = [(p, g) for p in orders for g in (p, 2 * p, 2 * p + 1)]
+        for p, g in cases + [(p, 3 * p) for p in (1, 2, 5, 16)]:
             s = random_scm(p, 3, complex_data, 70 + p)
             got = list(_em_iterates(s, g, 25, 1e-9, 1e-10))
             want = list(oracle_em_iterates(s, g, 25, 1e-9, 1e-10))
@@ -446,6 +476,83 @@ class TestEmToeplitz:
         assert {shape for _, shape, _ in solves} == {(2, 2, 2)}
 
     @pytest.mark.parametrize("complex_data", [False, True])
+    @pytest.mark.parametrize("p", [16, 17])
+    def test_iterations_call_no_fft(self, monkeypatch, p, complex_data):
+        """A fit makes two FFT calls, whatever its iteration count: one for
+        the start spectrum and one for the last block.  The iterations map
+        lags and spectra by the real products of ``_em_operators``."""
+        calls = []
+        for name in ("fft", "ifft"):
+            def counted(*args, real_call=getattr(np.fft, name), name=name, **kwargs):
+                calls.append(name)
+                return real_call(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        s = random_scm(p, 8, complex_data, 40 + p)
+        for iterations in (1, 7, 20):
+            monkeypatch.setattr(baselines, "_EM_MAX_ITER", iterations)
+            calls.clear()
+            work = {}
+            em_toeplitz(s, work=work)
+            assert work["iterations"] == iterations and sorted(calls) == ["fft", "ifft"]
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    @pytest.mark.parametrize("p", [16, 17])
+    def test_e_step_products_are_half_size(self, monkeypatch, p, complex_data):
+        """The E-step multiplies the halves of ``cp^-1`` and ``sbar - cp``:
+        two stacked real products per iteration on blocks of order
+        ``H = ceil(P/2)`` for real data, and on one real block of order P
+        (the halves of the order-2P embedding) for complex data.  No product
+        takes a P x P operand of the data's dtype, as the E-step on the whole
+        block would."""
+        shapes = []
+        real_matmul = np.matmul
+
+        def matmul(a, b, **kwargs):
+            shapes.append((a.dtype, a.shape, b.shape))
+            return real_matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", matmul)
+        monkeypatch.setattr(baselines, "_EM_MAX_ITER", 20)
+        s = random_scm(p, 8, complex_data, 40 + p)
+        em_toeplitz(s)
+        stacked = [shape for shape in shapes if len(shape[1]) == 3]
+        h = (p + 1) // 2
+        half = (1, p, p) if complex_data else (2, h, h)
+        assert stacked == [(np.float64, half, half)] * 2 * 20
+        assert not [shape for shape in shapes if shape[0] == s.dtype and (p, p) in shape[1:]]
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    @pytest.mark.parametrize("p", [1, 2, 5, 16, 17, 512])
+    def test_operators_match_the_fft(self, p, complex_data):
+        """The lags of ``to_lags`` are the inverse FFT of the spectrum, and
+        ``to_spec`` of folded lag sums the real part of their FFT, to a few
+        units of rounding of the largest term, at P up to 512.  The angles
+        are reduced modulo G before the cosine; unreduced, the error at
+        P = 512 was about 2.7e-13."""
+        local = np.random.default_rng(p)
+        g = 2 * p
+        to_lags, width, slots, to_spec, mirror = baselines._em_operators(p, g, not complex_data)
+        spec = local.exponential(size=g)
+        if not complex_data:
+            spec = spec[mirror]  # a real block's spectrum is even
+        lags = to_lags @ spec[:width]
+        want = np.fft.ifft(spec)[:p]
+        got = lags if not complex_data else lags.view(complex)
+        eps = np.finfo(float).eps
+        assert np.abs(got - (want.real if not complex_data else want)).max() <= 8 * eps * spec.max()
+        h = (p + 1) // 2
+        wide = local.normal(size=(2, h, h if not complex_data else p))
+        got = (to_spec @ np.bincount(slots, wide.ravel(), to_spec.shape[1]))[mirror]
+        # the dense fold: wide[0][i, j] at lag i - j, wide[1][i, j] at lag
+        # i - (P - 1 - j), the latter as -i times itself for complex data
+        i, j = np.arange(h)[:, None], np.arange(wide.shape[2])
+        folded = np.zeros(g, complex)
+        np.add.at(folded, (i - j) % g, wide[0])
+        np.add.at(folded, (i + j + 1 - p) % g, wide[1] if not complex_data else -1j * wide[1])
+        want = np.fft.fft(folded).real / g
+        assert np.abs(got - want).max() <= 8 * eps * np.abs(wide).sum() / g
+
+    @pytest.mark.parametrize("complex_data", [False, True])
     def test_half_solver_matches_full_solve(self, complex_data):
         """The half-size route gives the first column of the block's inverse
         that an LU solve of the whole block gives, at every P from 1 to 20
@@ -490,16 +597,25 @@ class TestEmToeplitz:
 
     @pytest.mark.parametrize("complex_data", [False, True])
     def test_yielded_blocks_are_not_overwritten(self, complex_data):
-        """Every block the iteration yields still equals the block of its own
-        spectrum once the whole run is over, so no later iteration writes
-        into an array it handed out (the products go into buffers of the
-        fit).  The data is full rank, so no block takes the ridge."""
+        """Every spectrum and block the iteration yields still equals, once
+        the whole run is over, the copy taken when it was yielded, so no
+        later iteration writes into an array it handed out (the products go
+        into buffers of the fit); and each block is the block of its own
+        spectrum.  Bound: a lag is a sum of G/2 + 1 (real) or G (complex)
+        terms, each at most twice a spectrum entry over G, here and in the
+        inverse FFT.  The data is full rank, so no block takes the ridge."""
+        eps = np.finfo(float).eps
         for p in (1, 2, 5, 16, 33):
             s = random_scm(p, p + 3, complex_data, 90 + p)
-            iterates = list(_em_iterates(s, 2 * p, 25, 0.0, 1e-10))
-            assert len(iterates) == 26
-            for spec, cp in iterates:
-                assert np.array_equal(cp, _circulant_block(spec, p, not complex_data))
+            kept, copies = [], []
+            for spec, cp in _em_iterates(s, 2 * p, 25, 0.0, 1e-10):
+                kept.append((spec, cp))
+                copies.append((spec.copy(), cp.copy()))
+            assert len(kept) == 26
+            for (spec, cp), (spec_then, cp_then) in zip(kept, copies):
+                assert np.array_equal(spec, spec_then) and np.array_equal(cp, cp_then)
+                want = _circulant_block(spec, p, not complex_data)
+                assert np.abs(cp - want).max() <= 2 * 2 * p * eps * spec.max()
 
     def test_real_data_stays_real(self):
         s = random_scm(6, 3, False, 1)

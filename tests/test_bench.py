@@ -176,7 +176,11 @@ class TestRunBenchmark:
             assert fa.read() == fb.read()
 
     def test_parallel_matches_serial(self, tmp_path, monkeypatch):
+        """The CSV is byte-identical serial and with two workers, and so is
+        results.json once the wall times, its one varying field, are
+        dropped from every record."""
         cfg = config_from_sections(parse_config(SMOKE_CFG))
+        cfg = dataclasses.replace(cfg, estimators=cfg.estimators + ("em",))
         monkeypatch.setenv("TOEPCOV_WORKERS", "1")
         run_benchmark(cfg, str(tmp_path / "serial"))
         monkeypatch.setenv("TOEPCOV_WORKERS", "2")
@@ -184,10 +188,17 @@ class TestRunBenchmark:
             run_benchmark(cfg, str(tmp_path / "parallel"))
         except (OSError, PermissionError) as exc:  # pragma: no cover
             pytest.skip(f"process pool unavailable: {exc}")
-        with open(tmp_path / "serial" / "results.csv", "rb") as fa, open(
-            tmp_path / "parallel" / "results.csv", "rb"
-        ) as fb:
-            assert fa.read() == fb.read()
+
+        def without_wall_times(run):
+            detail = json.loads((tmp_path / run / "results.json").read_text())
+            for cell in detail["cells"]:
+                for rec in cell["records"]:
+                    assert rec.pop("wall_ms") >= 0.0
+            return detail
+
+        serial, parallel = (tmp_path / run / "results.csv" for run in ("serial", "parallel"))
+        assert serial.read_bytes() == parallel.read_bytes()
+        assert without_wall_times("serial") == without_wall_times("parallel")
 
     @pytest.mark.parametrize("runs, pools", [(1, []), (3, [3])])
     def test_pool_is_capped_at_the_task_count(self, tmp_path, monkeypatch, runs, pools):
@@ -525,6 +536,27 @@ class TestCli:
         out = tmp_path / "report.json"
         for name in sorted(ESTIMATORS):
             assert main(["estimate", "--input", str(samples), "--estimator", name, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "numerical failure: the samples' squares leave the float range; rescale the samples\n")
+            assert not out.exists()
+
+    def test_subnormal_mean_power_rejected(self, tmp_path, capsys):
+        """Gaussian samples x1e-160 have an SCM trace of about 1e-319:
+        subnormal, so positive, but its reciprocal overflows.  Every
+        estimator, with ``--icm`` where it has a precision, exits 2 with the
+        range message and no RuntimeWarning (an error under the test
+        settings).  Before the check, ``circ``, ``em`` and ``shrink_const
+        --icm`` exited 0 with ``Infinity`` in ``icm_dense`` and leaked an
+        overflow warning, and ``pgd`` exited 1 ("alpha0 must be positive,
+        got inf")."""
+        samples = tmp_path / "x.csv"
+        x = 1e-160 * np.random.default_rng(3).standard_normal((8, 5))
+        assert 0.0 < np.trace(baselines.sample_cov(x)) / 5 < np.finfo(float).tiny
+        np.savetxt(samples, x, delimiter=",")
+        out = tmp_path / "report.json"
+        for name, info in sorted(ESTIMATORS.items()):
+            argv = ["estimate", "--input", str(samples), "--estimator", name, "--out", str(out)]
+            assert main(argv + (["--icm"] if info.supports_icm else [])) == 2
             assert capsys.readouterr().err == (
                 "numerical failure: the samples' squares leave the float range; rescale the samples\n")
             assert not out.exists()

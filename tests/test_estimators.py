@@ -611,6 +611,27 @@ class TestNewtonAscent:
         assert (iters, converged) == (1, True) and x is x0
         assert len(values) == 1 and searches == []
 
+    def test_step_without_curvature_is_the_gradient(self):
+        """A zero Hessian leaves no curvature to scale by, so the step is the
+        gradient, which the clip and the line search bound; a Hessian with
+        any curvature keeps its floored Newton step."""
+        g = np.array([-2.0, 0.5])
+        assert np.array_equal(estimators._newton_step(np.zeros((2, 2)), g), g)
+        d = estimators._newton_step(-np.diag([4.0, 0.0]), g)
+        assert np.allclose(d, [-0.5, 0.5 / (4.0 * estimators._CURVATURE_FLOOR)])
+
+    def test_tuned_fit_on_a_hessian_with_no_curvature(self):
+        """Rows (1, 1), (2, 2), (-1, -1) give S = c [[1, 1], [1, 1]]: at
+        order 1 the Hessian is exactly 0 at the start u = 0.  Tuned ``pgd``
+        fits it, as ``pls``, ``frob`` and ``eig`` do, with no RuntimeWarning
+        (an error under the test settings); it used to fail with "Newton
+        direction is not finite" after a division by zero."""
+        data = SampleSet(np.array([[1.0, 1.0], [2.0, 2.0], [-1.0, -1.0]]))
+        for name in ("pgd", "pls", "frob", "eig"):
+            cm, icm, _, _ = bench.ESTIMATORS[name].fit(data)
+            assert np.all(np.isfinite(cm)) and np.all(np.isfinite(icm))
+            np.linalg.cholesky(icm)
+
 
 class TestTuneOrder:
     def test_recovers_ar1_order(self, spec16):
