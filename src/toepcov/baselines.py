@@ -6,12 +6,14 @@ Everything Toeplitz or circulant here reads a matrix through its diagonal
 (lag) sums, one O(P^2) pass, and moves between lags and spectra with FFTs,
 or, inside an EM iteration, with two real products built once per fit;
 only EM is cubic in P.  Its model block is centrosymmetric, so an
-iteration works in the block's even and odd halves: two half-size systems
-for the first column of the block's inverse (one stacked LU of order
-H = ceil(P/2) for real data, P^3/6 flops), a Gohberg-Semencul pair on the
-top H rows, because the block's persymmetry mirrors the other half, and on
-the nonzero H x H corner of its lower triangular factors, and an E-step of
-two products on the halves (two stacked blocks of order H for real data).
+iteration works in the even and odd halves of the block, of its inverse
+and of the symmetrized SCM, each split from its top rows by one function:
+two half-size systems for the first column of the block's inverse (one
+stacked LU of order H = ceil(P/2) for real data, P^3/6 flops), a
+Gohberg-Semencul pair on the top H rows, because the block's persymmetry
+mirrors the other half, and on the nonzero H x H corner of its lower
+triangular factors, and an E-step of two products on the halves (two
+stacked blocks of order H for real data).
 Banded and tapered estimates expose a covariance-only surface; none of the
 estimators here guarantees an invertible result except where noted.
 """
@@ -152,29 +154,17 @@ def cv_tune_mask(samples, kind: str = "banding") -> MaskSpec:
     return MaskSpec(kind, int(np.argmin(_cv_risks(x / _pow2_above(np.abs(x).max(initial=0.0)), kind))))
 
 
-def _circular_spectrum(rows, g: int) -> np.ndarray:
+def _circular_spectrum(q, g: int) -> np.ndarray:
     """Diagonal of ``F E q E^T F^H`` for the unitary G-point DFT ``F``, with
-    ``E`` placing the P x P matrix ``q`` in the top-left corner: the DFT of
-    the lag sums folded modulo G, over G.  ``rows`` is ``q``, or its top
-    rows where the caller accounts for the others; entry ``[i, j]`` adds to
-    slot ``(i - j) mod G``, all in one ``bincount``, which for complex
-    entries adds the real and imaginary parts to interleaved slots that
-    read back as one complex array."""
-    parts = 2 if np.iscomplexobj(rows) else 1
-    flat = np.ascontiguousarray(rows).view(rows.real.dtype).ravel()
-    folded = np.bincount(_circular_slots(*rows.shape, g, parts), flat, parts * g)
-    return np.fft.fft(folded.view(complex) if parts == 2 else folded).real / g
-
-
-@lru_cache(maxsize=8)
-def _circular_slots(h: int, p: int, g: int, parts: int) -> np.ndarray:
-    """Slot ``(i - j) mod G`` of each entry ``[i, j]`` of the top ``h`` rows
-    of a P x P matrix, row-major; with ``parts = 2`` each entry takes slots
-    ``2 s`` and ``2 s + 1``, for its real and imaginary part."""
-    i = np.arange(p)
-    slots = (((i[:h, None] - i) % g)[..., None] * parts + np.arange(parts)).ravel()
-    slots.flags.writeable = False
-    return slots
+    ``E`` placing the P x P matrix ``q`` in the top-left corner (G >= P): the
+    DFT of the lag sums of ``q`` folded modulo G, lag ``-l`` into slot
+    ``G - l``, over G."""
+    p = q.shape[0]
+    sums = lag_sums(q)
+    folded = np.zeros(g, sums.dtype)
+    folded[:p] = sums[p - 1 :]
+    folded[g - p + 1 :] += sums[: p - 1]
+    return np.fft.fft(folded).real / g
 
 
 def _circulant_block(spec, p: int, real: bool) -> np.ndarray:
@@ -217,35 +207,36 @@ def _relative_change(new, old) -> float:
     return math.sqrt(step @ step) / max(math.sqrt(old @ old), 1e-300)
 
 
-def _centro_split(block):
+def _centro_split(rows):
     """``(split, halves)``: ``split()`` writes into ``halves`` the even and
-    odd halves of the real symmetric centrosymmetric form C of the Hermitian
-    Toeplitz (or any persymmetric Hermitian) ``block``, read anew at every
-    call (Cantoni & Butler, *Linear Algebra Appl.* 13, 1976).
+    odd halves of the real symmetric centrosymmetric form C of a Hermitian
+    Toeplitz (or any persymmetric Hermitian) Q from ``rows``, its top
+    ``ceil(P/2)`` rows, read anew at every call (Cantoni & Butler, *Linear
+    Algebra Appl.* 13, 1976); ``J conj(Q) J = Q`` mirrors the other rows.
 
-    C is ``block`` itself when it is real, and ``[[Re, -Im], [Im, Re]]`` of
-    it, of order 2P, when it is complex.  C commutes with the exchange
-    matrix J, so it acts on symmetric vectors ``(u, J u)`` through ``R+ =
-    C[:k, :k] + (C J)[:k, :k]`` and on skew ones ``(u, -J u)`` through ``R-
-    = C[:k, :k] - (C J)[:k, :k]``, with ``k = ceil(n/2)`` and n the order of
-    C; a product of such matrices has the product of their halves.  At odd
-    n the middle column belongs to the symmetric half alone, and the skew
+    C is Q itself when it is real, and ``[[Re, -Im], [Im, Re]]`` of it, of
+    order 2P, when it is complex.  C commutes with the exchange matrix J,
+    so it acts on symmetric vectors ``(u, J u)`` through ``R+ = C[:k, :k] +
+    (C J)[:k, :k]`` and on skew ones ``(u, -J u)`` through ``R- = C[:k, :k]
+    - (C J)[:k, :k]``, with ``k = ceil(n/2)`` and n the order of C; a
+    product of such matrices has the product of their halves.  At odd n
+    the middle column belongs to the symmetric half alone, and the skew
     half, whose middle row and column vanish, takes a unit pivot there.
     For real data ``halves`` stacks R+ and R-, of order ``ceil(P/2)``; for
-    complex data it holds R+ = ``Re(block) - Im(block) J`` alone, of order
-    P, since ``R- = J R+ J``.
+    complex data it holds R+ alone, of order P (``R- = J R+ J``), whose top
+    rows are ``Re - Im J`` of ``rows`` and bottom rows, reversed, ``Re + Im J``.
     """
-    p = block.shape[0]
-    if np.iscomplexobj(block):
-        # the top P rows of C J are -Im(block) J = Im(block^T) J
-        near, far, halves = block.real, block.T.imag[:, ::-1], np.empty((1, p, p))
+    h, p = rows.shape
+    if np.iscomplexobj(rows):
+        near, far, halves = rows.real, rows.imag[:, ::-1], np.empty((1, p, p))
+        top, bottom = halves[0][:h], halves[0][::-1, ::-1][:h]
 
         def split():
-            np.add(near, far, out=halves[0])
+            np.add(near, far, out=bottom)
+            np.subtract(near, far, out=top)
 
         return split, halves
-    k = p - p // 2
-    near, far, halves = block[:k, :k], block[:, ::-1][:k, :k], np.empty((2, k, k))
+    near, far, halves = rows[:, :h], rows[:, ::-1][:, :h], np.empty((2, h, h))
     sym, skew = halves
 
     def split():
@@ -279,7 +270,7 @@ def _half_solver(block, x):
     half raises ``LinAlgError``.
     """
     p = block.shape[0]
-    split, halves = _centro_split(block)
+    split, halves = _centro_split(block[: p - p // 2])
     n, k = 2 * p if np.iscomplexobj(block) else p, halves.shape[-1]
     e = np.eye(n, 1)
     r_sym, r_skew = (e + e[::-1])[:k] / 2, (e - e[::-1])[:k] / 2
@@ -370,19 +361,21 @@ def _em_iterates(scm, g: int, max_iter: int, tol: float, ridge: float):
     The first column of ``cp^-1`` comes from two half-size systems
     (:func:`_half_solver`), and the top H rows of ``cp^-1`` from it by
     Gohberg-Semencul: ``P^3 / 2`` multiply-adds, since the pair reads only
-    the first H columns of its lower triangular factors.  Those rows give
-    the halves ``A+-`` of ``cp^-1``, the solver's halves of ``cp`` and of
-    ``sbar`` those of ``D = sbar - cp``, and ``M+- = A+- D+- A+-`` those of
-    ``M``: for real data two blocks of order H in one stacked pair of
-    products, ``P^3 / 2`` multiply-adds, and for complex data one real
-    block of order P (``M- = J M+ J``), ``2 P^3``.  The top rows of ``M``
-    are ``M+ + M-`` and ``M+ - M-`` reversed, which ``wide`` holds side by
-    side.  The lags of the block and the new spectrum come from the two
-    real products of :func:`_em_operators`, so an iteration calls no FFT.
-    Everything goes into arrays allocated once per fit; every yielded
-    spectrum and block is a new array, the block a copy of a Toeplitz view
-    on the lags each iteration writes.  The start spectrum and the last
-    block come from :func:`_circular_spectrum` and :func:`_circulant_block`.
+    the first H columns of its lower triangular factors.  The top rows of
+    ``cp^-1``, of ``cp`` and of ``sbar`` each give their halves through
+    :func:`_centro_split`: ``A+-``, and from the latter two those of ``D =
+    sbar - cp``, in which the unit pivots of odd P cancel, so that ``M+- =
+    A+- D+- A+-`` are those of ``M``: for real data two blocks of order H
+    in one stacked pair of products, ``P^3 / 2`` multiply-adds, and for
+    complex data one real block of order P (``M- = J M+ J``), ``2 P^3``.
+    The top rows of ``M`` are ``M+ + M-`` and ``M+ - M-`` reversed, which
+    ``wide`` holds side by side.  The lags of the block and the new
+    spectrum come from the two real products of :func:`_em_operators`, so
+    an iteration calls no FFT.  Everything goes into arrays allocated once
+    per fit; every yielded spectrum and block is a new array, the block a
+    copy of a Toeplitz view on the lags each iteration writes.  The start
+    spectrum and the last block come from :func:`_circular_spectrum` and
+    :func:`_circulant_block`.
     """
     scm = np.asarray(scm)
     p = scm.shape[0]
@@ -424,22 +417,14 @@ def _em_iterates(scm, g: int, max_iter: int, tol: float, ridge: float):
     # top rows: L(x)[:H, :H] L(x)[:, :H]^H - conj(conj(L(y))[:H, :H] conj(L(y))[:, :H]^H)
     gs_factors = (lower[:h, :h], lower_conj[:, :h].T), (rev_conj[:h, :h], rev[:, :h].T)
     top_inv, pair = np.empty((h, p), dtype), np.empty((h, p), dtype)
-    split, sbar_halves = _centro_split((scm + scm[::-1, ::-1].conj()) / 2)
+    split_inv, inv_halves = _centro_split(top_inv)
+    split, sbar_halves = _centro_split((scm[:h] + scm[::-1, ::-1][:h].conj()) / 2)
     split()
-    inv_halves, diff, half, m_halves = (np.empty_like(sbar_halves) for _ in range(4))
-    k = sbar_halves.shape[-1]
-    wide = np.empty((2, h, k))
+    diff, half, m_halves = (np.empty_like(sbar_halves) for _ in range(3))
+    wide = np.empty((2, h, sbar_halves.shape[-1]))
     wide_flat = wide.ravel()
-    if real:
-        # A+- = top_inv[:, :H] +- (top_inv J)[:, :H], the middle column of
-        # odd P in A+ alone; M+ and M- are the stacked halves
-        near, far, sum_out, diff_out = top_inv[:, :h], top_inv[:, ::-1][:, :h], *inv_halves
-        m_sym, m_skew = m_halves
-    else:
-        # A+ = Re A - Im A J, whose bottom rows reversed are Re A + Im A J
-        near, far = top_inv.real, top_inv.imag[:, ::-1]
-        sum_out, diff_out = inv_halves[0][::-1, ::-1][:h], inv_halves[0][:h]
-        m_sym, m_skew = m_halves[0][:h], m_halves[0][::-1, ::-1][:h]
+    # M+ and M- are the stacked halves for real data; for complex data M- = J M+ J
+    m_sym, m_skew = m_halves if real else (m_halves[0][:h], m_halves[0][::-1, ::-1][:h])
     # the embedded SCM pads the unobserved diagonal with the mean variance
     spec = np.maximum(_circular_spectrum(scm, g) + (g - p) * scale / g, 0.0)
     for _ in range(max_iter):
@@ -457,10 +442,7 @@ def _em_iterates(scm, g: int, max_iter: int, tol: float, ridge: float):
         np.matmul(*gs_factors[1], out=pair)
         np.subtract(top_inv, pair, out=top_inv)
         np.multiply(top_inv, 1.0 / x[0].real, out=top_inv)
-        np.add(near, far, out=sum_out)
-        np.subtract(near, far, out=diff_out)
-        if real and p % 2:
-            sum_out[:, -1] = near[:, -1]
+        split_inv()
         # E-step moments t_data - t_model, with t_data from cp^-1 S cp^-1 and
         # t_model from cp^-1 = cp^-1 cp cp^-1: one spectrum of M
         np.subtract(sbar_halves, halves, out=diff)

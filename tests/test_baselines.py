@@ -101,6 +101,34 @@ def rel_err(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
+# the orders of the split tests: every P up to 20, odd and even, and both
+# sides of 64 and 128
+SPLIT_ORDERS = [*range(1, 21), 63, 64, 127, 128, 129]
+
+
+def persymmetric_hermitian(a):
+    """``a`` made exactly Hermitian and persymmetric (``J conj(Q) J = Q``)
+    by two averages, each exact in the symmetry it imposes."""
+    q = (a + a.conj().T) / 2
+    return (q + q[::-1, ::-1].conj()) / 2
+
+
+def full_split(q):
+    """The halves of the centrosymmetric form C of ``q`` (``[[Re, -Im],
+    [Im, Re]]`` for complex ``q``) from all of C: ``C[:k, :k] +- (C J)[:k,
+    :k]``, at odd order the middle column in the symmetric half alone and a
+    unit pivot in the skew half; for complex ``q`` the symmetric half only."""
+    c = np.block([[q.real, -q.imag], [q.imag, q.real]]) if np.iscomplexobj(q) else q
+    n = c.shape[0]
+    k = n - n // 2
+    near, far = c[:k, :k], c[:k, ::-1][:, :k]
+    sym, skew = near + far, near - far
+    if n % 2:
+        sym[:, -1] = near[:, -1]
+        skew[-1, -1] = 1.0
+    return sym[None] if np.iscomplexobj(q) else np.stack((sym, skew))
+
+
 class TestSampleCov:
     def test_single_sample(self):
         s = sample_cov(np.array([[1.0, 2.0]]))
@@ -279,6 +307,24 @@ class TestCirculantMle:
             est, icm = circulant_mle(s), baselines._circulant_precision(s)
             assert np.array_equal(icm, icm.conj().T)
             assert rel_err(icm, bench._pd_inverse(est)) <= p * np.linalg.cond(est) * eps
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_circular_spectrum_matches_dense_dft(self, complex_data):
+        """The folded lag sums give the diagonal of ``F E q E^T F^H`` for the
+        unitary G-point DFT ``F``, at G = P, where every slot but 0 adds two
+        lag sums, and at G = 2P, 2P + 1 and 3P, where no two lags share a
+        slot.  Bound: an entry is a sum of P^2 terms, none above
+        ``sum |q| / G``; the dense product rounds each of them and the FFT
+        about log G times."""
+        local = np.random.default_rng(34)
+        eps = np.finfo(float).eps
+        for p in SPLIT_ORDERS:
+            q = local.normal(size=(p, p)) + (1j * local.normal(size=(p, p)) if complex_data else 0)
+            for g in (p, 2 * p, 2 * p + 1, 3 * p):
+                f = _unitary_dft(g)[:, :p]
+                want = np.real(np.einsum("ij,jk,ik->i", f, q, f.conj()))
+                got = baselines._circular_spectrum(q, g)
+                assert np.abs(got - want).max() <= 2 * p * eps * np.abs(q).sum() / g
 
     @pytest.mark.parametrize("complex_data", [False, True])
     def test_singular_estimate_has_no_precision(self, complex_data):
@@ -574,6 +620,82 @@ class TestEmToeplitz:
                 assert rel_err(x, want) <= p * kappa * eps
                 kappas.append(kappa)
         assert max(kappas) > 1e4
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_centro_split_of_top_rows_matches_full_matrix(self, complex_data):
+        """``_centro_split`` reads only the top ceil(P/2) rows, anew at every
+        call, and gives the halves that the whole centrosymmetric form gives,
+        bit for bit, for Hermitian Toeplitz blocks and for their inverses,
+        which are persymmetric but not Toeplitz (made exactly persymmetric
+        and Hermitian by averaging)."""
+        local = np.random.default_rng(32)
+        for p in SPLIT_ORDERS:
+            block = _circulant_block(local.exponential(size=2 * p), p, not complex_data)
+            for q in (block, persymmetric_hermitian(np.linalg.inv(block))):
+                rows = q[: (p + 1) // 2].copy()
+                split, halves = baselines._centro_split(rows)
+                split()
+                assert np.array_equal(halves, full_split(q))
+                rows *= 2.0
+                split()
+                assert np.array_equal(halves, full_split(2.0 * q))
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_halves_of_the_e_step_product(self, complex_data):
+        """With ``A`` the inverse of a model block ``T`` and ``D = sbar - T``,
+        the halves of ``M = A D A`` are ``A+- D+- A+-``: at odd P the unit
+        pivots cancel in ``D-``, whose middle row and column vanish, and so
+        do those of the product, where the split of ``M`` puts its pivot.
+        Bound: each of the two products of order n is within n eps of
+        ``|A| |D| |A|``, as is ``M``, a bound of the order of cond(T) eps
+        relative to ``M``."""
+        local = np.random.default_rng(33)
+        eps = np.finfo(float).eps
+        for p in SPLIT_ORDERS:
+            h = (p + 1) // 2
+            block = _circulant_block(local.exponential(size=2 * p), p, not complex_data)
+            a = persymmetric_hermitian(np.linalg.inv(block))
+            sbar = persymmetric_hermitian(random_scm(p, p + 2, complex_data, 500 + p))
+            a_half, sbar_half, block_half = (full_split(q) for q in (a, sbar, block))
+            d_half = sbar_half - block_half
+            got = a_half @ d_half @ a_half
+            m = a @ (sbar - block) @ a
+            split, want = baselines._centro_split(m[:h])
+            split()
+            if p % 2 and not complex_data:
+                assert not d_half[1][-1].any() and not d_half[1][:, -1].any()
+                assert not got[1][-1].any() and not got[1][:, -1].any()
+                want[1][-1, -1] = 0.0
+            scale = (np.abs(a) @ np.abs(sbar - block) @ np.abs(a)).max()
+            assert np.abs(got - want).max() <= 4 * p * eps * scale
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_one_split_for_every_halved_matrix(self, monkeypatch, complex_data):
+        """Each matrix the iterations halve goes through ``_centro_split``
+        on its top ceil(P/2) rows: every iteration splits twice, the block
+        for its solve and the Gohberg-Semencul rows of its inverse for the
+        E-step, and the fit once more, the symmetrized SCM."""
+        made = []
+        real_split = baselines._centro_split
+
+        def centro_split(rows):
+            split, halves = real_split(rows)
+            entry = [rows.shape, 0]
+            made.append(entry)
+
+            def counted():
+                entry[1] += 1
+                split()
+
+            return counted, halves
+
+        monkeypatch.setattr(baselines, "_centro_split", centro_split)
+        for p in SPLIT_ORDERS:
+            made.clear()
+            s = random_scm(p, p + 3, complex_data, 60 + p)
+            assert len(list(_em_iterates(s, 2 * p, 3, 0.0, 1e-10))) == 4
+            rows = ((p + 1) // 2, p)
+            assert made == [[rows, 3], [rows, 3], [rows, 1]]
 
     @pytest.mark.parametrize("complex_data", [False, True])
     @pytest.mark.parametrize("p", [3, 4, 8, 9])

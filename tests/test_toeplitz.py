@@ -291,6 +291,21 @@ class TestTypes:
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("complex_case", [False, True])
+    def test_partial_diag_sums_table_is_private_and_read_only(self, complex_case):
+        """``from_matrix`` builds its table in one copy of the input and
+        ``PartialDiagSums(table)`` copies a caller's table: either way the
+        table is read-only and shares no memory with what was passed in."""
+        q = rng.normal(size=(9, 9)) + (1j * rng.normal(size=(9, 9)) if complex_case else 0)
+        kept = q.copy()
+        for sums in (PartialDiagSums.from_matrix(q), PartialDiagSums(q)):
+            assert not sums.table.flags.writeable and not np.shares_memory(sums.table, q)
+            with pytest.raises(ValueError):
+                sums.table[0, 0] = 1.0
+        assert np.array_equal(q, kept) and np.array_equal(PartialDiagSums(q).table, q)
+        ints = PartialDiagSums.from_matrix(np.eye(3, dtype=int)).table
+        assert ints.dtype == np.float64 and not ints.flags.writeable
+
+    @pytest.mark.parametrize("complex_case", [False, True])
     def test_hermitian_dense_matches_index_formula(self, complex_case):
         for p in (1, 2, 9):
             c = rng.normal(size=p) + (1j * rng.normal(size=p) if complex_case else 0)
