@@ -418,7 +418,9 @@ def _em_iterates(scm, g: int, max_iter: int, tol: float, ridge: float):
     gs_factors = (lower[:h, :h], lower_conj[:, :h].T), (rev_conj[:h, :h], rev[:, :h].T)
     top_inv, pair = np.empty((h, p), dtype), np.empty((h, p), dtype)
     split_inv, inv_halves = _centro_split(top_inv)
-    split, sbar_halves = _centro_split((scm[:h] + scm[::-1, ::-1][:h].conj()) / 2)
+    sbar = (scm + scm[::-1, ::-1].conj()) / 2
+    # a complex S is Hermitian only to rounding: Im of the top rows is read down the first columns
+    split, sbar_halves = _centro_split(sbar[:h] if real else sbar[:h].real - 1j * sbar[:, :h].imag.T)
     split()
     diff, half, m_halves = (np.empty_like(sbar_halves) for _ in range(3))
     wide = np.empty((2, h, sbar_halves.shape[-1]))

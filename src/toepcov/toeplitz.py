@@ -187,14 +187,11 @@ class PartialDiagSums:
         q = np.asarray(q)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("matrix must be square")
-        # t[k, m] = q[k, m] + t[k+1, m+1], bottom-up in place in the table's only copy
+        # t[k, m] = q[k, m] + t[k+1, m+1], accumulated bottom-up in place.
         t = q.astype(np.result_type(q.dtype, np.float64), copy=True)
         for k in range(q.shape[0] - 2, -1, -1):
             t[k, :-1] += t[k + 1, 1:]
-        t.flags.writeable = False
-        sums = object.__new__(cls)
-        object.__setattr__(sums, "table", t)
-        return sums
+        return cls(t)
 
 
 def lag_sums(q, max_lag: int | None = None) -> np.ndarray:

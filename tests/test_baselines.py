@@ -698,6 +698,32 @@ class TestEmToeplitz:
             assert made == [[rows, 3], [rows, 3], [rows, 1]]
 
     @pytest.mark.parametrize("complex_data", [False, True])
+    def test_sbar_halves_read_its_first_columns(self, monkeypatch, complex_data):
+        """A complex SCM is Hermitian only to rounding, so the triangle that
+        the halves of ``sbar = (S + J conj(S) J) / 2`` read sets ``em``'s
+        bits: the imaginary parts come down its first columns, ``R+ = Re sbar
+        + Im(sbar^T) J``, bit for bit, here on an SCM whose imaginary part
+        is far from antisymmetric.  Real data reads the top rows."""
+        kept = []
+        real_split = baselines._centro_split
+
+        def centro_split(rows):
+            split, halves = real_split(rows)
+            kept.append(halves)
+            return split, halves
+
+        monkeypatch.setattr(baselines, "_centro_split", centro_split)
+        local = np.random.default_rng(35)
+        for p in SPLIT_ORDERS:
+            kept.clear()
+            s = random_scm(p, p + 3, complex_data, 70 + p)
+            s = s + (1j if complex_data else 1.0) * 1e-3 * local.normal(size=(p, p))
+            list(_em_iterates(s, 2 * p, 1, 0.0, 1e-10))
+            sbar = (s + s[::-1, ::-1].conj()) / 2
+            want = (sbar.real + sbar.T.imag[:, ::-1])[None] if complex_data else full_split(sbar)
+            assert np.array_equal(kept[2], want)
+
+    @pytest.mark.parametrize("complex_data", [False, True])
     @pytest.mark.parametrize("p", [3, 4, 8, 9])
     def test_half_solver_rank_one_block_raises(self, monkeypatch, p, complex_data):
         """The rank-one block ``ones`` makes every half singular (for complex

@@ -292,8 +292,7 @@ class TestTypes:
 
     @pytest.mark.parametrize("complex_case", [False, True])
     def test_partial_diag_sums_table_is_private_and_read_only(self, complex_case):
-        """``from_matrix`` builds its table in one copy of the input and
-        ``PartialDiagSums(table)`` copies a caller's table: either way the
+        """Whether built by ``from_matrix`` or from a caller's table, the
         table is read-only and shares no memory with what was passed in."""
         q = rng.normal(size=(9, 9)) + (1j * rng.normal(size=(9, 9)) if complex_case else 0)
         kept = q.copy()
