@@ -56,14 +56,16 @@ class EstimatorInfo:
     """One estimator: its capabilities and its fitting policy.
 
     ``fit(data, order=None)`` fits a :class:`SampleSet` and returns ``(cm,
-    icm, meta, report)``: the dense covariance, the dense precision (None
-    without ``supports_icm``), the chosen hyperparameters, and the GS
-    :class:`EstimationReport` (None for baselines).  Without ``order`` the
-    estimator selects its own hyperparameters; a ``"proposed"`` estimator
-    fits at a given AR order instead, and a baseline, which has none,
-    refuses one.  ``timed(data)`` returns the zero-argument call that
-    :func:`timing_benchmark` measures: the fit, or the estimate at a tuned
-    bandwidth or order pinned to ``TIMING_PIN``.
+    icm, meta, report)``: the dense covariance, the zero-argument call that
+    forms the dense precision (None without ``supports_icm``; a caller that
+    reads only the covariance neither pays for nor fails on it), the chosen
+    hyperparameters, and the GS :class:`EstimationReport` (None for
+    baselines).  Without ``order`` the estimator selects its own
+    hyperparameters; a ``"proposed"`` estimator fits at a given AR order
+    instead, and a baseline, which has none, refuses one.  ``timed(data)``
+    returns the zero-argument call that :func:`timing_benchmark` measures:
+    the fit, or the estimate at a tuned bandwidth or order pinned to
+    ``TIMING_PIN``.
     """
 
     name: str
@@ -88,7 +90,7 @@ def _dense_precision(data, cm):
 def _baseline(name, precision, complexity, fit, pinned=None):
     """Baseline from ``fit(data)``, its dense covariance and chosen
     hyperparameters, and ``precision(data, cm)``, its dense precision (None
-    for a covariance-only baseline).
+    for a covariance-only baseline), which the fit hands back uncalled.
 
     Timing measures ``fit``, or ``pinned(data)`` where a bandwidth is tuned:
     the estimate at bandwidth ``TIMING_PIN``, not densified.
@@ -98,7 +100,7 @@ def _baseline(name, precision, complexity, fit, pinned=None):
         if order is not None:
             raise ValueError(f"estimator {name!r} has no AR order; --order must be 'auto'")
         cm, meta = fit(data)
-        return cm, precision(data, cm) if precision else None, meta, None
+        return cm, (lambda: precision(data, cm)) if precision else None, meta, None
 
     timed = pinned or fit
     return EstimatorInfo(name, "baseline", precision is not None, complexity, fit_at,
@@ -110,7 +112,7 @@ def _gs_result(r):
             "iterations": r.iterations, "converged": r.converged}
     if "scan" in r.extras:  # a tuning scan's totals (results.json only)
         meta["scan"] = r.extras["scan"]
-    return r.cm().dense(), r.icm_dense(), meta, r
+    return r.cm().dense(), r.icm_dense, meta, r
 
 
 def _gs(name, complexity, fit_at, boxed=False, **timing):
@@ -221,8 +223,6 @@ class ExperimentConfig:
     sigma2: float = 1.0
     runs: int = 500
     seed: int = 0
-    cm_nmse: bool = True
-    icm_nmse: bool = True
 
     def __post_init__(self):
         if self.runs < 1:
@@ -263,7 +263,6 @@ _CONFIG_KEYS = {
     "process": {"kind": ("kind", str, True), "sigma2": ("sigma2", float, False),
                 "points": ("points", _points, True)},
     "estimators": {"names": ("estimators", tuple, True)},
-    "outputs": {"cm_nmse": ("cm_nmse", bool, False), "icm_nmse": ("icm_nmse", bool, False)},
     "timing": {"dims": ("dims", _ints, False), "estimators": ("estimator_names", tuple, False),
                "reps": ("reps", int, False), "sample_count": ("n", int, False),
                "seed": ("seed", int, False)},
@@ -318,7 +317,7 @@ def section_args(sections: dict, *names) -> dict:
 
 
 def config_from_sections(sections: dict) -> ExperimentConfig:
-    return ExperimentConfig(**section_args(sections, "grid", "process", "estimators", "outputs"))
+    return ExperimentConfig(**section_args(sections, "grid", "process", "estimators"))
 
 
 def derive_seed(base: int, point, p: int, n: int, run: int) -> int:
@@ -342,11 +341,11 @@ def _run_cell(config: ExperimentConfig, task):
         start = time.perf_counter()
         try:
             cm, icm, meta, _ = ESTIMATORS[name].fit(data)
+            icm = icm() if icm else None
             rec["wall_ms"] = (time.perf_counter() - start) * 1e3
             rec.update(meta)
-            if config.cm_nmse:
-                rec["nmse_c"] = nmse(cm, truth_cm)
-            if config.icm_nmse and icm is not None:
+            rec["nmse_c"] = nmse(cm, truth_cm)
+            if icm is not None:
                 rec["nmse_icm"] = nmse(icm, truth_icm)
         except Exception as exc:  # failed cell: recorded, never silently dropped
             rec["wall_ms"] = (time.perf_counter() - start) * 1e3
@@ -357,7 +356,7 @@ def _run_cell(config: ExperimentConfig, task):
 
 def worker_count() -> int:
     raw = os.environ.get("TOEPCOV_WORKERS", "1")
-    if not (raw.strip().isdigit() and int(raw) >= 1):
+    if not (raw.strip().isdecimal() and int(raw) >= 1):
         raise ValueError(f"TOEPCOV_WORKERS must be a positive integer, got {raw!r}")
     return int(raw)
 

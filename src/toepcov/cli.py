@@ -174,7 +174,7 @@ def _cmd_estimate(args) -> int:
     if fit is not None:
         report.update(alpha0=fit.alpha.alpha0, alpha=fit.alpha.alpha_rest.tolist())
     if args.icm:
-        report["icm_dense"] = icm
+        report["icm_dense"] = icm()
     report["wall_ms"] = (time.perf_counter() - start) * 1e3
     text = _report_text(report)
     if args.out:

@@ -933,6 +933,6 @@ def test_registry_baseline_is_scale_equivariant(name, scale):
     cm_c, icm_c, meta_c, _ = info.fit(SampleSet(scale * SCALE_DATA.samples))
     assert rel_err(cm_c / scale**2, cm) <= 1e-12
     if info.supports_icm:
-        assert rel_err(icm_c * scale**2, icm) <= 1e-12
+        assert rel_err(icm_c() * scale**2, icm()) <= 1e-12
     assert meta_c.pop("rho", 0.0) == pytest.approx(meta.pop("rho", 0.0), rel=1e-12, abs=0)
     assert meta_c == meta

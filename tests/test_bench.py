@@ -41,10 +41,6 @@ points = [[0.5]]
 
 [estimators]
 names = ["scm", "avg", "circ", "pls"]
-
-[outputs]
-cm_nmse = true
-icm_nmse = true
 """
 
 
@@ -87,12 +83,11 @@ class TestConfigParsing:
             '[grid]\ndims = [6, 10]\nsample_counts = [4, 8]\nruns = 3\nseed = 11\n'
             '[process]\nkind = "arma"\nsigma2 = 2\npoints = [[0.7, 0.3], 0.5]\n'
             '[estimators]\nnames = ["pls", "em"]\n'
-            '[outputs]\ncm_nmse = false\nicm_nmse = false\n'
             '[timing]\ndims = [8, 16]\nestimators = ["pls"]\nreps = 3\nsample_count = 12\nseed = 9\n'
         )
         assert config_from_sections(sections) == ExperimentConfig(
             kind="arma", points=((0.7, 0.3), (0.5,)), dims=(6, 10), sample_counts=(4, 8),
-            estimators=("pls", "em"), sigma2=2.0, runs=3, seed=11, cm_nmse=False, icm_nmse=False,
+            estimators=("pls", "em"), sigma2=2.0, runs=3, seed=11,
         )
         timing = bench.section_args(sections, "timing")
         assert timing == {"dims": (8, 16), "estimator_names": ("pls",), "reps": 3, "n": 12, "seed": 9}
@@ -106,7 +101,7 @@ class TestConfigParsing:
         cfg = config_from_sections(sections)
         defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)
                     if f.default is not dataclasses.MISSING}
-        assert set(defaults) == {"sigma2", "runs", "seed", "cm_nmse", "icm_nmse"}
+        assert set(defaults) == {"sigma2", "runs", "seed"}
         assert {name: getattr(cfg, name) for name in defaults} == defaults
         assert bench.section_args(sections, "timing") == {}
 
@@ -117,13 +112,25 @@ class TestConfigParsing:
         signature default."""
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         experiment, timing = (parse_config(b) for b in re.findall(r"```ini\n(.*?)```", readme, re.S))
-        shown = bench.section_args(experiment, "grid", "process", "estimators", "outputs")
+        shown = bench.section_args(experiment, "grid", "process", "estimators")
         defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)
                     if f.default is not dataclasses.MISSING}
         assert set(defaults) <= set(shown)
         assert {name: shown[name] for name in defaults} == defaults
         signature = inspect.signature(timing_benchmark).parameters
         assert bench.section_args(timing, "timing") == {k: v.default for k, v in signature.items()}
+
+    def test_outputs_section_rejected(self, tmp_path, capsys):
+        """The ``[outputs]`` switches are gone: every record carries
+        ``nmse_c``, and ``nmse_icm`` where the estimator has a precision, so
+        a config that still sets them is a usage error (exit 1)."""
+        cfg = tmp_path / "outputs.cfg"
+        cfg.write_text(SMOKE_CFG + "\n[outputs]\ncm_nmse = true\nicm_nmse = false\n")
+        out = tmp_path / "out"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
+        line = SMOKE_CFG.count("\n") + 2
+        assert capsys.readouterr().err == f"error: line {line}: unknown section [outputs]\n"
+        assert not out.exists()
 
     def test_missing_required_key(self):
         with pytest.raises(ValueError, match="missing required"):
@@ -228,7 +235,7 @@ class TestRunBenchmark:
         (row,) = run_benchmark(cfg, str(tmp_path))
         assert sizes == pools and row["failures"] == 0
 
-    @pytest.mark.parametrize("raw", ["0", "-2", "two", "1.5", ""])
+    @pytest.mark.parametrize("raw", ["0", "-2", "two", "1.5", "", "²"])
     def test_bad_worker_count_rejected(self, tmp_path, monkeypatch, capsys, raw):
         """A ``TOEPCOV_WORKERS`` that is not a positive integer is a usage
         error (exit 1), not a silent serial run."""
@@ -482,6 +489,7 @@ class TestCli:
             np.savetxt(samples, scaled.samples, delimiter=",")
             for name, info in sorted(ESTIMATORS.items()):
                 cm, icm, _, _ = info.fit(scaled)
+                icm = icm() if icm else None
                 argv = ["estimate", "--input", str(samples), "--estimator", name,
                         *(["--icm"] if info.supports_icm else [])]
                 assert main([*argv, "--out", str(out)]) == 0
@@ -811,6 +819,27 @@ def test_registry_entry_drives_estimate_benchmark_and_timing(name, tmp_path):
     assert timed["median_ms"] >= 0.0 and timed["complexity"] == info.complexity
 
 
+def test_estimate_without_icm_forms_no_precision(tmp_path, monkeypatch, capsys):
+    """Without ``--icm`` no registry estimator forms a precision: with every
+    precision routine made to fail, all of them still exit 0, and with
+    ``--icm`` each that has a precision exits 2, so the routines are the
+    ones its precision goes through."""
+    def refuse(*args):
+        raise RuntimeError("precision formed")
+
+    monkeypatch.setattr(bench, "_pd_inverse", refuse)
+    monkeypatch.setattr(baselines, "_circulant_precision", refuse)
+    monkeypatch.setattr(estimators.EstimationReport, "icm_dense", refuse)
+    samples = tmp_path / "x.csv"
+    write_samples(samples, p=8, n=8)
+    for name, info in sorted(ESTIMATORS.items()):
+        argv = ["estimate", "--input", str(samples), "--estimator", name, "--out", str(tmp_path / "r.json")]
+        assert (main(argv), capsys.readouterr().err) == (0, ""), name
+        if info.supports_icm:
+            assert (main([*argv, "--icm"]), capsys.readouterr().err) == (
+                2, "numerical failure: precision formed\n"), name
+
+
 @pytest.mark.parametrize("name", sorted(n for n, info in ESTIMATORS.items() if info.kind == "baseline"))
 def test_baseline_timing_measures_its_estimate(name):
     """A baseline's timed call computes, bit for bit, the estimate and record
@@ -927,7 +956,7 @@ def test_precision_is_exactly_symmetric(name, p):
     """Every precision the registry reports is symmetric bit for bit on real
     data, which is what halves the values the report writer formats."""
     data = sample(ProcessSpec("arma", p, a=(0.7,), b=(0.3,), sigma2=0.64), 64, 9)
-    _, icm, _, _ = ESTIMATORS[name].fit(data)
+    icm = ESTIMATORS[name].fit(data)[1]()
     assert np.array_equal(icm, icm.T)
 
 

@@ -1,6 +1,7 @@
 """Edge corpus: every registry estimator through ``toepcov estimate`` on
 tiny, degenerate and badly scaled samples, with ``--icm`` where the
-estimator has a precision, and every warning an error.
+estimator has a precision (and on constant, alternating and rank-one rows
+once more without it), and every warning an error.
 
 Each call exits 0 with a finite ``cm_first_col`` and, with ``--icm``, a
 finite ``icm_dense`` that passes Cholesky, or refuses with the exit code and
@@ -16,11 +17,13 @@ import pytest
 from toepcov.bench import ESTIMATORS
 from toepcov.cli import main
 
-DIMS = (2, 3, 5, 16)
+DIMS = (1, 2, 3, 5, 16)
 # Constant, alternating and rank-one rows leave the GS fits of eig and frob
 # slow to settle, 0.7 s per input at P = 5 and 1-3 s at P = 16, so those two
-# take them at P = 2 and 3 only, an even and an odd order.
-_SLOW_ON_RANK_ONE, RANK_ONE_DIMS = ("eig", "frob"), (2, 3)
+# take them at P = 2 and 3 only, an even and an odd order, and at P = 1, where
+# white noise is the only order.
+_SLOW_ON_RANK_ONE, RANK_ONE_DIMS = ("eig", "frob"), (1, 2, 3)
+_RANK_ONE = ("constant", "alternating", "rank-one")
 _TUNED_GS = ("pgd", "pls", "frob", "eig")
 _CROSS_VALIDATED = ("banding", "tapering")
 
@@ -43,15 +46,20 @@ def corpus(p: int, rank_one: bool) -> dict:
     return inputs
 
 
-def refusal(name: str, label: str, p: int):
-    """``(exit code, stderr)`` of a call that refuses its input, None for a
-    call that fits it."""
+def refusal(name: str, label: str, n: int, p: int, icm: bool):
+    """``(exit code, stderr)`` of a call on ``n`` samples that refuses its
+    input, None for a call that fits it; ``icm`` says whether it asks for
+    the precision."""
     if label == "x1e-160":  # a subnormal mean power, whose reciprocal overflows
         return 2, "numerical failure: the samples' squares leave the float range; rescale the samples\n"
-    if name in _TUNED_GS and label == "gauss-n1":
+    if name in _TUNED_GS and n == 1:
         return 1, "error: BIC order tuning needs at least two samples\n"
-    if name in _CROSS_VALIDATED and label in ("gauss-n1", "gauss-n2", "gauss-n3"):
-        return 1, f"error: cross validation needs at least 4 samples, got {label[-1]}\n"
+    if name in _CROSS_VALIDATED and n < 4:  # at P = 1 the 2P-row inputs too
+        return 1, f"error: cross validation needs at least 4 samples, got {n}\n"
+    # Only a precision can fail below, and only at P > 1, where constant and
+    # alternating rows leave the SCM of rank one.
+    if not icm or p == 1:
+        return None
     # the SCM is v v^T with v a DFT vector (frequency 0, or P/2 at even P),
     # so the circulant spectrum has one nonzero: no precision
     if name == "circ" and (label == "constant" or label == "alternating" and p % 2 == 0):
@@ -68,23 +76,25 @@ def test_edge_corpus(name, tmp_path, capsys):
     info = ESTIMATORS[name]
     samples, out = tmp_path / "x.csv", tmp_path / "report.json"
     argv = ["estimate", "--input", str(samples), "--estimator", name, "--out", str(out)]
-    argv += ["--icm"] if info.supports_icm else []
     for p in DIMS:
         for label, x in corpus(p, name not in _SLOW_ON_RANK_ONE or p in RANK_ONE_DIMS).items():
             np.savetxt(samples, x, delimiter=",")
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                code = main(argv)
-            case, err = (p, label), capsys.readouterr().err
-            want = refusal(name, label, p)
-            if want is not None:
-                assert (code, err) == want and not out.exists(), case
-                continue
-            assert (code, err) == (0, ""), case
-            report = json.loads(out.read_text())
-            out.unlink()
-            assert np.isfinite(report["cm_first_col"]).all(), case
-            if info.supports_icm:
-                icm = np.array(report["icm_dense"])
-                assert np.isfinite(icm).all(), case
-                np.linalg.cholesky(icm)
+            runs = (True, False) if info.supports_icm and label in _RANK_ONE else (info.supports_icm,)
+            for with_icm in runs:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = main(argv + ["--icm"] * with_icm)
+                case, err = (p, label, with_icm), capsys.readouterr().err
+                want = refusal(name, label, len(x), p, with_icm)
+                if want is not None:
+                    assert (code, err) == want and not out.exists(), case
+                    continue
+                assert (code, err) == (0, ""), case
+                report = json.loads(out.read_text())
+                out.unlink()
+                assert np.isfinite(report["cm_first_col"]).all(), case
+                assert ("icm_dense" in report) == with_icm, case
+                if with_icm:
+                    icm = np.array(report["icm_dense"])
+                    assert np.isfinite(icm).all(), case
+                    np.linalg.cholesky(icm)

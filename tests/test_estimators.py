@@ -629,6 +629,7 @@ class TestNewtonAscent:
         data = SampleSet(np.array([[1.0, 1.0], [2.0, 2.0], [-1.0, -1.0]]))
         for name in ("pgd", "pls", "frob", "eig"):
             cm, icm, _, _ = bench.ESTIMATORS[name].fit(data)
+            icm = icm()
             assert np.all(np.isfinite(cm)) and np.all(np.isfinite(icm))
             np.linalg.cholesky(icm)
 
